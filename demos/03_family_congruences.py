@@ -35,7 +35,7 @@ datum = SiegelDatum(n=2, kappa=6, pair=pair0, p=p, D=1,
 betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
 print("\nindices of trace <= 3 (nondegenerate):", len(betas))
 
-table = coefficient_family(fam, points, betas, datum, jobs=4)
+table = coefficient_family(fam, points, betas, datum)
 nonzero = sum(1 for c in table.cells.values()
               if c.report is not None and not c.report.normalized.is_zero())
 print("cells computed:", len(table.cells), "| nonzero:", nonzero)

@@ -7,7 +7,6 @@ from math import comb
 
 from .errors import PoleError
 from .exact_arith import CycNumber
-from .characters import DirichletChar
 from .padic import embed_cyclotomic
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConductorError, PoleError
-from .exact_arith import CycNumber, euler_phi, factorize
+from .exact_arith import CycNumber, euler_phi, factorize, reduce_powers
 
 
 def kronecker_symbol(a, n):
@@ -241,11 +241,18 @@ def gauss_sum(chi):
         raise ConductorError("gauss_sum needs a primitive character")
     if m == 1:
         return CycNumber.one()
-    acc = CycNumber.zero()
-    for a in range(1, m):
-        if gcd(a, m) == 1:
-            acc = acc + chi(a) * CycNumber.root_of_unity(m, a)
-    return acc
+    units = [a for a in range(1, m) if gcd(a, m) == 1]
+    level = lcm(m, *(chi(a).level for a in units))
+    # chi(a) zeta_m^a is the vector of chi(a) lifted to the common level and
+    # shifted by a * level / m; sum the shifted vectors, then reduce once
+    dense = [0] * level
+    for a in units:
+        v = chi(a)
+        step = level // v.level
+        for i, c in enumerate(v.coeffs):
+            if c:
+                dense[(i * step + a * level // m) % level] += c
+    return CycNumber(level, reduce_powers(level, dense))
 
 
 def euler_factor(chi, q, s):

@@ -13,14 +13,14 @@ import sys
 from fractions import Fraction
 
 from .errors import ConfigError, EisklingError
-from .exact_arith import CycNumber, HermitianMatrix, enumerate_hermitian
+from .exact_arith import CycNumber, enumerate_hermitian, factorize
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
-from .bernoulli_kl import kl_specialization, L_at_nonpositive, bernoulli_number
+from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (SatakeParams, p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
-from .padic import congruent_mod
+from .padic import PadicElem, UnramElem, congruent_mod
 from .siegel_fourier import SiegelDatum, assemble_global
 from .interpolation import (ArithmeticPoint, CharFamilySpec,
                             coefficient_family, check_congruences)
@@ -193,21 +193,10 @@ def _require(cfg, *keys):
             raise ConfigError("missing required key %r" % k)
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 1
-    return True
-
-
 def _validate_common(cfg):
     _require(cfg, "p")
     p = cfg["p"]
-    if p == 2 or not _is_prime(p):
+    if p < 3 or factorize(p) != {p: 1}:
         raise ConfigError("key 'p': must be an odd prime, got %d" % p)
     if cfg["D"] <= 0:
         raise ConfigError("key 'D': must be a positive integer")
@@ -246,6 +235,8 @@ def _build_pair(cfg, kappa):
 
 def _build_datum(cfg, kappa):
     _require(cfg, "ell")
+    if cfg["y_norm"] == 0:
+        raise ConfigError("key 'y_norm': must be nonzero")
     n = cfg["r"] + 1 if cfg["variant"] == "klingen" else cfg["r"]
     return SiegelDatum(n=n, kappa=kappa, pair=_build_pair(cfg, kappa),
                        p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
@@ -287,8 +278,7 @@ def cmd_family(cfg, args):
     kappa = cfg["kappa"][0]
     datum = _build_datum(cfg, kappa)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
-    table = coefficient_family(fam, list(cfg["points"]), betas, datum,
-                               jobs=args.jobs)
+    table = coefficient_family(fam, list(cfg["points"]), betas, datum)
     report = {"command": "family", "table": table.to_json()}
     if cfg["pairs"]:
         report["congruences"] = check_congruences(
@@ -327,6 +317,13 @@ def cmd_kl(cfg, args):
             out_values[str(k)] = None
         elif v.is_zero():
             out_values[str(k)] = {"zero_to_precision": v.prec}
+        elif isinstance(v, UnramElem):
+            # values in an unramified extension of Q_p: p^shift * sum c_i x^i
+            out_values[str(k)] = {"valuation_bound": v.valuation_bound()[0],
+                                  "level": v.level, "shift": v.shift,
+                                  "coeffs_mod_p6": [c % p ** 6
+                                                    for c in v.coeffs],
+                                  "prec": v.prec}
         else:
             out_values[str(k)] = {"valuation": v.val,
                                   "unit_mod_p6": v.unit % p ** 6,
@@ -396,7 +393,6 @@ def cmd_selftest(cfg, args):
     checks.append(("bernoulli_12", bernoulli_number(12) == Fraction(-691, 2730)))
     v = kl_specialization(DirichletChar.trivial(), 4, 5, prec=10)
     expect = Fraction(-31, 30)
-    from .padic import PadicElem
     checks.append(("kl_trivial_k4_p5",
                    v == PadicElem.from_fraction(expect, 5, 10)))
     ok = all(flag for _, flag in checks)
@@ -420,8 +416,9 @@ def build_parser():
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", default=None)
     ap.add_argument("--out", default=None)
-    ap.add_argument("--jobs", type=int,
-                    default=int(os.environ.get("EK_JOBS", "1")))
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility and ignored: cells are "
+                         "computed serially")
     ap.add_argument("--prec", type=int,
                     default=int(os.environ.get("EK_PREC", "0")) or None)
     ap.add_argument("--seed", type=int, default=0)
@@ -440,6 +437,7 @@ def main(argv=None):
             raise ConfigError("--config is required for %r" % args.command)
         if args.prec:
             cfg["prec"] = args.prec
+            cfg["_raw"]["prec"] = str(args.prec)
         report = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)

@@ -49,6 +49,21 @@ def factorize(n):
     return out
 
 
+def valuation(x, p):
+    """p-adic valuation of a nonzero int or Fraction."""
+    if x == 0:
+        raise ValueError("valuation of zero")
+    n, d = x.numerator, x.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
 def _poly_divmod_monic(num, den):
     """Divide integer polynomial num by monic integer polynomial den exactly."""
     num = list(num)
@@ -106,6 +121,20 @@ def _power_table(n, upto):
     return table
 
 
+def reduce_powers(level, dense):
+    """Power-basis coefficients of sum_e dense[e] x^e modulo Phi_level."""
+    table = _power_table(level, len(dense))
+    phi = len(table[0])
+    out = [0] * phi
+    for e, c in enumerate(dense):
+        if c:
+            row = table[e]
+            for j in range(phi):
+                if row[j]:
+                    out[j] += c * row[j]
+    return out
+
+
 class CycNumber:
     """An element of Q(zeta_level) with exact Fraction coefficients."""
 
@@ -137,7 +166,6 @@ class CycNumber:
     def root_of_unity(cls, n, k=1):
         """zeta_n^k as an element of Q(zeta_n)."""
         k %= n
-        phi = euler_phi(n)
         row = _power_table(n, n)[k]
         return cls(n, [Fraction(c) for c in row])
 
@@ -159,16 +187,9 @@ class CycNumber:
         if m % self.level:
             raise ValueError("can only lift to a multiple of the level")
         step = m // self.level
-        phi = euler_phi(m)
-        table = _power_table(m, (len(self.coeffs) - 1) * step + 1)
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[i * step]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycNumber(m, out)
+        dense = [0] * ((len(self.coeffs) - 1) * step + 1)
+        dense[::step] = self.coeffs
+        return CycNumber(m, reduce_powers(m, dense))
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -215,16 +236,9 @@ class CycNumber:
                 for j, y in enumerate(ib):
                     if y:
                         conv[i + j] += x * y
-        table = _power_table(a.level, 2 * phi - 1)
-        out = [0] * phi
-        for k, c in enumerate(conv):
-            if c:
-                row = table[k]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
         den = da * db
-        return CycNumber(a.level, [Fraction(c, den) for c in out])
+        return CycNumber(a.level, [Fraction(c, den)
+                                   for c in reduce_powers(a.level, conv)])
 
     __rmul__ = __mul__
 
@@ -234,15 +248,10 @@ class CycNumber:
         a %= n
         if gcd(a, n) != 1:
             raise ValueError("galois exponent must be coprime to the level")
-        phi = len(self.coeffs)
-        out = [Fraction(0)] * phi
+        dense = [0] * n
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = _power_table(n, (i * a) % n + 1)[(i * a) % n]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycNumber(n, out)
+            dense[i * a % n] = c
+        return CycNumber(n, reduce_powers(n, dense))
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^-1."""
@@ -266,19 +275,9 @@ class CycNumber:
         if len(r0) != 1:
             raise ArithmeticError("element not invertible modulo cyclotomic polynomial")
         g = r0[0]
-        phi = len(self.coeffs)
-        s0 = [c / g for c in s0]
-        s0 += [Fraction(0)] * (phi - len(s0))
         # reduce s0 mod Phi in case degree crept up
-        table = _power_table(self.level, len(s0))
-        out = [Fraction(0)] * phi
-        for i, c in enumerate(s0):
-            if c:
-                row = table[i]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycNumber(self.level, out)
+        return CycNumber(self.level,
+                         reduce_powers(self.level, [c / g for c in s0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -637,14 +636,6 @@ class HermitianMatrix:
 
     def __repr__(self):
         return "HermitianMatrix(D=%d, entries=%r)" % (self.D, self.entries)
-
-
-def leading_minors(h):
-    return h.leading_minors()
-
-
-def is_positive_definite(h):
-    return h.is_positive_definite()
 
 
 def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=200000):

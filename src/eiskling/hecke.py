@@ -5,7 +5,7 @@ formal power p^exponent with Fraction exponent, so half-integral powers stay
 exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UniquenessError

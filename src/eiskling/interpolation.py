@@ -7,7 +7,6 @@ arithmetic points together with congruence certificates, never as power
 series.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -200,13 +199,12 @@ def _compute_cell(i, j, beta, datum, weight, variant):
         return FamilyCell(i, j, error="%s: %s" % (type(exc).__name__, exc))
 
 
-def coefficient_family(fam, points, betas, datum_template, jobs=1):
+def coefficient_family(fam, points, betas, datum_template):
     """Compute the full matrix of normalized coefficients: one row per
     arithmetic point (specialized datum), one column per hermitian index,
     with the weight multiplier of the point applied.  Rejected points and
-    failed cells become error records; the family continues past them.
-    Deterministic regardless of the worker count."""
-    tasks = []
+    failed cells become error records; the family continues past them."""
+    cells = {}
     point_errors = {}
     for i, pt in enumerate(points):
         try:
@@ -216,13 +214,8 @@ def coefficient_family(fam, points, betas, datum_template, jobs=1):
             continue
         datum = replace(datum_template, kappa=pt.kappa_phi, pair=spec.pair)
         for j, beta in enumerate(betas):
-            tasks.append((i, j, beta, datum, spec.weight, datum.variant))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _compute_cell(*t), tasks))
-    else:
-        results = [_compute_cell(*t) for t in tasks]
-    cells = {(c.point_index, c.beta_index): c for c in results}
+            cells[(i, j)] = _compute_cell(i, j, beta, datum, spec.weight,
+                                          datum.variant)
     return FamilyTable(fam, list(points), list(betas), cells, point_errors)
 
 

@@ -13,17 +13,8 @@ from math import gcd
 
 from .errors import (InsufficientPrecisionError, NotRationalError,
                      UnsupportedEmbeddingError)
-from .exact_arith import CycNumber, cyclotomic_poly, euler_phi, _power_table
-
-
-def _vp(n, p):
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .exact_arith import euler_phi, reduce_powers, valuation
+from .characters import primitive_root
 
 
 class PadicElem:
@@ -54,11 +45,9 @@ class PadicElem:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p, prec)
-        vn = _vp(x.numerator, p) if x.numerator else 0
-        vd = _vp(x.denominator, p)
-        val = vn - vd
-        num = x.numerator // p ** vn
-        den = x.denominator // p ** vd
+        val = valuation(x, p)
+        num = x.numerator // p ** max(val, 0)
+        den = x.denominator // p ** max(-val, 0)
         rel = max(prec - val, 1)
         unit = num * pow(den, -1, p ** rel) % p ** rel
         return cls(p, val, unit, prec)
@@ -105,7 +94,7 @@ class PadicElem:
                  + o.unit * self.p ** (o.val - v)) % self.p ** rel
         if total == 0:
             return PadicElem.zero(self.p, prec)
-        dv = _vp(total, self.p)
+        dv = valuation(total, self.p)
         return PadicElem(self.p, v + dv, total // self.p ** dv, prec)
 
     __radd__ = __add__
@@ -183,7 +172,7 @@ def teichmuller(a, p, prec):
         x = a.unit % p ** prec
     else:
         a = Fraction(a)
-        if _vp(a.numerator, p) != 0 or _vp(a.denominator, p) != 0:
+        if valuation(a, p) != 0:
             raise ValueError("teichmuller needs a p-unit")
         x = a.numerator * pow(a.denominator, -1, p ** prec) % p ** prec
     mod = p ** prec
@@ -291,14 +280,7 @@ class UnramElem:
                 for j, y in enumerate(o.coeffs):
                     if y:
                         conv[i + j] += x * y
-        table = _power_table(self.level, 2 * phi - 1)
-        out = [0] * phi
-        for k, c in enumerate(conv):
-            if c:
-                row = table[k]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
+        out = reduce_powers(self.level, conv)
         return UnramElem(self.p, self.level, tuple(c % mod for c in out), prec,
                          self.shift + o.shift)
 
@@ -312,7 +294,7 @@ class UnramElem:
         for c in self.coeffs:
             c %= mod
             if c:
-                vals.append(_vp(c, self.p))
+                vals.append(valuation(c, self.p))
         if not vals:
             return self.prec + self.shift, False
         return min(vals) + self.shift, True
@@ -331,18 +313,6 @@ class UnramElem:
     def __repr__(self):
         return "UnramElem(p=%d, level=%d, shift=%d, prec=%d, coeffs=%s)" % (
             self.p, self.level, self.shift, self.prec, list(self.coeffs))
-
-
-def _smallest_primitive_root(p):
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError("no primitive root")
 
 
 def embedding_units(m):
@@ -375,7 +345,7 @@ def embed_cyclotomic(x, p, prec, choice=0, require_rational=False):
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
     if (p - 1) % m == 0:
-        g = _smallest_primitive_root(p)
+        g = primitive_root(p)
         root = teichmuller(pow(g, (p - 1) // m, p), p, prec)
         acc = PadicElem.zero(p, prec)
         power = PadicElem.from_fraction(1, p, prec)
@@ -386,12 +356,10 @@ def embed_cyclotomic(x, p, prec, choice=0, require_rational=False):
         return acc
     if require_rational:
         raise NotRationalError("image lies in an unramified extension of Q_p")
-    phi = euler_phi(m)
     shift = 0
     for c in x.coeffs:
         if c:
-            v = _vp(c.numerator, p) - _vp(c.denominator, p)
-            shift = min(shift, v)
+            shift = min(shift, valuation(c, p))
     mod = p ** prec
     coeffs = []
     for c in x.coeffs:

@@ -1,11 +1,11 @@
 """Pullback constants: unramified ratios, auxiliary-prime scalars, and the
 p-place constants appearing in the Klingen and L-function normalizations."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConductorError, NonIntegralExponentError, PoleError
-from .exact_arith import CycNumber
+from .exact_arith import CycNumber, valuation
 from .values import ExactValue
 
 
@@ -77,15 +77,7 @@ def aux_ell_scalar(y_norm, ell, s, r, vol_Y, variant="klingen", tau_at_y=None):
     tau(y ybar) |(y ybar)^2|^(-s - (r+1)/2) Vol(Y)   (klingen variant),
     with (r+1)/2 replaced by r/2 for the lfun variant."""
     s = Fraction(s)
-    y_norm = Fraction(y_norm)
-    v = 0
-    t = y_norm
-    while t.numerator % ell == 0:
-        t = t / ell
-        v += 1
-    while t.denominator % ell == 0:
-        t = t * ell
-        v -= 1
+    v = valuation(Fraction(y_norm), ell)
     shift = Fraction(r + 1, 2) if variant == "klingen" else Fraction(r, 2)
     unit = tau_at_y if tau_at_y is not None else CycNumber.one()
     out = ExactValue(unit) * Fraction(vol_Y)

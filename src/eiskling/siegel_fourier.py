@@ -6,14 +6,16 @@ symbols (ExactValue).  Transcendental archimedean factors cancel against the
 global normalization and never appear.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .errors import ConductorError, UnsupportedBetaError
-from .exact_arith import CycNumber, factorize, sqrt_minus_d
+from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
 from .characters import chi_K
 from .padic import PadicElem, embed_cyclotomic
+from .pullback import aux_ell_scalar
 from .values import ExactValue
 
 
@@ -23,6 +25,10 @@ class SiegelDatum:
 
     n is the size of the coefficient index: n = r + 1 for the klingen variant
     and n = r for the lfun variant, where r is the rank of the definite group.
+
+    Everything fixed by the arithmetic point (tau', its Gauss character, the
+    ell and p constants) is computed once per datum and cached, so a datum
+    must not be mutated after its first use; derive new ones with replace().
     """
 
     n: int
@@ -59,23 +65,52 @@ class SiegelDatum:
     def s_point(self):
         return Fraction(self.kappa - self.n, 2)
 
+    @cached_property
+    def tau_prime(self):
+        return self.pair.tau_prime()
+
+    @cached_property
+    def _tau_prime_bar(self):
+        return self.tau_prime.conj()
+
     def tau_prime_bar(self):
-        return self.pair.tau_prime().conj()
+        return self._tau_prime_bar
 
+    @cached_property
+    def conductors_ok(self):
+        return self.pair.conductors_all_p(self.p)
 
-def _vq(x, q):
-    """q-adic valuation of a nonzero Fraction."""
-    x = Fraction(x)
-    v = 0
-    n = x.numerator
-    while n % q == 0:
-        n //= q
-        v += 1
-    d = x.denominator
-    while d % q == 0:
-        d //= q
-        v -= 1
-    return v
+    @cached_property
+    def ell_prefactor(self):
+        return prefactor_ell_lfactors(self)
+
+    @cached_property
+    def sqrt_md_mod_p(self):
+        return _sqrt_md_residue(self)
+
+    @cached_property
+    def aux_scalar(self):
+        """The beta-independent scalar of the auxiliary-prime coefficient."""
+        tau_at_y = None
+        if self.y_norm != 1:
+            tau_at_y = self.tau_ell_prime ** valuation(self.y_norm, self.ell)
+        return aux_ell_scalar(self.y_norm, self.ell, self.s_point, self.r,
+                              self.vol_Y, variant=self.variant,
+                              tau_at_y=tau_at_y)
+
+    @cached_property
+    def p_unit(self):
+        return _p_convention_unit(self)
+
+    @cached_property
+    def p_factor(self):
+        """g(tau')^n c_n(taubar', -s): the beta-independent part of coeff_p
+        apart from the unit."""
+        n = self.n
+        out = ExactValue(self.pair.at_p_prime() ** (-n))
+        out = out.with_gauss(self.tau_prime.primitive_part(), n)
+        return out.times_prime_power(
+            self.p, -2 * n * self.s_point - Fraction(n * (n + 1), 2))
 
 
 def _entry_integral_at(beta, q):
@@ -91,13 +126,26 @@ def additive_char(x, q):
     x = Fraction(x)
     if x == 0:
         return CycNumber.one()
-    k = max(0, -_vq(x, q))
+    k = max(0, -valuation(x, q))
     if k == 0:
         return CycNumber.one()
     qk = q ** k
     m = x.denominator // qk
     j = x.numerator * pow(m, -1, qk) % qk
     return CycNumber.root_of_unity(qk, j)
+
+
+def _abelian_lfactors(datum, q):
+    """prod_{i=0}^{n-1} (1 - taubar' chi_K^i (q) q^{-(kappa-i)}) as a
+    CycNumber: the abelian L-factors at q, inverted."""
+    tpb = datum.tau_prime_bar()
+    ck = chi_K(datum.D, q)
+    acc = CycNumber.one()
+    sign = 1
+    for i in range(datum.n):
+        acc = acc * (CycNumber.one() - tpb(q) * sign * Fraction(q) ** (-(datum.kappa - i)))
+        sign *= ck
+    return acc
 
 
 def coeff_unramified(beta, q, datum):
@@ -112,30 +160,16 @@ def coeff_unramified(beta, q, datum):
     if not _entry_integral_at(beta, q):
         raise UnsupportedBetaError("beta not integral at %d" % q)
     det = beta.det()
-    if det == 0 or _vq(det, q) != 0:
+    if det == 0 or valuation(det, q) != 0:
         raise UnsupportedBetaError("beta not primitive at %d" % q)
-    tpb = datum.tau_prime_bar()
-    acc = CycNumber.one()
-    sign = 1
-    for i in range(datum.n):
-        acc = acc * (CycNumber.one() - tpb(q) * sign * Fraction(q) ** (-(datum.kappa - i)))
-        sign *= ck
-    return ExactValue(acc)
+    return ExactValue(_abelian_lfactors(datum, q))
 
 
 def prefactor_ell_lfactors(datum):
     """The abelian L-factors of the global normalization at the auxiliary
     prime (which lies outside sigma and is not cancelled locally):
     prod_{i=0}^{n-1} (1 - taubar' chi_K^i (ell) ell^{-(kappa-i)})^{-1}."""
-    tpb = datum.tau_prime_bar()
-    ck = chi_K(datum.D, datum.ell)
-    acc = CycNumber.one()
-    sign = 1
-    for i in range(datum.n):
-        acc = acc * (CycNumber.one()
-                     - tpb(datum.ell) * sign * Fraction(datum.ell) ** (-(datum.kappa - i)))
-        sign *= ck
-    return ExactValue(acc.inverse())
+    return ExactValue(_abelian_lfactors(datum, datum.ell).inverse())
 
 
 def coeff_aux_ell(beta, datum, A=None):
@@ -147,21 +181,16 @@ def coeff_aux_ell(beta, datum, A=None):
     where shift = (r+1)/2 (klingen) or r/2 (lfun), A is an optional rational
     diagonal change of basis, and d(beta) is the sum of the last r (klingen)
     or all n (lfun) diagonal entries."""
-    from .pullback import aux_ell_scalar
     ell = datum.ell
     s = datum.s_point
-    scalar = aux_ell_scalar(datum.y_norm, ell, s, datum.r, datum.vol_Y,
-                            variant=datum.variant,
-                            tau_at_y=datum.tau_ell_prime ** _vq(datum.y_norm, ell)
-                            if datum.y_norm != 1 else None)
     if not _entry_integral_at(beta, ell):
         return ExactValue.zero()
-    out = scalar
+    out = datum.aux_scalar
     if A is not None:
         da = Fraction(1)
         for x in A:
             da *= Fraction(x)
-        v = _vq(da, ell)
+        v = valuation(da, ell)
         if v:
             out = out * ExactValue(datum.tau_ell_prime ** v)
             out = out.times_prime_power(ell, 2 * v * (s - Fraction(datum.n, 2)))
@@ -205,16 +234,16 @@ def coeff_p(beta, datum):
     """
     p = datum.p
     n = datum.n
-    if not datum.pair.conductors_all_p(p):
+    if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
     if not _entry_integral_at(beta, p):
         return ExactValue.zero()
     det = beta.det()
     if det == 0:
         raise UnsupportedBetaError("coeff_p needs det beta != 0")
-    if _vq(det, p) != 0:
+    if valuation(det, p) != 0:
         return ExactValue.zero()  # taubar'(det beta) = 0
-    root = _sqrt_md_residue(datum)
+    root = datum.sqrt_md_mod_p
     if datum.variant == "klingen":
         rows = range(n - 1)
         cols = range(1, n)
@@ -233,16 +262,9 @@ def coeff_p(beta, datum):
         phi_val = datum.pair.tau2(_quad_residue(det_x, p, root))
     else:
         phi_val = CycNumber.one()
-    tpb = datum.tau_prime_bar()
     det_res = det.numerator * pow(det.denominator, -1, p) % p
-    unit = tpb(det_res) * phi_val * _p_convention_unit(datum)
-    s = datum.s_point
-    out = ExactValue(unit)
-    out = out.with_gauss(datum.pair.tau_prime().primitive_part(), n)
-    # c_n(taubar', -s)
-    out = out * ExactValue(datum.pair.at_p_prime() ** (-n))
-    out = out.times_prime_power(p, -2 * n * s - Fraction(n * (n + 1), 2))
-    return out
+    unit = datum.tau_prime_bar()(det_res) * phi_val * datum.p_unit
+    return ExactValue(unit) * datum.p_factor
 
 
 def _p_convention_unit(datum):
@@ -318,28 +340,17 @@ def assemble_global(beta, datum):
             support |= set(factorize(e.b.denominator))
     good = sorted(q for q in support
                   if q not in datum.sigma and q not in (datum.ell, datum.p))
-    locs = {}
-    unram = ExactValue.one()
     for q in good:
-        c = coeff_unramified(beta, q, datum)  # raises if not primitive at q
-        prefq = ExactValue.one()
-        tpb = datum.tau_prime_bar()
-        ck = chi_K(datum.D, q)
-        sign = 1
-        acc = CycNumber.one()
-        for i in range(datum.n):
-            acc = acc * (CycNumber.one()
-                         - tpb(q) * sign * Fraction(q) ** (-(datum.kappa - i)))
-            sign *= ck
-        prefq = ExactValue(acc.inverse())
-        unram = unram * c * prefq  # exact cancellation: equals one
-    locs["unramified"] = unram
+        # every q here divides det beta or an entry denominator, so this
+        # raises; a q-primitive coefficient would cancel its L-factor to 1
+        coeff_unramified(beta, q, datum)
+    locs = {"unramified": ExactValue.one()}
     notes.append("good primes checked for primitivity: %s" % (good or "none"))
     for q in sorted(datum.sigma):
         if q != datum.p:
             notes.append("place %d in sigma: section normalized to 1 "
                          "(its L-factors are omitted from the prefactor)" % q)
-    locs["ell_prefactor"] = prefactor_ell_lfactors(datum)
+    locs["ell_prefactor"] = datum.ell_prefactor
     locs["ell"] = coeff_aux_ell(beta, datum)
     locs["p"] = coeff_p(beta, datum)
     locs["arch"] = coeff_arch_normalized(beta, datum)

@@ -10,7 +10,7 @@ materialization.
 from fractions import Fraction
 
 from .errors import NonIntegralExponentError
-from .exact_arith import CycNumber, factorize
+from .exact_arith import CycNumber, factorize, valuation
 from .characters import gauss_sum
 
 
@@ -46,10 +46,6 @@ class ExactValue:
     @classmethod
     def from_rational(cls, x):
         return cls(CycNumber.from_rational(x))
-
-    @classmethod
-    def from_cyc(cls, c):
-        return cls(c)
 
     def is_zero(self):
         return self.unit.is_zero()
@@ -130,12 +126,8 @@ class ExactValue:
             return None
         v = self.exps.get(p, Fraction(0))
         for chi, n in self.gauss.values():
-            m = chi.modulus
-            t = 0
-            while m % p == 0:
-                m //= p
-                t += 1
-            if m == 1 and t:
+            t = valuation(chi.modulus, p)
+            if t and chi.modulus == p ** t:
                 v += Fraction(n * t, 2)
         return v
 

@@ -264,7 +264,7 @@ def test_criterion_7_pullback_quotient():
             % (total, fails))
 
 
-def _criterion_8_family(jobs=1):
+def _criterion_8_family():
     fam = CharFamilySpec(p=5, r=1, tau1=DirichletChar.from_exponent(5, 1),
                          tau2=DirichletChar.from_exponent(5, 2),
                          at_p1=CycNumber.root_of_unity(4, 1),
@@ -273,7 +273,7 @@ def _criterion_8_family(jobs=1):
     datum = SiegelDatum(n=2, kappa=6, pair=_pair(5, 1, 2, 6), p=5, D=1,
                         sigma=(2, 5), ell=7, variant="klingen")
     betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
-    table = coefficient_family(fam, points, betas, datum, jobs=jobs)
+    table = coefficient_family(fam, points, betas, datum)
     pairs = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
     return table, pairs, betas
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from eiskling.cli import main, load_config, parse_char, parse_cyc, parse_point
+from eiskling.cli import (config_hash, main, load_config, parse_char,
+                          parse_cyc, parse_point)
 from eiskling.errors import ConfigError
 from eiskling.exact_arith import CycNumber
 
@@ -61,9 +62,10 @@ def test_duplicate_key_rejected(tmp_path):
 
 
 def test_p_validation(tmp_path):
-    path = write(tmp_path, FAMILY_CFG.replace("p = 5", "p = 2"))
-    code = main(["family", "--config", path])
-    assert code == 2
+    for bad in ("2", "1", "0", "9"):
+        path = write(tmp_path, FAMILY_CFG.replace("p = 5", "p = " + bad))
+        code = main(["family", "--config", path])
+        assert code == 2
 
 
 def test_nonsplit_p_rejected(tmp_path):
@@ -142,6 +144,43 @@ def test_hecke_and_pullback_commands(tmp_path):
     assert main(["pullback", "--config", path, "--out", str(out2)]) == 0
     doc2 = json.loads(out2.read_text())
     assert "ratio" in doc2 and "p_constant_klingen" in doc2
+
+
+def test_kl_unramified_character(tmp_path):
+    # exp:7:1 takes values in an unramified extension of Q_5
+    path = write(tmp_path, "p = 5\nchi = exp:7:1\nk_min = 1\nk_max = 6\n")
+    out = tmp_path / "kl.json"
+    assert main(["kl", "--config", path, "--out", str(out)]) == 0
+    values = json.loads(out.read_text())["values"]
+    nonzero = [v for v in values.values() if "zero_to_precision" not in v]
+    assert nonzero
+    for v in nonzero:
+        assert v["level"] == 6 and v["valuation_bound"] >= 0
+        assert len(v["coeffs_mod_p6"]) == 2
+
+
+@pytest.mark.parametrize("command", ["coeff", "family"])
+def test_zero_y_norm_is_config_error(tmp_path, command):
+    path = write(tmp_path, FAMILY_CFG + "y_norm = 0\n")
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+
+
+def test_config_hash_covers_prec_override(tmp_path):
+    cfg = "p = 5\nchi = trivial\nk_min = 2\nk_max = 4\n"
+    path = write(tmp_path, cfg)
+    hashes = {}
+    for prec in (None, "8", "20"):
+        out = tmp_path / ("kl%s.json" % prec)
+        argv = ["kl", "--config", path, "--out", str(out)]
+        if prec:
+            argv += ["--prec", prec]
+        assert main(argv) == 0
+        hashes[prec] = json.loads(out.read_text())["config_hash"]
+    assert hashes[None] == config_hash(load_config(path))
+    assert len(set(hashes.values())) == 3
+    # the override hashes like the same value written in the config
+    same = write(tmp_path, cfg + "prec = 20\n", name="prec20.cfg")
+    assert hashes["20"] == config_hash(load_config(same))
 
 
 def test_missing_config_is_error():

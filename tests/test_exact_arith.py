@@ -12,6 +12,7 @@ from eiskling.exact_arith import (
     euler_phi,
     quad_to_cyc,
     sqrt_minus_d,
+    valuation,
 )
 from eiskling.errors import ResourceBoundError
 
@@ -106,6 +107,14 @@ def test_descend_lift_roundtrip():
 
 def _mat(D, rows):
     return HermitianMatrix(D, rows)
+
+
+def test_valuation():
+    assert valuation(50, 5) == 2
+    assert valuation(Fraction(3, 25), 5) == -2
+    assert valuation(Fraction(-7, 3), 5) == 0
+    with pytest.raises(ValueError):
+        valuation(Fraction(0), 7)
 
 
 def test_hermitian_det_and_minors():

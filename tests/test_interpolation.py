@@ -89,13 +89,13 @@ def test_xpb_conductor_condition_value():
     assert not s.pair.conductors_all_p(5)
 
 
-def make_table(pts, fam=None, jobs=1):
+def make_table(pts, fam=None):
     fam = fam or family()
     pair0 = specialize(pts[0], fam).pair
     datum = SiegelDatum(n=2, kappa=pts[0].kappa_phi, pair=pair0, p=fam.p, D=1,
                         sigma=(2, fam.p), ell=7, variant="klingen")
     betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
-    return coefficient_family(fam, pts, betas, datum, jobs=jobs), betas
+    return coefficient_family(fam, pts, betas, datum), betas
 
 
 def test_family_single_point_delegates():

@@ -191,6 +191,23 @@ def test_assemble_global_degenerate_and_nonpd():
     assert any("positive definite" in n for n in rep2.notes)
 
 
+def test_assemble_global_rejects_non_primitive_index():
+    datum = make_datum(5, 1, 2, "klingen", kappa=6)
+    det3 = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
+                               [Fraction(0), Fraction(3)]])
+    with pytest.raises(UnsupportedBetaError,
+                       match="^beta not primitive at 3$"):
+        assemble_global(det3, datum)
+    # with 2 outside sigma, an even determinant meets the ramified prime 2
+    no_two = SiegelDatum(n=2, kappa=6, pair=make_pair(5, 1, 2, 6), p=5, D=1,
+                         sigma=(5,), ell=13, variant="klingen")
+    det2 = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
+                               [Fraction(0), Fraction(2)]])
+    with pytest.raises(UnsupportedBetaError,
+                       match="^ramified prime 2 not supported$"):
+        assemble_global(det2, no_two)
+
+
 def test_prefactor_ell_matches_inverse_lfactors():
     datum = make_datum(5, 1, 2, "klingen", kappa=6, ell=13)
     v = prefactor_ell_lfactors(datum)
