@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import ConfigError, EisklingError
+from .errors import ConfigError, EisklingError, ResourceBoundError
 from .exact_arith import CycNumber, enumerate_hermitian, factorize
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
@@ -235,20 +235,32 @@ def _build_pair(cfg, kappa):
 
 def _build_datum(cfg, kappa):
     _require(cfg, "ell")
+    ell = cfg["ell"]
+    if ell < 2 or factorize(ell) != {ell: 1}:
+        raise ConfigError("key 'ell': must be a prime, got %d" % ell)
     if cfg["y_norm"] == 0:
         raise ConfigError("key 'y_norm': must be nonzero")
+    if cfg["vol_Y"] <= 0:
+        raise ConfigError("key 'vol_Y': must be positive")
     n = cfg["r"] + 1 if cfg["variant"] == "klingen" else cfg["r"]
-    return SiegelDatum(n=n, kappa=kappa, pair=_build_pair(cfg, kappa),
-                       p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
-                       ell=cfg["ell"], y_norm=cfg["y_norm"],
-                       vol_Y=cfg["vol_Y"],
-                       embedding_choice=cfg["embedding_choice"],
-                       prec=cfg["prec"], variant=cfg["variant"])
+    pair = _build_pair(cfg, kappa)
+    try:
+        return SiegelDatum(n=n, kappa=kappa, pair=pair,
+                           p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
+                           ell=ell, y_norm=cfg["y_norm"],
+                           vol_Y=cfg["vol_Y"],
+                           embedding_choice=cfg["embedding_choice"],
+                           prec=cfg["prec"], variant=cfg["variant"])
+    except ValueError as exc:  # SiegelDatum rejects sigma, ell and variant
+        raise ConfigError(str(exc))
 
 
 def _betas(cfg, n):
-    return [b for b in enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
-                                           cfg["dual_scale"])]
+    try:
+        return list(enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
+                                        cfg["dual_scale"]))
+    except ResourceBoundError as exc:
+        raise ConfigError("key 'trace_bound': %s" % exc)
 
 
 def cmd_coeff(cfg, args):

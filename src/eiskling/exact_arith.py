@@ -4,7 +4,12 @@ Cyclotomic elements are stored as Fraction coefficient vectors on the power
 basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial.
 Quadratic elements a + b*sqrt(-D) keep a, b as Fractions.  Hermitian matrices
 over the quadratic field support exact minors, definiteness tests and a
-bounded-trace enumerator.
+bounded-trace enumerator.  Minors are computed on integers: a matrix is
+scaled by the common denominator of its entries, its determinant expanded
+over Z[sqrt(-D)], and one Fraction division made at the end (Cohen, A Course
+in Computational Algebraic Number Theory, section 4).  A HermitianMatrix
+keeps that integer image and memoizes its minors, and the enumerator tests
+semidefiniteness on integers before it builds a candidate.
 """
 
 from dataclasses import dataclass
@@ -541,25 +546,30 @@ class QuadFieldElem:
 
 
 def quad_det(rows):
-    """Determinant of a square matrix of QuadFieldElem, by Laplace expansion."""
+    """Determinant of a square matrix of QuadFieldElem: Laplace expansion
+    over Z[sqrt(-D)] after clearing the common denominator of the entries."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
     D = rows[0][0].D
-    acc = QuadFieldElem(Fraction(0), Fraction(0), D)
-    sign = 1
-    for j in range(n):
-        if not rows[0][j].is_zero():
-            minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            acc = acc + sign * rows[0][j] * quad_det(minor)
-        sign = -sign
-    return acc
+    den, image = HermitianMatrix._integer_image(rows)
+    A, B = HermitianMatrix._int_minor(image, D, range(n), range(n))
+    scale = den ** n
+    return QuadFieldElem(Fraction(A, scale), Fraction(B, scale), D)
 
 
 class HermitianMatrix:
-    """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal."""
+    """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal.
+
+    The constructor also builds the integer image of the matrix: the common
+    denominator den of all entry parts, and each entry a + b*sqrt(-D) as the
+    integer pair (a*den, b*den).  Minors are expanded on that image and
+    memoized per instance, so each distinct minor is computed once for all
+    callers.  The cache does not enter equality or hashing; a matrix must not
+    be mutated after construction.
+    """
+
+    __slots__ = ("D", "n", "entries", "_den", "_image", "_minors")
 
     def __init__(self, D, rows):
         self.D = D
@@ -567,14 +577,19 @@ class HermitianMatrix:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
+        den, image = self._integer_image(rows)
         for i in range(n):
-            if rows[i][i].b != 0:
+            if image[i][i][1]:
                 raise ValueError("diagonal must be rational")
             for j in range(i + 1, n):
-                if rows[j][i] != rows[i][j].conj():
+                a, b = image[i][j]
+                if image[j][i] != (a, -b):
                     raise ValueError("matrix must be hermitian")
         self.n = n
         self.entries = rows
+        self._den = den
+        self._image = image
+        self._minors = {}
 
     def _entry_coerce(self, e):
         if isinstance(e, QuadFieldElem):
@@ -587,6 +602,39 @@ class HermitianMatrix:
             return QuadFieldElem(Fraction(e[0]), Fraction(e[1]), self.D)
         raise TypeError("bad matrix entry %r" % (e,))
 
+    @staticmethod
+    def _integer_image(rows):
+        """(den, image): den the common denominator of the entry parts and
+        image the entries a + b*sqrt(-D) as integer pairs (a*den, b*den)."""
+        den = lcm(*(x.denominator for row in rows for e in row
+                    for x in (e.a, e.b)))
+        image = tuple(tuple((e.a.numerator * (den // e.a.denominator),
+                             e.b.numerator * (den // e.b.denominator))
+                            for e in row) for row in rows)
+        return den, image
+
+    @staticmethod
+    def _int_minor(image, D, rows, cols):
+        """The minor on rows x cols of a matrix of integer pairs (a, b),
+        each standing for a + b*sqrt(-D), as a pair (A, B): Laplace
+        expansion along the first row, (a, b)(c, d) = (ac - Dbd, ad + bc)."""
+        def expand(rows, cols):
+            row = image[rows[0]]
+            if len(rows) == 1:
+                return row[cols[0]]
+            rest = rows[1:]
+            A = B = 0
+            for j, c in enumerate(cols):
+                a, b = row[c]
+                if a or b:
+                    ma, mb = expand(rest, cols[:j] + cols[j + 1:])
+                    if j & 1:
+                        a, b = -a, -b
+                    A += a * ma - D * b * mb
+                    B += a * mb + b * ma
+            return A, B
+        return expand(tuple(rows), tuple(cols))
+
     def entry(self, i, j):
         return self.entries[i][j]
 
@@ -594,7 +642,19 @@ class HermitianMatrix:
         return [[self.entries[i][j] for j in cols] for i in rows]
 
     def minor(self, rows, cols):
-        return quad_det(self.submatrix(rows, cols))
+        """Determinant of the rows x cols block, computed once per block."""
+        key = (tuple(rows), tuple(cols))
+        m = self._minors.get(key)
+        if m is None:
+            k = len(key[0])
+            if k == 0 or k != len(key[1]):
+                raise ValueError("a minor needs equal, nonempty row and "
+                                 "column sets")
+            A, B = self._int_minor(self._image, self.D, *key)
+            scale = self._den ** k
+            m = QuadFieldElem(Fraction(A, scale), Fraction(B, scale), self.D)
+            self._minors[key] = m
+        return m
 
     def leading_minors(self):
         """Determinants of the leading principal k x k blocks, k = 1..n."""
@@ -606,7 +666,9 @@ class HermitianMatrix:
         return out
 
     def det(self):
-        return self.leading_minors()[-1] if self.n else Fraction(1)
+        if not self.n:
+            return Fraction(1)
+        return self.minor(range(self.n), range(self.n)).a
 
     def trace(self):
         return sum(self.entries[i][i].a for i in range(self.n))
@@ -643,13 +705,20 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=200000):
 
     Diagonal entries are nonnegative integers with sum <= trace_bound;
     off-diagonal entries run over (a + b*sqrt(-D))/dual_scale with integer a, b
-    constrained by the 2x2 minor bound.  Deterministic order.
+    constrained by the 2x2 minor bound, which makes every principal minor of
+    size 1 or 2 nonnegative.  The larger principal minors are tested on the
+    integer matrix dual_scale * beta before a candidate is built.  The cap
+    counts every candidate examined.  Deterministic order.
     """
-    s2 = dual_scale * dual_scale
+    s = dual_scale
+    s2 = s * s
     examined = 0
     diag_tuples = [d for d in itertools.product(range(trace_bound + 1), repeat=n)
                    if sum(d) <= trace_bound]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    screened = [idx for size in range(3, n + 1)
+                for idx in itertools.combinations(range(n), size)]
+    int_minor = HermitianMatrix._int_minor
     for diag in diag_tuples:
         ranges = []
         for (i, j) in pairs:
@@ -661,21 +730,22 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=200000):
                 bmax = _isqrt(rem // D) if rem >= 0 else -1
                 for b in range(-bmax, bmax + 1):
                     if a * a + D * b * b <= bound:
-                        opts.append((Fraction(a, dual_scale), Fraction(b, dual_scale)))
+                        x = QuadFieldElem(Fraction(a, s), Fraction(b, s), D)
+                        opts.append(((a, b), (a, -b), x, x.conj()))
             ranges.append(opts)
+        image = [[(s * diag[i], 0) if i == j else None for j in range(n)]
+                 for i in range(n)]
+        rows = [[QuadFieldElem(Fraction(diag[i]), Fraction(0), D)
+                 if i == j else None for j in range(n)] for i in range(n)]
         for combo in itertools.product(*ranges):
             examined += 1
             if examined > cap:
                 raise ResourceBoundError("enumeration cap %d exceeded" % cap)
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = QuadFieldElem(Fraction(diag[i]), Fraction(0), D)
-            for (i, j), (a, b) in zip(pairs, combo):
-                rows[i][j] = QuadFieldElem(a, b, D)
-                rows[j][i] = QuadFieldElem(a, -b, D)
-            h = HermitianMatrix(D, rows)
-            if h.is_positive_semidefinite():
-                yield h
+            for (i, j), opt in zip(pairs, combo):
+                image[i][j], image[j][i], rows[i][j], rows[j][i] = opt
+            if any(int_minor(image, D, idx, idx)[0] < 0 for idx in screened):
+                continue
+            yield HermitianMatrix(D, rows)
 
 
 def _isqrt(x):

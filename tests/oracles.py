@@ -4,12 +4,16 @@ Each oracle recomputes a quantity by a different route than the package:
 Bernoulli numbers by the Akiyama-Tanigawa scheme, the rank-one p-local
 coefficient by the literal finite shell sum over the big cell, mod-p minor
 units by integer Gaussian elimination after substituting a mod-p square root,
-and semidefiniteness by floating-point eigenvalues.
+semidefiniteness by floating-point eigenvalues, and determinants over
+Q(sqrt(-D)) by Laplace expansion on QuadFieldElem entries (Fraction arithmetic,
+no integer image, no cache).
 """
 
+import itertools
 from fractions import Fraction
 
-from eiskling.exact_arith import CycNumber
+from eiskling.errors import ResourceBoundError
+from eiskling.exact_arith import CycNumber, HermitianMatrix, QuadFieldElem
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -165,3 +169,64 @@ def psd_by_eigenvalues(beta, tol=1e-9):
             mat[i, j] = float(e.a) + float(e.b) * sq
     eig = np.linalg.eigvalsh(mat)
     return bool(eig.min() >= -tol)
+
+
+def quad_det_laplace(rows):
+    """Determinant of a square matrix of QuadFieldElem by Laplace expansion
+    along the first row, in QuadFieldElem arithmetic."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if n == 1:
+        return rows[0][0]
+    D = rows[0][0].D
+    acc = QuadFieldElem(Fraction(0), Fraction(0), D)
+    sign = 1
+    for j in range(n):
+        if not rows[0][j].is_zero():
+            minor = [[rows[i][k] for k in range(n) if k != j]
+                     for i in range(1, n)]
+            acc = acc + sign * rows[0][j] * quad_det_laplace(minor)
+        sign = -sign
+    return acc
+
+
+def psd_by_principal_minors(beta):
+    """Semidefiniteness: every principal minor, by quad_det_laplace, is >= 0."""
+    for size in range(1, beta.n + 1):
+        for idx in itertools.combinations(range(beta.n), size):
+            if quad_det_laplace(beta.submatrix(idx, idx)).a < 0:
+                return False
+    return True
+
+
+def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
+    """The candidates of enumerate_hermitian in its order, every one built as
+    a HermitianMatrix and kept when psd_by_principal_minors holds; raises
+    ResourceBoundError on the (cap+1)-th candidate."""
+    s2 = dual_scale * dual_scale
+    examined = 0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(range(trace_bound + 1), repeat=n):
+        if sum(diag) > trace_bound:
+            continue
+        ranges = []
+        for (i, j) in pairs:
+            bound = s2 * diag[i] * diag[j]
+            r = int(bound ** 0.5) + 1
+            ranges.append([(a, b) for a in range(-r, r + 1)
+                           for b in range(-r, r + 1)
+                           if a * a + D * b * b <= bound])
+        for combo in itertools.product(*ranges):
+            examined += 1
+            if examined > cap:
+                raise ResourceBoundError("enumeration cap %d exceeded" % cap)
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = Fraction(diag[i])
+            for (i, j), (a, b) in zip(pairs, combo):
+                rows[i][j] = (Fraction(a, dual_scale), Fraction(b, dual_scale))
+                rows[j][i] = (Fraction(a, dual_scale), Fraction(-b, dual_scale))
+            beta = HermitianMatrix(D, rows)
+            if psd_by_principal_minors(beta):
+                yield beta

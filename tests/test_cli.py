@@ -185,3 +185,45 @@ def test_config_hash_covers_prec_override(tmp_path):
 
 def test_missing_config_is_error():
     assert main(["coeff"]) == 2
+
+
+@pytest.mark.parametrize("command", ["coeff", "family"])
+@pytest.mark.parametrize("ell", ["9", "-7", "1"])
+def test_non_prime_ell_is_config_error(tmp_path, capsys, command, ell):
+    path = write(tmp_path, FAMILY_CFG.replace("ell = 7", "ell = " + ell))
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    assert "key 'ell': must be a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coeff", "family"])
+@pytest.mark.parametrize("vol", ["0", "-1"])
+def test_nonpositive_vol_y_is_config_error(tmp_path, capsys, command, vol):
+    path = write(tmp_path, FAMILY_CFG + "vol_Y = %s\n" % vol)
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    assert "key 'vol_Y': must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coeff", "family"])
+@pytest.mark.parametrize("edits, message", [
+    ({"sigma = 2,5": "sigma = 2"}, "sigma must contain p"),
+    ({"ell = 7": "ell = 5"}, "the auxiliary prime is kept outside sigma"),
+    # D = 1 ramifies at 2
+    ({"ell = 7": "ell = 2", "sigma = 2,5": "sigma = 5"},
+     "the auxiliary prime must be unramified"),
+])
+def test_invalid_datum_is_config_error(tmp_path, capsys, command, edits,
+                                       message):
+    cfg = FAMILY_CFG
+    for old, new in edits.items():
+        cfg = cfg.replace(old, new)
+    path = write(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+def test_enumeration_cap_is_config_error(tmp_path, capsys):
+    path = write(tmp_path, FAMILY_CFG.replace("trace_bound = 2",
+                                              "trace_bound = 40"))
+    assert main(["coeff", "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")

@@ -10,13 +10,15 @@ from eiskling.exact_arith import (
     cyclotomic_poly,
     enumerate_hermitian,
     euler_phi,
+    quad_det,
     quad_to_cyc,
     sqrt_minus_d,
     valuation,
 )
 from eiskling.errors import ResourceBoundError
 
-from oracles import psd_by_eigenvalues
+from oracles import (enumerate_hermitian_oracle, psd_by_eigenvalues,
+                     psd_by_principal_minors, quad_det_laplace)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 levels = st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15])
@@ -126,6 +128,17 @@ def test_hermitian_det_and_minors():
     assert b.is_positive_definite()
 
 
+def test_hermitian_validation():
+    with pytest.raises(ValueError, match="hermitian"):
+        _mat(1, [[1, (1, 1)], [(1, 1), 2]])
+    with pytest.raises(ValueError, match="rational"):
+        _mat(1, [[(1, 1), 0], [0, 1]])
+    with pytest.raises(ValueError, match="square"):
+        _mat(1, [[1, 2], [3]])
+    half = _mat(1, [[1, (Fraction(1, 2), 1)], [(Fraction(1, 2), -1), 2]])
+    assert half.det() == Fraction(3, 4)
+
+
 def test_positive_definite_examples():
     good = _mat(1, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     bad = _mat(1, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
@@ -166,3 +179,102 @@ def test_psd_matches_eigenvalue_oracle():
         assert psd_by_eigenvalues(b)
         count += 1
     assert count > 5
+
+
+entry_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+fields = st.sampled_from([1, 2, 3, 7, 11])
+
+
+def _quad(draw, D, rational=False):
+    b = Fraction(0) if rational else draw(entry_fracs)
+    return QuadFieldElem(draw(entry_fracs), b, D)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    D = draw(fields)
+    return [[_quad(draw, D) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def hermitian_matrices(draw, max_n=4):
+    """Random hermitian matrices, or Gram matrices M M^* (semidefinite, and
+    singular when M has fewer columns than rows)."""
+    n = draw(st.integers(1, max_n))
+    D = draw(fields)
+    zero = QuadFieldElem(Fraction(0), Fraction(0), D)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        m = [[_quad(draw, D) for _ in range(k)] for _ in range(n)]
+        rows = [[sum((m[i][t] * m[j][t].conj() for t in range(k)), zero)
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = _quad(draw, D, rational=True)
+            for j in range(i + 1, n):
+                rows[i][j] = _quad(draw, D)
+                rows[j][i] = rows[i][j].conj()
+    return HermitianMatrix(D, rows)
+
+
+@given(square_matrices())
+@settings(max_examples=80, deadline=None)
+def test_quad_det_matches_laplace_oracle(rows):
+    assert quad_det(rows) == quad_det_laplace(rows)
+
+
+@given(hermitian_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_hermitian_minors_match_laplace_oracle(beta, data):
+    n = beta.n
+    k = data.draw(st.integers(1, n))
+    rows = data.draw(st.permutations(range(n)))[:k]
+    cols = data.draw(st.permutations(range(n)))[:k]
+    assert beta.minor(rows, cols) == quad_det_laplace(beta.submatrix(rows, cols))
+    expect = [quad_det_laplace(beta.submatrix(range(j), range(j))).a
+              for j in range(1, n + 1)]
+    assert beta.leading_minors() == expect
+    assert beta.det() == expect[-1]
+    assert beta.is_positive_semidefinite() == psd_by_principal_minors(beta)
+
+
+@given(hermitian_matrices(max_n=3))
+@settings(max_examples=40, deadline=None)
+def test_minor_cache_is_invisible(beta):
+    twin = HermitianMatrix(beta.D, beta.entries)
+    everything = list(range(beta.n))
+    first = beta.minor(everything, everything)
+    assert beta.minor(range(beta.n), range(beta.n)) == first
+    assert beta.minor(everything, everything) == first
+    beta.is_positive_semidefinite()
+    assert twin == beta and hash(twin) == hash(beta)
+    assert twin.minor(everything, everything) == first
+
+
+def _drain(gen):
+    """The items a generator yields, and whether it then hit the cap."""
+    out = []
+    try:
+        for item in gen:
+            out.append(item)
+    except ResourceBoundError:
+        return out, True
+    return out, False
+
+
+@given(st.integers(1, 3), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+       st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_enumeration_matches_oracle(n, D, scale, trace):
+    assert (list(enumerate_hermitian(n, D, trace, scale))
+            == list(enumerate_hermitian_oracle(n, D, trace, scale)))
+
+
+@given(st.integers(2, 3), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+       st.integers(1, 300))
+@settings(max_examples=25, deadline=None)
+def test_enumeration_cap_matches_oracle(n, D, scale, cap):
+    got = _drain(enumerate_hermitian(n, D, 3, scale, cap=cap))
+    assert got == _drain(enumerate_hermitian_oracle(n, D, 3, scale, cap=cap))
