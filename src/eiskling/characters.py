@@ -241,18 +241,19 @@ def gauss_sum(chi):
         raise ConductorError("gauss_sum needs a primitive character")
     if m == 1:
         return CycNumber.one()
-    units = [a for a in range(1, m) if gcd(a, m) == 1]
-    level = lcm(m, *(chi(a).level for a in units))
+    values = [(a, chi(a)) for a in range(1, m) if gcd(a, m) == 1]
+    level = lcm(m, *(v.level for _, v in values))
+    den = lcm(*(v.den for _, v in values))
     # chi(a) zeta_m^a is the vector of chi(a) lifted to the common level and
     # shifted by a * level / m; sum the shifted vectors, then reduce once
     dense = [0] * level
-    for a in units:
-        v = chi(a)
+    for a, v in values:
         step = level // v.level
-        for i, c in enumerate(v.coeffs):
+        scale = den // v.den
+        for i, c in enumerate(v.nums):
             if c:
-                dense[(i * step + a * level // m) % level] += c
-    return CycNumber(level, reduce_powers(level, dense))
+                dense[(i * step + a * level // m) % level] += c * scale
+    return CycNumber.from_integers(level, reduce_powers(level, dense), den)
 
 
 def euler_factor(chi, q, s):

@@ -12,8 +12,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import ConfigError, EisklingError, ResourceBoundError
-from .exact_arith import CycNumber, enumerate_hermitian, factorize
+from .errors import ConfigError, EisklingError
+from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
+                          enumerate_hermitian, factorize)
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
 from .bernoulli_kl import kl_specialization, bernoulli_number
@@ -204,22 +205,61 @@ def _validate_common(cfg):
         raise ConfigError("key 'p': %d does not split for D=%d" % (p, cfg["D"]))
 
 
-def _encode(obj):
-    if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, CycNumber):
-        return obj.to_json()
-    if isinstance(obj, ExactValue):
-        return obj.to_json()
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
-
-
 def _emit(report, out_path):
-    text = json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"
+    """Write the report as json.dumps(..., sort_keys=True, indent=2) would
+    write it after exact values become their to_json() forms, Fractions
+    "a/b" strings, dict keys strings and tuples lists, in one pass."""
+    parts = []
+    put = parts.append
+    escape = json.encoder.encode_basestring_ascii
+
+    def write(obj, pad):
+        if isinstance(obj, str):
+            put(escape(obj))
+        elif obj is None:
+            put("null")
+        elif obj is True:
+            put("true")
+        elif obj is False:
+            put("false")
+        elif isinstance(obj, int):
+            put(int.__repr__(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                put("{}")
+                return
+            if not all(isinstance(k, str) for k in obj):
+                obj = {str(k): v for k, v in obj.items()}
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k, v in sorted(obj.items()):
+                put(sep)
+                put(escape(k))
+                put(": ")
+                write(v, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in obj:
+                put(sep)
+                write(v, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + "]")
+        elif isinstance(obj, Fraction):
+            put('"%d/%d"' % (obj.numerator, obj.denominator))
+        elif isinstance(obj, (CycNumber, ExactValue)):
+            write(obj.to_json(), pad)
+        else:  # floats, or an error for what JSON cannot hold
+            put(json.dumps(obj))
+
+    write(report, "")
+    put("\n")
+    text = "".join(parts)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -243,24 +283,21 @@ def _build_datum(cfg, kappa):
     if cfg["vol_Y"] <= 0:
         raise ConfigError("key 'vol_Y': must be positive")
     n = cfg["r"] + 1 if cfg["variant"] == "klingen" else cfg["r"]
-    pair = _build_pair(cfg, kappa)
-    try:
-        return SiegelDatum(n=n, kappa=kappa, pair=pair,
-                           p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
-                           ell=ell, y_norm=cfg["y_norm"],
-                           vol_Y=cfg["vol_Y"],
-                           embedding_choice=cfg["embedding_choice"],
-                           prec=cfg["prec"], variant=cfg["variant"])
-    except ValueError as exc:  # SiegelDatum rejects sigma, ell and variant
-        raise ConfigError(str(exc))
+    return SiegelDatum(n=n, kappa=kappa, pair=_build_pair(cfg, kappa),
+                       p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
+                       ell=ell, y_norm=cfg["y_norm"], vol_Y=cfg["vol_Y"],
+                       embedding_choice=cfg["embedding_choice"],
+                       prec=cfg["prec"], variant=cfg["variant"])
 
 
 def _betas(cfg, n):
-    try:
-        return list(enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
-                                        cfg["dual_scale"]))
-    except ResourceBoundError as exc:
-        raise ConfigError("key 'trace_bound': %s" % exc)
+    """The enumerated indices; a config whose enumeration would exceed the
+    cap is rejected from the candidate count, before any is built."""
+    args = (n, cfg["D"], cfg["trace_bound"], cfg["dual_scale"])
+    if count_hermitian(*args) > ENUMERATION_CAP:
+        raise ConfigError("key 'trace_bound': enumeration cap %d exceeded"
+                          % ENUMERATION_CAP)
+    return list(enumerate_hermitian(*args))
 
 
 def cmd_coeff(cfg, args):

@@ -1,15 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and imaginary quadratic fields.
 
-Cyclotomic elements are stored as Fraction coefficient vectors on the power
-basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial.
-Quadratic elements a + b*sqrt(-D) keep a, b as Fractions.  Hermitian matrices
-over the quadratic field support exact minors, definiteness tests and a
-bounded-trace enumerator.  Minors are computed on integers: a matrix is
-scaled by the common denominator of its entries, its determinant expanded
-over Z[sqrt(-D)], and one Fraction division made at the end (Cohen, A Course
-in Computational Algebraic Number Theory, section 4).  A HermitianMatrix
-keeps that integer image and memoizes its minors, and the enumerator tests
-semidefiniteness on integers before it builds a candidate.
+A cyclotomic element is an integer vector over one positive denominator on the
+power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic
+polynomial, kept coprime to that denominator, as number-field elements are
+stored by FLINT/Antic (nf_elem; Cohen, A Course in Computational Algebraic
+Number Theory, section 4).  Quadratic elements a + b*sqrt(-D) keep a, b as
+Fractions.  Hermitian matrices over the quadratic field support exact minors,
+definiteness tests and a bounded-trace enumerator.  Minors are computed on
+integers: a matrix is scaled by the common denominator of its entries, its
+determinant expanded over Z[sqrt(-D)], and one Fraction division made at the
+end.  A HermitianMatrix keeps that integer image and memoizes its minors, and
+the enumerator tests semidefiniteness on integers before it builds a
+candidate.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ import threading
 from .errors import ResourceBoundError
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n):
     result = n
     m = n
@@ -130,34 +133,68 @@ def reduce_powers(level, dense):
     """Power-basis coefficients of sum_e dense[e] x^e modulo Phi_level."""
     table = _power_table(level, len(dense))
     phi = len(table[0])
-    out = [0] * phi
-    for e, c in enumerate(dense):
+    out = list(dense[:phi])
+    out += [0] * (phi - len(out))
+    for e in range(phi, len(dense)):
+        c = dense[e]
         if c:
-            row = table[e]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
+            for j, x in enumerate(table[e]):
+                if x:
+                    out[j] += c * x
     return out
 
 
 class CycNumber:
-    """An element of Q(zeta_level) with exact Fraction coefficients."""
+    """An element of Q(zeta_level), immutable.
 
-    __slots__ = ("level", "coeffs")
+    Stored as (level, nums, den): the element is
+    (nums[0] + nums[1] zeta + ... + nums[phi-1] zeta^(phi-1)) / den on the
+    power basis modulo the level-th cyclotomic polynomial, where nums is a
+    tuple of ints, den a positive int and gcd(den, *nums) == 1.  Every element
+    therefore has one representation at its level (zero is all zeros over 1),
+    and equality at a common level is tuple equality.  Arithmetic stays on
+    integers: a product is one convolution, one reduction modulo the
+    cyclotomic polynomial and one gcd.
+    """
+
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level, coeffs):
-        phi = euler_phi(level)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
-            raise ValueError("expected %d coefficients at level %d" % (phi, level))
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != euler_phi(level):
+            raise ValueError("expected %d coefficients at level %d"
+                             % (euler_phi(level), level))
+        # each coefficient is in lowest terms, so the numerators scaled to
+        # the common denominator are already coprime to it
+        den = lcm(*[c.denominator for c in coeffs])
         self.level = level
-        self.coeffs = coeffs
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @classmethod
+    def from_integers(cls, level, nums, den=1):
+        """(nums[0] + nums[1] zeta + ...) / den for phi(level) ints nums and
+        a nonzero int den, brought to the reduced form."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        x = object.__new__(cls)
+        x.level = level
+        if g == 1:
+            x.nums = tuple(nums)
+            x.den = den
+        else:
+            x.nums = tuple(c // g for c in nums)
+            x.den = den // g
+        return x
 
     @classmethod
     def from_rational(cls, x, level=1):
-        x = Fraction(x)
-        phi = euler_phi(level)
-        return cls(level, (x,) + (Fraction(0),) * (phi - 1))
+        if not isinstance(x, int):
+            x = Fraction(x)
+        return cls.from_integers(
+            level, (x.numerator,) + (0,) * (euler_phi(level) - 1),
+            x.denominator)
 
     @classmethod
     def zero(cls, level=1):
@@ -170,20 +207,18 @@ class CycNumber:
     @classmethod
     def root_of_unity(cls, n, k=1):
         """zeta_n^k as an element of Q(zeta_n)."""
-        k %= n
-        row = _power_table(n, n)[k]
-        return cls(n, [Fraction(c) for c in row])
+        return cls.from_integers(n, _power_table(n, n)[k % n])
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def lift(self, m):
         """Rewrite at level m, a multiple of the current level."""
@@ -192,9 +227,9 @@ class CycNumber:
         if m % self.level:
             raise ValueError("can only lift to a multiple of the level")
         step = m // self.level
-        dense = [0] * ((len(self.coeffs) - 1) * step + 1)
-        dense[::step] = self.coeffs
-        return CycNumber(m, reduce_powers(m, dense))
+        dense = [0] * ((len(self.nums) - 1) * step + 1)
+        dense[::step] = self.nums
+        return CycNumber.from_integers(m, reduce_powers(m, dense), self.den)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,22 +241,32 @@ class CycNumber:
         m = lcm(self.level, other.level)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, at the least common level."""
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycNumber(a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            nums = [x + sign * y for x, y in zip(a.nums, b.nums)]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
+            da *= fa
+        return CycNumber.from_integers(a.level, nums, da)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.level, [-c for c in self.coeffs])
+        return CycNumber.from_integers(self.level, [-c for c in self.nums],
+                                       self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CycNumber(a.level, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -230,22 +275,27 @@ class CycNumber:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        phi = len(a.coeffs)
-        da = lcm(*[c.denominator for c in a.coeffs]) if phi > 1 else a.coeffs[0].denominator
-        db = lcm(*[c.denominator for c in b.coeffs]) if phi > 1 else b.coeffs[0].denominator
-        ia = [int(c * da) for c in a.coeffs]
-        ib = [int(c * db) for c in b.coeffs]
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(ia):
-            if x:
-                for j, y in enumerate(ib):
-                    if y:
-                        conv[i + j] += x * y
-        den = da * db
-        return CycNumber(a.level, [Fraction(c, den)
-                                   for c in reduce_powers(a.level, conv)])
+        return a._mul(b)
 
     __rmul__ = __mul__
+
+    def _mul(self, other):
+        """The product with an element of the same level."""
+        x, y = self.nums, other.nums
+        if not any(y[1:]):
+            c = y[0]
+            nums = [c * u for u in x]
+        elif not any(x[1:]):
+            c = x[0]
+            nums = [c * v for v in y]
+        else:
+            conv = [0] * (2 * len(x) - 1)
+            for i, u in enumerate(x):
+                if u:
+                    for j, v in enumerate(y, i):
+                        conv[j] += u * v
+            nums = reduce_powers(self.level, conv)
+        return CycNumber.from_integers(self.level, nums, self.den * other.den)
 
     def galois(self, a):
         """Apply the automorphism zeta -> zeta^a; a must be a unit mod level."""
@@ -254,35 +304,29 @@ class CycNumber:
         if gcd(a, n) != 1:
             raise ValueError("galois exponent must be coprime to the level")
         dense = [0] * n
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             dense[i * a % n] = c
-        return CycNumber(n, reduce_powers(n, dense))
+        return CycNumber.from_integers(n, reduce_powers(n, dense), self.den)
 
     def conj(self):
         """Complex conjugation, zeta -> zeta^-1."""
         return self.galois(self.level - 1) if self.level > 1 else self
 
     def inverse(self):
+        """1/x as the product of the other Galois conjugates of x divided by
+        the norm, the rational product of all of them."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
+        n = self.level
         if self.is_rational():
-            return CycNumber.from_rational(1 / self.coeffs[0], self.level)
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        # extended euclid over Q[x]: s*self + t*Phi = gcd (a nonzero constant)
-        r0, r1 = phi_poly, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        while len(r0) > 1 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ArithmeticError("element not invertible modulo cyclotomic polynomial")
-        g = r0[0]
-        # reduce s0 mod Phi in case degree crept up
-        return CycNumber(self.level,
-                         reduce_powers(self.level, [c / g for c in s0]))
+            return CycNumber.from_rational(Fraction(self.den, self.nums[0]), n)
+        acc = CycNumber.one(n)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                acc = acc._mul(self.galois(a))
+        norm = acc._mul(self)
+        return CycNumber.from_integers(
+            n, [c * norm.den for c in acc.nums], acc.den * norm.nums[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -313,11 +357,12 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(other)
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator and self.is_rational())
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None
 
@@ -327,58 +372,31 @@ class CycNumber:
             raise ValueError("target level must divide the current level")
         if m == self.level:
             return self
-        basis = [CycNumber.root_of_unity(m, j).lift(self.level).coeffs
+        basis = [CycNumber.root_of_unity(m, j).lift(self.level).nums
                  for j in range(euler_phi(m))]
-        sol = _solve_linear(basis, self.coeffs)
+        sol = _solve_linear(basis, self.nums)
         if sol is None:
             return None
-        return CycNumber(m, sol)
+        return CycNumber(m, [c / self.den for c in sol])
 
     def complex_value(self, k=1):
         """Numerical value under zeta_level -> exp(2*pi*i*k/level)."""
         z = cmath.exp(2j * cmath.pi * k / self.level)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
+        for c in reversed(self.nums):
+            acc = acc * z + c
+        return acc / self.den
 
     def to_json(self):
+        """The coefficients as reduced "a/b" strings, the sign on a."""
+        den = self.den
         return {"level": self.level,
-                "coeffs": ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]}
+                "coeffs": ["%d/%d" % (c // g, den // g)
+                           for c in self.nums for g in (gcd(c, den),)]}
 
     def __repr__(self):
-        return "CycNumber(level=%d, coeffs=%s)" % (self.level, list(self.coeffs))
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            c = a[i] / b[-1]
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return q, a[:db] if db else [Fraction(0)]
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+        return "CycNumber(level=%d, nums=%s, den=%d)" % (
+            self.level, list(self.nums), self.den)
 
 
 def _solve_linear(columns, target):
@@ -700,7 +718,42 @@ class HermitianMatrix:
         return "HermitianMatrix(D=%d, entries=%r)" % (self.D, self.entries)
 
 
-def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=200000):
+ENUMERATION_CAP = 200000
+
+
+def _diagonals(n, trace_bound):
+    """The diagonals of the enumeration in its order: n nonnegative
+    integers with sum <= trace_bound."""
+    return (d for d in itertools.product(range(trace_bound + 1), repeat=n)
+            if sum(d) <= trace_bound)
+
+
+def _entry_bounds(bound, D):
+    """(a, bmax) for each integer a with a^2 <= bound: the integers b with
+    a^2 + D*b^2 <= bound are those with |b| <= bmax."""
+    amax = _isqrt(bound)
+    return [(a, _isqrt((bound - a * a) // D)) for a in range(-amax, amax + 1)]
+
+
+def count_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
+    """The number of candidates enumerate_hermitian examines for these
+    arguments: per diagonal the product of the per-pair option counts, with
+    no candidate built.  Counting stops once the count exceeds cap."""
+    s2 = dual_scale * dual_scale
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 0
+    for diag in _diagonals(n, trace_bound):
+        count = 1
+        for (i, j) in pairs:
+            count *= sum(2 * bmax + 1 for _, bmax in
+                         _entry_bounds(s2 * diag[i] * diag[j], D))
+        total += count
+        if total > cap:
+            break
+    return total
+
+
+def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     """Yield positive semidefinite hermitian matrices with bounded integer trace.
 
     Diagonal entries are nonnegative integers with sum <= trace_bound;
@@ -708,30 +761,24 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=200000):
     constrained by the 2x2 minor bound, which makes every principal minor of
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
     integer matrix dual_scale * beta before a candidate is built.  The cap
-    counts every candidate examined.  Deterministic order.
+    counts every candidate examined (count_hermitian gives that number in
+    advance).  Deterministic order.
     """
     s = dual_scale
     s2 = s * s
     examined = 0
-    diag_tuples = [d for d in itertools.product(range(trace_bound + 1), repeat=n)
-                   if sum(d) <= trace_bound]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     screened = [idx for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
     int_minor = HermitianMatrix._int_minor
-    for diag in diag_tuples:
+    for diag in _diagonals(n, trace_bound):
         ranges = []
         for (i, j) in pairs:
-            bound = s2 * diag[i] * diag[j]
             opts = []
-            amax = _isqrt(bound)
-            for a in range(-amax, amax + 1):
-                rem = bound - a * a
-                bmax = _isqrt(rem // D) if rem >= 0 else -1
+            for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D):
                 for b in range(-bmax, bmax + 1):
-                    if a * a + D * b * b <= bound:
-                        x = QuadFieldElem(Fraction(a, s), Fraction(b, s), D)
-                        opts.append(((a, b), (a, -b), x, x.conj()))
+                    x = QuadFieldElem(Fraction(a, s), Fraction(b, s), D)
+                    opts.append(((a, b), (a, -b), x, x.conj()))
             ranges.append(opts)
         image = [[(s * diag[i], 0) if i == j else None for j in range(n)]
                  for i in range(n)]

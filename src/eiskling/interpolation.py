@@ -10,7 +10,8 @@ series.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import ConductorError, InsufficientPrecisionError
+from .errors import (ConductorError, ConfigError, EisklingError,
+                     InsufficientPrecisionError, UnsupportedEmbeddingError)
 from .exact_arith import CycNumber, quad_to_cyc
 from .characters import DirichletChar, SplitPCharPair
 from .padic import congruent_mod, embed_cyclotomic
@@ -77,12 +78,12 @@ def _p_power_order(zeta, p):
         z = z * zeta
         order += 1
         if order > 10 ** 4:
-            raise ValueError("not a root of unity of small order")
+            raise ConfigError("not a root of unity of small order")
     n = order
     while n % p == 0:
         n //= p
     if n != 1:
-        raise ValueError("zeta must have p-power order")
+        raise ConfigError("zeta must have p-power order")
     return order
 
 
@@ -97,7 +98,7 @@ def wild_char(p, zeta):
         chi = DirichletChar.from_exponent(modulus, k * (p - 1))
         if chi(1 + p) == zeta:
             return chi
-    raise ValueError("no character matches the requested generator value")
+    raise ConfigError("no character matches the requested generator value")
 
 
 @dataclass
@@ -138,6 +139,9 @@ def specialize(point, fam):
             raise ConductorError(
                 "pullback point needs tau1, tau2, tau1*tau2 of conductor p")
     weight = tuple(x + point.m_phi for x in fam.a)
+    if weight and weight[-1] < 0:
+        raise ConfigError("specialized weight %s has a negative entry"
+                          % (weight,))
     return SpecializedPoint(pair, w2, weight, point.kappa_phi, point.m_phi)
 
 
@@ -195,7 +199,7 @@ def _compute_cell(i, j, beta, datum, weight, variant):
                              notes=report.notes + ["weight multiplier applied: "
                                                    "a = %s" % (weight,)])
         return FamilyCell(i, j, report=report)
-    except Exception as exc:  # per-cell error records; the family continues
+    except EisklingError as exc:  # per-cell error records; the family continues
         return FamilyCell(i, j, error="%s: %s" % (type(exc).__name__, exc))
 
 
@@ -209,10 +213,10 @@ def coefficient_family(fam, points, betas, datum_template):
     for i, pt in enumerate(points):
         try:
             spec = specialize(pt, fam)
-        except Exception as exc:
+            datum = replace(datum_template, kappa=pt.kappa_phi, pair=spec.pair)
+        except EisklingError as exc:
             point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
             continue
-        datum = replace(datum_template, kappa=pt.kappa_phi, pair=spec.pair)
         for j, beta in enumerate(betas):
             cells[(i, j)] = _compute_cell(i, j, beta, datum, spec.weight,
                                           datum.variant)
@@ -275,7 +279,7 @@ def _compare_cells(v1, v2, k, p, prec, choice):
         ok = congruent_mod(emb, zero, int(target))
     except InsufficientPrecisionError as exc:
         return "INSUFFICIENT", str(exc)
-    except Exception as exc:
+    except UnsupportedEmbeddingError as exc:
         return "INCOMPARABLE", "%s: %s" % (type(exc).__name__, exc)
     if ok:
         return "PASS", "unit difference has valuation >= %s" % target

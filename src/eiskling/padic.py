@@ -349,24 +349,26 @@ def embed_cyclotomic(x, p, prec, choice=0, require_rational=False):
         root = teichmuller(pow(g, (p - 1) // m, p), p, prec)
         acc = PadicElem.zero(p, prec)
         power = PadicElem.from_fraction(1, p, prec)
-        for c in x.coeffs:
+        for c in x.nums:
             if c:
-                acc = acc + power * PadicElem.from_fraction(c, p, prec)
+                acc = acc + power * PadicElem.from_fraction(
+                    Fraction(c, x.den), p, prec)
             power = power * root
         return acc
     if require_rational:
         raise NotRationalError("image lies in an unramified extension of Q_p")
+    coeffs = [Fraction(c, x.den) for c in x.nums]
     shift = 0
-    for c in x.coeffs:
+    for c in coeffs:
         if c:
             shift = min(shift, valuation(c, p))
     mod = p ** prec
-    coeffs = []
-    for c in x.coeffs:
+    units = []
+    for c in coeffs:
         c = c / Fraction(p) ** shift
         den = c.denominator
-        coeffs.append(c.numerator * pow(den, -1, mod) % mod if c else 0)
-    return UnramElem(p, m, tuple(coeffs), prec, shift)
+        units.append(c.numerator * pow(den, -1, mod) % mod if c else 0)
+    return UnramElem(p, m, tuple(units), prec, shift)
 
 
 def congruent_mod(a, b, k):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .errors import ConductorError, UnsupportedBetaError
+from .errors import ConductorError, ConfigError, UnsupportedBetaError
 from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
 from .characters import chi_K
 from .padic import PadicElem, embed_cyclotomic
@@ -47,15 +47,17 @@ class SiegelDatum:
 
     def __post_init__(self):
         if self.variant not in ("klingen", "lfun"):
-            raise ValueError("variant must be 'klingen' or 'lfun'")
+            raise ConfigError("variant must be 'klingen' or 'lfun'")
+        if self.kappa < self.n:
+            raise ConfigError("need kappa >= n")
         if self.p not in self.sigma:
-            raise ValueError("sigma must contain p")
+            raise ConfigError("sigma must contain p")
         if self.ell in self.sigma:
-            raise ValueError("the auxiliary prime is kept outside sigma")
+            raise ConfigError("the auxiliary prime is kept outside sigma")
         if chi_K(self.D, self.p) != 1:
-            raise ValueError("p must split in the quadratic field")
+            raise ConfigError("p must split in the quadratic field")
         if chi_K(self.D, self.ell) == 0:
-            raise ValueError("the auxiliary prime must be unramified")
+            raise ConfigError("the auxiliary prime must be unramified")
 
     @property
     def r(self):
@@ -279,10 +281,8 @@ def coeff_arch_normalized(beta, datum):
     """Archimedean coefficient after dividing by the global normalization:
     (-2)^(-n) det(beta)^(kappa-n) / (kappa-1)!  for the klingen variant,
     (-2)^(-n) det(beta)^(kappa-n)               for the lfun variant;
-    zero unless det beta > 0.  Requires kappa >= n."""
+    zero unless det beta > 0.  The datum guarantees kappa >= n."""
     n = datum.n
-    if datum.kappa < n:
-        raise ValueError("need kappa >= n")
     det = beta.det()
     if det <= 0:
         return ExactValue.zero()

@@ -6,14 +6,20 @@ coefficient by the literal finite shell sum over the big cell, mod-p minor
 units by integer Gaussian elimination after substituting a mod-p square root,
 semidefiniteness by floating-point eigenvalues, and determinants over
 Q(sqrt(-D)) by Laplace expansion on QuadFieldElem entries (Fraction arithmetic,
-no integer image, no cache).
+no integer image, no cache), cyclotomic arithmetic on Fraction coefficient
+vectors reduced by long division by the cyclotomic polynomial (inverses by
+the extended Euclidean algorithm), and the JSON text of a report by
+converting it first and handing it to json.dumps.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 from eiskling.errors import ResourceBoundError
-from eiskling.exact_arith import CycNumber, HermitianMatrix, QuadFieldElem
+from eiskling.exact_arith import (CycNumber, HermitianMatrix, QuadFieldElem,
+                                  cyclotomic_poly)
+from eiskling.values import ExactValue
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -200,12 +206,12 @@ def psd_by_principal_minors(beta):
     return True
 
 
-def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
-    """The candidates of enumerate_hermitian in its order, every one built as
-    a HermitianMatrix and kept when psd_by_principal_minors holds; raises
-    ResourceBoundError on the (cap+1)-th candidate."""
+def hermitian_candidates_oracle(n, D, trace_bound, dual_scale=1):
+    """The candidates of enumerate_hermitian in its order, as (diag, combo):
+    the diagonal and, per pair i < j, the integers (a, b) of the entry
+    (a + b*sqrt(-D))/dual_scale, found by a brute-force search of the box
+    around the bound a^2 + D*b^2 <= dual_scale^2 * d_i * d_j."""
     s2 = dual_scale * dual_scale
-    examined = 0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag in itertools.product(range(trace_bound + 1), repeat=n):
         if sum(diag) > trace_bound:
@@ -218,15 +224,137 @@ def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
                            for b in range(-r, r + 1)
                            if a * a + D * b * b <= bound])
         for combo in itertools.product(*ranges):
-            examined += 1
-            if examined > cap:
-                raise ResourceBoundError("enumeration cap %d exceeded" % cap)
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = Fraction(diag[i])
-            for (i, j), (a, b) in zip(pairs, combo):
-                rows[i][j] = (Fraction(a, dual_scale), Fraction(b, dual_scale))
-                rows[j][i] = (Fraction(a, dual_scale), Fraction(-b, dual_scale))
-            beta = HermitianMatrix(D, rows)
-            if psd_by_principal_minors(beta):
-                yield beta
+            yield diag, combo
+
+
+def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
+    """The candidates of hermitian_candidates_oracle, every one built as a
+    HermitianMatrix and kept when psd_by_principal_minors holds; raises
+    ResourceBoundError on the (cap+1)-th candidate."""
+    examined = 0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag, combo in hermitian_candidates_oracle(n, D, trace_bound,
+                                                   dual_scale):
+        examined += 1
+        if examined > cap:
+            raise ResourceBoundError("enumeration cap %d exceeded" % cap)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = Fraction(diag[i])
+        for (i, j), (a, b) in zip(pairs, combo):
+            rows[i][j] = (Fraction(a, dual_scale), Fraction(b, dual_scale))
+            rows[j][i] = (Fraction(a, dual_scale), Fraction(-b, dual_scale))
+        beta = HermitianMatrix(D, rows)
+        if psd_by_principal_minors(beta):
+            yield beta
+
+
+def cyc_fractions(x):
+    """The coefficients of a CycNumber as Fractions."""
+    return [Fraction(c, x.den) for c in x.nums]
+
+
+def cyc_reduce(level, dense):
+    """Fraction coefficients of sum_e dense[e] x^e modulo Phi_level, by long
+    division by the cyclotomic polynomial."""
+    poly = cyclotomic_poly(level)
+    phi = len(poly) - 1
+    out = [Fraction(c) for c in dense] + [Fraction(0)] * max(0, phi - len(dense))
+    for i in range(len(out) - 1, phi - 1, -1):
+        c = out[i]
+        if c:
+            for j, pj in enumerate(poly):
+                out[i - phi + j] -= c * pj
+    return out[:phi]
+
+
+def cyc_lift(level, coeffs, m):
+    step = m // level
+    dense = [Fraction(0)] * ((len(coeffs) - 1) * step + 1)
+    dense[::step] = coeffs
+    return cyc_reduce(m, dense)
+
+
+def cyc_mul(level, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return cyc_reduce(level, conv)
+
+
+def cyc_galois(level, coeffs, a):
+    dense = [Fraction(0)] * level
+    for i, c in enumerate(coeffs):
+        dense[i * a % level] += c
+    return cyc_reduce(level, dense)
+
+
+def _poly_trim(a):
+    a = list(a)
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    b = _poly_trim(b)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(len(a) - db, 1)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            c = a[i] / b[-1]
+            q[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] -= c * b[j]
+    return q, a[:db] if db else [Fraction(0)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def cyc_inverse(level, coeffs):
+    """Inverse modulo Phi_level by the extended Euclidean algorithm over Q:
+    s * x + t * Phi = g, a nonzero constant, so 1/x = s / g."""
+    r0, r1 = [Fraction(c) for c in cyclotomic_poly(level)], list(coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(c != 0 for c in r1):
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    r0 = _poly_trim(r0)
+    assert len(r0) == 1, "not invertible"
+    return cyc_reduce(level, [c / r0[0] for c in s0])
+
+
+def encode_for_json(obj):
+    """A report as plain JSON data: Fractions as "a/b" strings, CycNumber
+    and ExactValue as their to_json() forms, dict keys as strings, tuples as
+    lists."""
+    if isinstance(obj, Fraction):
+        return "%d/%d" % (obj.numerator, obj.denominator)
+    if isinstance(obj, (CycNumber, ExactValue)):
+        return obj.to_json()
+    if isinstance(obj, dict):
+        return {str(k): encode_for_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_for_json(v) for v in obj]
+    return obj
+
+
+def report_text(report):
+    """The text of a report: its plain JSON data written by json.dumps."""
+    return json.dumps(encode_for_json(report), sort_keys=True, indent=2) + "\n"

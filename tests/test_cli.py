@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eiskling.cli import (config_hash, main, load_config, parse_char,
+from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
                           parse_cyc, parse_point)
 from eiskling.errors import ConfigError
-from eiskling.exact_arith import CycNumber
+from eiskling.exact_arith import CycNumber, euler_phi
+from eiskling.values import ExactValue
+
+from oracles import report_text
 
 
 FAMILY_CFG = """\
@@ -210,6 +217,7 @@ def test_nonpositive_vol_y_is_config_error(tmp_path, capsys, command, vol):
     # D = 1 ramifies at 2
     ({"ell = 7": "ell = 2", "sigma = 2,5": "sigma = 5"},
      "the auxiliary prime must be unramified"),
+    ({"kappa = 6": "kappa = 1"}, "need kappa >= n"),
 ])
 def test_invalid_datum_is_config_error(tmp_path, capsys, command, edits,
                                        message):
@@ -227,3 +235,73 @@ def test_enumeration_cap_is_config_error(tmp_path, capsys):
     assert main(["coeff", "--config", path, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err == (
         "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
+
+
+@pytest.mark.parametrize("command", ["family", "enumerate"])
+def test_enumeration_cap_is_config_error_other_commands(tmp_path, capsys,
+                                                        command):
+    path = write(tmp_path, FAMILY_CFG.replace("trace_bound = 2",
+                                              "trace_bound = 40"))
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
+
+
+def emitted(report):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(report, None)
+    return buf.getvalue()
+
+
+json_text = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f", "\u00e9\u2028", "\U0001f600", "a/b"])
+json_scalars = (st.none() | st.booleans() | st.integers() | json_text)
+
+
+def _nested(leaves, keys):
+    return st.recursive(
+        leaves, lambda inner: (st.lists(inner, max_size=4)
+                               | st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=25)
+
+
+@given(_nested(json_scalars, json_text))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_json_dumps(obj):
+    assert emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def cyc_numbers(draw):
+    level = draw(st.sampled_from([1, 3, 4, 5, 12]))
+    return CycNumber(level, draw(st.lists(
+        st.fractions(max_denominator=20), min_size=euler_phi(level),
+        max_size=euler_phi(level))))
+
+
+@st.composite
+def exact_values(draw):
+    exps = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7]),
+                                st.fractions(max_denominator=4), max_size=3))
+    return ExactValue(draw(cyc_numbers()), exps)
+
+
+exact_leaves = (json_scalars | st.fractions(max_denominator=50)
+                | cyc_numbers() | exact_values())
+
+
+@given(_nested(exact_leaves, st.integers() | json_text)
+       | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves)))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_old_encoding(obj):
+    """Exact leaves, int keys (sorted as their strings) and tuples are
+    written as converting the report first and calling json.dumps wrote
+    them."""
+    assert emitted(obj) == report_text(obj)
+
+
+def test_writer_rejects_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        emitted({"x": object()})
+    assert emitted([1.5, float("inf")]) == "[\n  1.5,\n  Infinity\n]\n"

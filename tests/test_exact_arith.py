@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from eiskling.exact_arith import (
     CycNumber,
     HermitianMatrix,
     QuadFieldElem,
+    count_hermitian,
     cyclotomic_poly,
     enumerate_hermitian,
     euler_phi,
@@ -17,7 +19,9 @@ from eiskling.exact_arith import (
 )
 from eiskling.errors import ResourceBoundError
 
-from oracles import (enumerate_hermitian_oracle, psd_by_eigenvalues,
+from oracles import (cyc_fractions, cyc_galois, cyc_inverse, cyc_lift,
+                     cyc_mul, enumerate_hermitian_oracle,
+                     hermitian_candidates_oracle, psd_by_eigenvalues,
                      psd_by_principal_minors, quad_det_laplace)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -60,6 +64,79 @@ def test_galois_respects_multiplication(level, a):
     x = CycNumber.root_of_unity(level, 1) + 2
     y = CycNumber.root_of_unity(level, 2) - 1
     assert (x * y).galois(a) == x.galois(a) * y.galois(a)
+
+
+ORACLE_LEVELS = [1, 3, 4, 5, 8, 12, 20]
+
+
+@st.composite
+def fraction_vectors(draw):
+    """(level, Fraction coefficients), zero coefficients drawn often."""
+    level = draw(st.sampled_from(ORACLE_LEVELS))
+    coeff = st.one_of(st.just(Fraction(0)), small_fracs,
+                      st.fractions(max_denominator=10 ** 6))
+    return level, draw(st.lists(coeff, min_size=euler_phi(level),
+                                max_size=euler_phi(level)))
+
+
+def assert_reduced(x, level, coeffs):
+    """x is the reduced integer form of coeffs at level."""
+    assert x.level == level
+    assert isinstance(x.nums, tuple) and len(x.nums) == euler_phi(level)
+    assert all(type(c) is int for c in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert cyc_fractions(x) == list(coeffs)
+
+
+@given(fraction_vectors(), fraction_vectors(), st.sampled_from([1, 2, 3, 5]),
+       st.fractions(max_denominator=12), st.integers(-50, 50))
+@settings(max_examples=150, deadline=None)
+def test_cyc_ops_match_fraction_oracle(u, v, k, q, n):
+    (la, ca), (lb, cb) = u, v
+    x, y = CycNumber(la, ca), CycNumber(lb, cb)
+    assert_reduced(x, la, ca)
+    m = lcm(la, lb)
+    xa, yb = cyc_lift(la, ca, m), cyc_lift(lb, cb, m)
+    assert_reduced(x + y, m, [s + t for s, t in zip(xa, yb)])
+    assert_reduced(x - y, m, [s - t for s, t in zip(xa, yb)])
+    assert_reduced(x * y, m, cyc_mul(m, xa, yb))
+    assert_reduced(-x, la, [-s for s in ca])
+    assert_reduced(x - x, la, [0] * euler_phi(la))
+    assert_reduced(x + q, la, [ca[0] + q] + ca[1:])
+    assert_reduced(q - x, la, [q - ca[0]] + [-s for s in ca[1:]])
+    assert_reduced(x * q, la, [s * q for s in ca])
+    assert_reduced(n * x, la, [n * s for s in ca])
+    assert_reduced(x.lift(k * la), k * la, cyc_lift(la, ca, k * la))
+    for a in range(1, la + 1):
+        if gcd(a, la) == 1:
+            assert_reduced(x.galois(a), la, cyc_galois(la, ca, a))
+    assert_reduced(x.conj(), la, cyc_galois(la, ca, la - 1))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert_reduced(x.inverse(), la, cyc_inverse(la, ca))
+    assert (x == y) == (xa == yb)
+    assert x == x.lift(k * la) and x.lift(k * la) == x
+    assert x.is_zero() == all(c == 0 for c in ca)
+    assert x.is_rational() == all(c == 0 for c in ca[1:])
+    if x.is_rational():
+        assert x.rational() == ca[0] and x == ca[0]
+    else:
+        with pytest.raises(ValueError):
+            x.rational()
+        assert x != ca[0]
+    assert x.to_json() == {"level": la, "coeffs": [
+        "%d/%d" % (c.numerator, c.denominator) for c in ca]}
+
+
+def test_to_json_signs_and_zero():
+    x = CycNumber(4, [Fraction(-3, 6), 0])
+    assert (x.nums, x.den) == ((-1, 0), 2)
+    assert x.to_json() == {"level": 4, "coeffs": ["-1/2", "0/1"]}
+    assert CycNumber.zero(5).to_json()["coeffs"] == ["0/1"] * 4
+    assert (CycNumber(3, [Fraction(2, 4), Fraction(-1, 6)]).to_json()["coeffs"]
+            == ["1/2", "-1/6"])
 
 
 def test_root_of_unity_order():
@@ -278,3 +355,16 @@ def test_enumeration_matches_oracle(n, D, scale, trace):
 def test_enumeration_cap_matches_oracle(n, D, scale, cap):
     got = _drain(enumerate_hermitian(n, D, 3, scale, cap=cap))
     assert got == _drain(enumerate_hermitian_oracle(n, D, 3, scale, cap=cap))
+
+
+@given(st.integers(1, 3), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+       st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_count_matches_oracle_candidates(n, D, scale, trace):
+    assert (count_hermitian(n, D, trace, scale)
+            == sum(1 for _ in hermitian_candidates_oracle(n, D, trace, scale)))
+
+
+def test_count_stops_above_cap():
+    assert count_hermitian(2, 1, 40, cap=1000) > 1000
+    assert count_hermitian(2, 1, 40, cap=10 ** 9) > 200000

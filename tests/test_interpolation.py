@@ -15,7 +15,7 @@ from eiskling.interpolation import (
     specialize,
     wild_char,
 )
-from eiskling.errors import ConductorError
+from eiskling.errors import ConductorError, ConfigError
 
 
 def family(p=5, r=1, a=(0,)):
@@ -33,7 +33,7 @@ def test_wild_char():
     assert chi(6) == z  # 6 = 1 + p
     assert chi.order() == 5
     assert wild_char(5, CycNumber.one()).is_trivial()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="p-power order"):
         wild_char(5, CycNumber.root_of_unity(3))
 
 
@@ -112,6 +112,31 @@ def test_family_rejects_bad_point_continues():
     table, betas = make_table(pts)
     assert 1 in table.point_errors
     assert all(k[0] == 0 for k in table.cells)
+
+
+def test_invalid_points_are_typed_point_errors():
+    pts = [ArithmeticPoint(6, 4, flag="Xpb"), ArithmeticPoint(1, 4),
+           ArithmeticPoint(6, 4, zeta1=CycNumber.root_of_unity(3)),
+           ArithmeticPoint(6, 0)]
+    table, betas = make_table(pts, family(a=(-2,)))
+    assert table.point_errors == {
+        1: "ConfigError: need kappa >= n",
+        2: "ConfigError: zeta must have p-power order",
+        3: "ConfigError: specialized weight (-2,) has a negative entry"}
+    assert {k[0] for k in table.cells} == {0}
+
+
+@pytest.mark.parametrize("target", ["assemble_global", "specialize"])
+def test_family_does_not_swallow_bugs(monkeypatch, target):
+    """Only package errors become cell or point records; a TypeError is a
+    bug and reaches the caller."""
+    import eiskling.interpolation as interpolation
+
+    def broken(*args):
+        raise TypeError("broken %s" % target)
+    monkeypatch.setattr(interpolation, target, broken)
+    with pytest.raises(TypeError, match=target):
+        make_table([ArithmeticPoint(6, 0, flag="Xpb")])
 
 
 def test_congruence_identical_points_pass_all():
