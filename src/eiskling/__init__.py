@@ -52,7 +52,6 @@ from .pullback import (
     aux_ell_scalar,
     p_constant_lfun,
     p_constant_klingen,
-    interpolation_p_factor,
 )
 from .qexp_diff import (
     multiplier_klingen,
@@ -76,5 +75,4 @@ from .interpolation import (
     specialize,
     coefficient_family,
     check_congruences,
-    constant_term_divisibility,
 )

@@ -38,7 +38,7 @@ _KEYS = {
     "kappa": ("int_list", None),
     "tau1": ("char", None),
     "tau2": ("char", None),
-    "chi": ("char", "trivial"),
+    "chi": ("char", DirichletChar.trivial()),
     "at_p1": ("cyc", CycNumber.one()),
     "at_p2": ("cyc", CycNumber.one()),
     "trace_bound": ("int", 2),
@@ -190,7 +190,7 @@ def config_hash(cfg):
 
 def _require(cfg, *keys):
     for k in keys:
-        if cfg.get(k) is None:
+        if cfg.get(k) is None or cfg[k] == ():
             raise ConfigError("missing required key %r" % k)
 
 
@@ -300,6 +300,26 @@ def _betas(cfg, n):
     return list(enumerate_hermitian(*args))
 
 
+def _base_weight(cfg):
+    """The base weight a: r nonincreasing ints, all zero when unset."""
+    r = cfg["r"]
+    a = cfg["a"] or (0,) * r
+    if len(a) != r:
+        raise ConfigError("key 'a': need %d values" % r)
+    if any(x < y for x, y in zip(a, a[1:])):
+        raise ConfigError("key 'a': must be nonincreasing")
+    return a
+
+
+def _satake(cfg):
+    """The Satake parameters: r values, all ones when unset."""
+    r = cfg["r"]
+    chis = cfg["satake"] or (CycNumber.one(),) * r
+    if len(chis) != r:
+        raise ConfigError("key 'satake': need %d values" % r)
+    return chis
+
+
 def cmd_coeff(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa")
@@ -322,8 +342,7 @@ def cmd_family(cfg, args):
         raise ConfigError("key 'points': at least one arithmetic point needed")
     fam = CharFamilySpec(p=cfg["p"], r=cfg["r"], tau1=cfg["tau1"],
                          tau2=cfg["tau2"], at_p1=cfg["at_p1"],
-                         at_p2=cfg["at_p2"],
-                         a=cfg["a"] or (0,) * cfg["r"])
+                         at_p2=cfg["at_p2"], a=_base_weight(cfg))
     kappa = cfg["kappa"][0]
     datum = _build_datum(cfg, kappa)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
@@ -385,11 +404,12 @@ def cmd_hecke(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
     r = cfg["r"]
-    w = WeightTuple(a=cfg["a"] or (0,) * r)
+    a = _base_weight(cfg)
+    if a and a[-1] < 0:
+        raise ConfigError("key 'a': must be nonnegative")
+    w = WeightTuple(a=a)
     kappa = cfg["kappa"][0]
-    chis = cfg["satake"] or tuple(CycNumber.one() for _ in range(r))
-    if len(chis) != r:
-        raise ConfigError("key 'satake': need %d values" % r)
+    chis = _satake(cfg)
     pair = _build_pair(cfg, kappa)
     kappas = kappa_set(w, r, 0)
     ups = up_eigenvalues(chis, w)
@@ -408,8 +428,7 @@ def cmd_pullback(cfg, args):
     r = cfg["r"]
     kappa = cfg["kappa"][0]
     pair = _build_pair(cfg, kappa)
-    alphas = cfg["satake"] or tuple(CycNumber.one() for _ in range(r))
-    params = SatakeParams(alphas)
+    params = SatakeParams(_satake(cfg))
     ckl = p_constant_klingen(params, pair, kappa, r, cfg["p"])
     clf = p_constant_lfun(params, pair, kappa, r, cfg["p"])
     out = {"command": "pullback",
@@ -488,7 +507,11 @@ def main(argv=None):
             cfg["prec"] = args.prec
             cfg["_raw"]["prec"] = str(args.prec)
         report = _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+    except EisklingError as exc:
+        # a ConfigError names the key; the package's other errors mean the
+        # config asks for what the formulas do not cover
+        if not isinstance(exc, ConfigError):
+            exc = "%s: %s" % (type(exc).__name__, exc)
         sys.stderr.write("config error: %s\n" % exc)
         return 2
     report["schema"] = SCHEMA

@@ -477,10 +477,6 @@ class QuadFieldElem:
     b: Fraction
     D: int
 
-    @classmethod
-    def make(cls, a, b, D):
-        return cls(Fraction(a), Fraction(b), D)
-
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return QuadFieldElem(Fraction(other), Fraction(0), self.D)

@@ -11,12 +11,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (ConductorError, ConfigError, EisklingError,
-                     InsufficientPrecisionError, UnsupportedEmbeddingError)
-from .exact_arith import CycNumber, quad_to_cyc
+                     InsufficientPrecisionError, NonIntegralExponentError,
+                     UnsupportedEmbeddingError)
+from .exact_arith import CycNumber
 from .characters import DirichletChar, SplitPCharPair
 from .padic import congruent_mod, embed_cyclotomic
 from .values import ExactValue
-from .qexp_diff import multiplier_klingen, multiplier_lfun
+from .qexp_diff import times_multiplier
 from .siegel_fourier import assemble_global
 
 
@@ -189,12 +190,8 @@ def _compute_cell(i, j, beta, datum, weight, variant):
     try:
         report = assemble_global(beta, datum)
         if not report.degenerate:
-            mul = multiplier_klingen if variant == "klingen" else multiplier_lfun
-            m = mul(beta, weight)
-            if m.is_zero():
-                normalized = ExactValue.zero()
-            else:
-                normalized = report.normalized * ExactValue(quad_to_cyc(m))
+            normalized = times_multiplier(report.normalized, beta, variant,
+                                          weight)
             report = replace(report, normalized=normalized,
                              notes=report.notes + ["weight multiplier applied: "
                                                    "a = %s" % (weight,)])
@@ -226,18 +223,12 @@ def coefficient_family(fam, points, betas, datum_template):
 def _split_for_congruence(value, p):
     """Write an ExactValue as (unit CycNumber away from p) * p^nu * (common
     Gauss symbol data).  Returns (key, nu, unit) where key freezes the Gauss
-    content; raises NonComparable via ValueError when prime exponents away
-    from p are non-integral."""
+    content; raises NonIntegralExponentError when prime exponents away from
+    p are non-integral."""
     gauss_key = tuple(sorted((k, n) for k, (chi, n) in value.gauss.items()))
-    nu = value.exps.get(p, Fraction(0))
-    unit = value.unit
-    for q, e in sorted(value.exps.items()):
-        if q == p:
-            continue
-        if e.denominator != 1:
-            raise ValueError("non-integral exponent %s at prime %d" % (e, q))
-        unit = unit * (Fraction(q) ** int(e))
-    return gauss_key, nu, unit
+    unit = ExactValue(value.unit, {q: e for q, e in value.exps.items()
+                                   if q != p}).materialize()
+    return gauss_key, value.exps.get(p, Fraction(0)), unit
 
 
 def _compare_cells(v1, v2, k, p, prec, choice):
@@ -256,7 +247,7 @@ def _compare_cells(v1, v2, k, p, prec, choice):
     try:
         g1, nu1, u1 = _split_for_congruence(v1, p)
         g2, nu2, u2 = _split_for_congruence(v2, p)
-    except ValueError as exc:
+    except NonIntegralExponentError as exc:
         return "INCOMPARABLE", str(exc)
     if g1 != g2:
         return "INCOMPARABLE", "cells carry different Gauss symbols"
@@ -270,7 +261,8 @@ def _compare_cells(v1, v2, k, p, prec, choice):
         return "PASS", "required valuation %s already met by prime powers" % target
     if target.denominator != 1:
         return "INCOMPARABLE", "half-integral required valuation %s" % target
-    diff = u1 * (Fraction(p) ** int(d1)) - u2 * (Fraction(p) ** int(d2))
+    diff = (ExactValue(u1, {p: d1}).materialize()
+            - ExactValue(u2, {p: d2}).materialize())
     if diff.is_zero():
         return "PASS", "unit parts agree exactly"
     try:
@@ -313,47 +305,3 @@ def check_congruences(table, pairs, prec=12, choice=0):
     return {"records": records, "failures": n_fail,
             "all_pass": all(r["status"] == "PASS" for r in records)}
 
-
-def constant_term_divisibility(point, fam, satake, sigma=(), prec=12, choice=0):
-    """Divisibility bookkeeping for the constant term at an arithmetic point.
-
-    Computes the p-valuation of the specialized abelian p-adic L-value (the
-    second factor of the predicted divisor) and of the computable p-place
-    interpolation factor, and reports the resulting lower bound for the
-    constant-term cell.  The constant term itself involves transcendental
-    data outside desk scope, so the check is conditional: the placeholder's
-    computable part (identically zero) trivially meets any bound, and the
-    report says so explicitly."""
-    from .bernoulli_kl import kl_specialization
-    from .pullback import interpolation_p_factor
-
-    notes = []
-    if fam.r != 2:
-        notes.append("outside the proven range: the factorization is "
-                     "established only for rank 2")
-    spec = specialize(point, fam)
-    chi = spec.pair.tau_prime().conj().primitive_part()
-    k_mot = point.kappa_phi - fam.r
-    kl = kl_specialization(chi, k_mot, fam.p, sigma=sigma, prec=prec,
-                           choice=choice)
-    kl_val = None if kl.is_zero() else kl.valuation()
-    pfac = interpolation_p_factor(point, fam, satake)
-    pfac_val = pfac.p_valuation(fam.p)
-    if kl_val is None:
-        bound = None
-        status = "INCONCLUSIVE"
-        notes.append("abelian p-adic L-value vanishes to working precision")
-    else:
-        bound = Fraction(kl_val) + pfac_val
-        status = "CONDITIONAL-PASS"
-        notes.append("constant-term placeholder's computable part is zero, "
-                     "which meets the bound; transcendental factors are out "
-                     "of scope")
-    return {
-        "point": {"kappa_phi": point.kappa_phi, "m_phi": point.m_phi},
-        "kl_valuation": kl_val,
-        "p_factor_valuation": pfac_val,
-        "predicted_lower_bound": bound,
-        "status": status,
-        "notes": notes,
-    }

@@ -4,7 +4,8 @@ p-place constants appearing in the Klingen and L-function normalizations."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConductorError, NonIntegralExponentError, PoleError
+from .errors import (ConductorError, ConfigError, NonIntegralExponentError,
+                     PoleError)
 from .exact_arith import CycNumber, valuation
 from .values import ExactValue
 
@@ -86,7 +87,7 @@ def aux_ell_scalar(y_norm, ell, s, r, vol_Y, variant="klingen", tau_at_y=None):
 
 def _p_constant_common(params, pair, kappa, r, p):
     if r < 1:
-        raise ValueError("need r >= 1")
+        raise ConfigError("need r >= 1")
     if not pair.conductors_all_p(p):
         raise ConductorError("tau1, tau2 and tau1*tau2 must all have conductor p")
     unit = CycNumber.one()
@@ -114,11 +115,3 @@ def p_constant_klingen(params, pair, kappa, r, p):
     out = out.times_prime_power(p, kappa - r)
     return out.with_gauss(pair.tau_prime().conj().primitive_part(), -1)
 
-
-def interpolation_p_factor(point, fam, params):
-    """The modified Euler factor at p of the interpolated L-value at an
-    arithmetic point: the lfun p-constant evaluated at the specialized
-    characters and weight."""
-    from .interpolation import specialize
-    spec = specialize(point, fam)
-    return p_constant_lfun(params, spec.pair, point.kappa_phi, fam.r, fam.p)

@@ -55,22 +55,19 @@ class QExpansion:
     n: int
     entries: list  # list of (HermitianMatrix, ExactValue)
 
-    def coefficient(self, beta):
-        for b, v in self.entries:
-            if b == beta:
-                return v
+
+def times_multiplier(value, beta, variant, a):
+    """The ExactValue times the minor monomial of the variant at beta; zero
+    where the monomial vanishes."""
+    mul = multiplier_klingen if variant == "klingen" else multiplier_lfun
+    m = mul(beta, a)
+    if m.is_zero():
         return ExactValue.zero()
+    return value * ExactValue(quad_to_cyc(m))
 
 
 def apply_to_expansion(expansion, variant, a):
-    """Multiply each coefficient by its minor monomial; coefficients at
-    indices where the monomial vanishes become zero."""
-    mul = multiplier_klingen if variant == "klingen" else multiplier_lfun
-    out = []
-    for beta, value in expansion.entries:
-        m = mul(beta, a)
-        if m.is_zero():
-            out.append((beta, ExactValue.zero()))
-        else:
-            out.append((beta, value * ExactValue(quad_to_cyc(m))))
-    return QExpansion(expansion.n, out)
+    """Multiply each coefficient by its minor monomial."""
+    return QExpansion(expansion.n,
+                      [(beta, times_multiplier(value, beta, variant, a))
+                       for beta, value in expansion.entries])

@@ -15,25 +15,30 @@ from .characters import gauss_sum
 
 
 class ExactValue:
-    """unit * prod_q q^exps[q] * prod_chi g(chi)^gauss[chi]."""
+    """unit * prod_q q^exps[q] * prod_chi g(chi)^gauss[chi].
+
+    The normal form, made once by the constructor: a rational unit is +-1
+    with its content in exps, no exponent or Gauss power is zero, and zero is
+    the level-1 zero with empty dicts.  gauss maps chi.key() to (chi, n)."""
 
     __slots__ = ("unit", "exps", "gauss")
 
     def __init__(self, unit, exps=None, gauss=None):
-        exps = dict(exps or {})
-        gauss = dict(gauss or {})
         if unit.is_zero():
-            exps, gauss = {}, {}
-        elif unit.is_rational():
+            self.unit, self.exps, self.gauss = CycNumber.zero(), {}, {}
+            return
+        if unit.is_rational():
+            exps = dict(exps or {})
             r = unit.rational()
-            for q, e in factorize(r.numerator if r > 0 else -r.numerator).items():
-                exps[q] = exps.get(q, Fraction(0)) + e
+            for q, e in factorize(abs(r.numerator)).items():
+                exps[q] = exps.get(q, 0) + e
             for q, e in factorize(r.denominator).items():
-                exps[q] = exps.get(q, Fraction(0)) - e
+                exps[q] = exps.get(q, 0) - e
             unit = CycNumber.from_rational(1 if r > 0 else -1)
         self.unit = unit
-        self.exps = {q: Fraction(e) for q, e in exps.items() if e != 0}
-        self.gauss = {k: (chi, n) for k, (chi, n) in gauss.items() if n != 0}
+        self.exps = {q: Fraction(e) for q, e in (exps or {}).items() if e}
+        self.gauss = {k: (chi, n) for k, (chi, n) in (gauss or {}).items()
+                      if n}
 
     @classmethod
     def one(cls):
@@ -51,73 +56,36 @@ class ExactValue:
         return self.unit.is_zero()
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactValue.from_rational(other)
-        elif isinstance(other, CycNumber):
-            other = ExactValue(other)
-        if not isinstance(other, ExactValue):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ExactValue.zero()
         exps = dict(self.exps)
         for q, e in other.exps.items():
-            exps[q] = exps.get(q, Fraction(0)) + e
+            exps[q] = exps.get(q, 0) + e
         gauss = dict(self.gauss)
         for k, (chi, n) in other.gauss.items():
-            if k in gauss:
-                gauss[k] = (gauss[k][0], gauss[k][1] + n)
-            else:
-                gauss[k] = (chi, n)
+            first, m = gauss.get(k, (chi, 0))
+            gauss[k] = (first, m + n)
         return ExactValue(self.unit * other.unit, exps, gauss)
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        return ExactValue(self.unit.inverse(),
-                          {q: -e for q, e in self.exps.items()},
-                          {k: (chi, -n) for k, (chi, n) in self.gauss.items()})
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactValue.from_rational(other)
-        elif isinstance(other, CycNumber):
-            other = ExactValue(other)
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = ExactValue.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
+        return ExactValue(
+            self.unit ** e, {q: x * e for q, x in self.exps.items()},
+            {k: (chi, n * e) for k, (chi, n) in self.gauss.items()})
 
-    def __neg__(self):
-        return ExactValue(-self.unit, self.exps, self.gauss)
+    def inverse(self):
+        return self ** -1
 
     def times_prime_power(self, q, e):
-        e = Fraction(e)
-        if self.is_zero() or e == 0:
-            return self
-        exps = dict(self.exps)
-        exps[q] = exps.get(q, Fraction(0)) + e
-        return ExactValue(self.unit, exps, self.gauss)
+        return self * ExactValue(CycNumber.one(), {q: e})
 
     def with_gauss(self, chi, n):
         """Multiply by the formal symbol g(chi)^n (chi primitive, prime power)."""
-        if self.is_zero() or n == 0:
-            return self
-        gauss = dict(self.gauss)
-        k = chi.key()
-        if k in gauss:
-            gauss[k] = (gauss[k][0], gauss[k][1] + n)
-        else:
-            gauss[k] = (chi, n)
-        return ExactValue(self.unit, self.exps, gauss)
+        return self * ExactValue(CycNumber.one(), gauss={chi.key(): (chi, n)})
 
     def p_valuation(self, p):
         """Valuation at p, assuming the (non-rational) unit part is a p-adic
@@ -133,12 +101,11 @@ class ExactValue:
 
     def materialize(self):
         """Expand to a single CycNumber; all prime exponents must be integers."""
-        if self.is_zero():
-            return CycNumber.zero()
         acc = self.unit
         for q, e in sorted(self.exps.items()):
             if e.denominator != 1:
-                raise NonIntegralExponentError("exponent %s at prime %d" % (e, q))
+                raise NonIntegralExponentError(
+                    "non-integral exponent %s at prime %d" % (e, q))
             acc = acc * (Fraction(q) ** int(e))
         for chi, n in self.gauss.values():
             if n >= 0:
@@ -151,19 +118,12 @@ class ExactValue:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            other = ExactValue(other if isinstance(other, CycNumber)
-                               else CycNumber.from_rational(other))
-        if not isinstance(other, ExactValue):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self.exps != other.exps:
-            return False
-        if set(self.gauss) != set(other.gauss):
-            return False
-        for k in self.gauss:
-            if self.gauss[k][1] != other.gauss[k][1]:
-                return False
-        return self.unit == other.unit
+        return (self.exps == other.exps and self.unit == other.unit
+                and {k: n for k, (_, n) in self.gauss.items()}
+                == {k: n for k, (_, n) in other.gauss.items()})
 
     __hash__ = None
 
@@ -181,3 +141,15 @@ class ExactValue:
         return "ExactValue(unit=%r, exps=%r, gauss=%r)" % (
             self.unit, self.exps,
             {k[0]: n for k, (chi, n) in self.gauss.items()})
+
+
+def _coerce(x):
+    """x as an ExactValue: ints, Fractions and CycNumbers are wrapped, other
+    types give NotImplemented."""
+    if isinstance(x, ExactValue):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ExactValue.from_rational(x)
+    if isinstance(x, CycNumber):
+        return ExactValue(x)
+    return NotImplemented

@@ -247,6 +247,47 @@ def test_enumeration_cap_is_config_error_other_commands(tmp_path, capsys,
         "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
 
 
+def edited(**keys):
+    """FAMILY_CFG with some keys replaced or added."""
+    cfg = dict(line.split(" = ", 1) for line in FAMILY_CFG.splitlines())
+    cfg.update(keys)
+    return "".join("%s = %s\n" % item for item in cfg.items())
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("pullback", {"variant": "lfun", "q": "13", "s": "2"},
+     "NonIntegralExponentError: s + shift = 5/2 is not integral"),
+    ("pullback", {"q": "13", "s": "1/2"},
+     "NonIntegralExponentError: s + shift = 3/2 is not integral"),
+    ("pullback", {"tau2": "exp:5:3"}, "ConductorError: tau1, tau2 and "
+     "tau1*tau2 must all have conductor p"),
+    ("pullback", {"r": "0"}, "need r >= 1"),
+    ("pullback", {"satake": "1,1"}, "key 'satake': need 1 values"),
+    ("hecke", {"kappa": "2", "at_p1": "1", "at_p2": "1"},
+     "UniquenessError: eigenvalues 0 and 2 coincide"),
+    ("hecke", {"a": "0,0"}, "key 'a': need 1 values"),
+    ("hecke", {"a": "-1"}, "key 'a': must be nonnegative"),
+    ("hecke", {"r": "2", "a": "0,1"}, "key 'a': must be nonincreasing"),
+    ("family", {"r": "2", "a": "0,1"}, "key 'a': must be nonincreasing"),
+    ("coeff", {"kappa": ""}, "missing required key 'kappa'"),
+])
+def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
+                                          message):
+    path = write(tmp_path, edited(**keys))
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+def test_kl_character_defaults_to_trivial(tmp_path):
+    values = []
+    for cfg in ("p = 5\nk_max = 6\n", "p = 5\nk_max = 6\nchi = trivial\n"):
+        out = tmp_path / "kl.json"
+        assert main(["kl", "--config", write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        values.append(json.loads(out.read_text())["values"])
+    assert values[0] == values[1]
+
+
 def emitted(report):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

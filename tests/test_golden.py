@@ -1,21 +1,27 @@
-"""The reference reports of the benchmark, byte for byte.
+"""Reports pinned byte for byte.
 
 Runs the seed-0 inputs of the family-p5 and family-r2 workloads and the kl
 run of every kl-sweep character with a committed digest (bench/workloads.py)
 through the command line and compares the sha256 of each report with
-bench/digests.json.
+bench/digests.json.  The commands and configs the benchmark does not run are
+listed in CLI_CASES below, their digests in tests/golden_cli.json;
+`python tests/test_golden.py` (with src on PYTHONPATH) rewrites that file
+from the current code.
 """
 
 import hashlib
 import importlib.util
+import json
 import os
+import tempfile
 
 import pytest
 
 from eiskling.cli import main
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(os.path.dirname(TESTS), "bench")
+GOLDEN_CLI = os.path.join(TESTS, "golden_cli.json")
 
 
 def _workloads():
@@ -31,23 +37,96 @@ workloads = _workloads()
 
 digests = workloads.load_digests()
 
+README_CFG = """\
+p = 5
+D = 1
+r = 1
+ell = 7
+sigma = 2,5
+kappa = 6
+tau1 = exp:5:1
+tau2 = exp:5:2
+at_p1 = zeta:4:1
+at_p2 = zeta:4:3
+a = 0
+trace_bound = 3
+variant = klingen
+points = 6:0:Xpb;6:4:Xpb;6:8:Xpb;6:12:Xpb
+pairs = 0,1,1;0,2,1;0,3,1;1,2,1;1,3,1;2,3,1
+"""
 
-def _report_digest(tmp_path, capsys, name, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    assert main(workloads.cli_argv(name, str(path))) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+def readme_config(**edits):
+    """The README family config with some keys replaced or added."""
+    keys = dict(line.split(" = ", 1) for line in README_CFG.splitlines())
+    keys.update(edits)
+    return "".join("%s = %s\n" % item for item in keys.items())
+
+
+CLI_CASES = {
+    "coeff": ("coeff", README_CFG),
+    "enumerate": ("enumerate", README_CFG),
+    "hecke r=1": ("hecke", README_CFG),
+    "hecke r=2 a=1,0": ("hecke", readme_config(r="2", a="1,0")),
+    "pullback satake q s": ("pullback", readme_config(
+        satake="zeta:8:1", q="13", s="2")),
+    "family lfun": ("family", readme_config(variant="lfun")),
+    "family D=3 p=7 r=2": ("family", readme_config(
+        p="7", D="3", r="2", ell="5", sigma="3,7", tau1="exp:7:1",
+        tau2="exp:7:2", at_p1="zeta:6:1", at_p2="zeta:6:5", a="0,0",
+        trace_bound="5", points="6:0:Xpb;6:6:Xpb", pairs="0,1,1")),
+    "kl exp:7:1": ("kl", workloads.kl_config("exp:7:1")),
+}
+
+
+def report_digest(text, argv):
+    """sha256 of the report that main(argv(path)) writes, path being a file
+    that holds the config text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        out = os.path.join(tmp, "out.json")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert main(argv(cfg) + ["--out", out]) == 0
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def cli_digest(name):
+    command, text = CLI_CASES[name]
+    return report_digest(text, lambda path: [command, "--config", path])
 
 
 @pytest.mark.parametrize("name", ["family-p5", "family-r2"])
-def test_seed0_family_report_matches_digest(tmp_path, capsys, name):
+def test_seed0_family_report_matches_digest(name):
     (label, text), = workloads.make_inputs(name, 0)
-    assert (_report_digest(tmp_path, capsys, name, text)
+    assert (report_digest(text, lambda path: workloads.cli_argv(name, path))
             == digests[name][label])
 
 
 @pytest.mark.parametrize("chi", sorted(digests["kl-sweep"]))
-def test_kl_report_matches_digest(tmp_path, capsys, chi):
-    assert (_report_digest(tmp_path, capsys, "kl-sweep",
-                           workloads.kl_config(chi))
+def test_kl_report_matches_digest(chi):
+    assert (report_digest(workloads.kl_config(chi),
+                          lambda path: workloads.cli_argv("kl-sweep", path))
             == digests["kl-sweep"][chi])
+
+
+def _golden_cli():
+    with open(GOLDEN_CLI) as fh:
+        return json.load(fh)
+
+
+def test_golden_cli_covers_every_case():
+    assert sorted(_golden_cli()) == sorted(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_report_matches_golden(name):
+    assert cli_digest(name) == _golden_cli()[name]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_CLI, "w") as fh:
+        json.dump({name: cli_digest(name) for name in CLI_CASES},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")

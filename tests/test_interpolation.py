@@ -5,13 +5,11 @@ import pytest
 from eiskling.exact_arith import CycNumber, enumerate_hermitian
 from eiskling.characters import DirichletChar
 from eiskling.siegel_fourier import SiegelDatum
-from eiskling.pullback import SatakeParams
 from eiskling.interpolation import (
     ArithmeticPoint,
     CharFamilySpec,
     check_congruences,
     coefficient_family,
-    constant_term_divisibility,
     specialize,
     wild_char,
 )
@@ -162,23 +160,3 @@ def test_congruence_detects_failure():
     rep = check_congruences(table, [(0, 1, 1)])
     assert any(r["status"] == "FAIL" for r in rep["records"])
 
-
-def test_constant_term_divisibility_report():
-    fam = family()
-    pt = ArithmeticPoint(6, 0, flag="Xpb")
-    satake = SatakeParams((CycNumber.root_of_unity(8, 1),))
-    rep = constant_term_divisibility(pt, fam, satake, sigma=(2, 5))
-    assert rep["status"] in ("CONDITIONAL-PASS", "INCONCLUSIVE")
-    assert any("outside the proven range" in n for n in rep["notes"])
-    assert rep["p_factor_valuation"] is not None
-
-
-def test_constant_term_divisibility_r2():
-    fam = family(r=2, a=(0, 0))
-    pt = ArithmeticPoint(8, 0, flag="Xpb")
-    satake = SatakeParams((CycNumber.root_of_unity(8, 1),
-                           CycNumber.root_of_unity(8, 3)))
-    rep = constant_term_divisibility(pt, fam, satake, sigma=(2, 5))
-    assert not any("outside the proven range" in n for n in rep["notes"])
-    if rep["status"] == "CONDITIONAL-PASS":
-        assert rep["predicted_lower_bound"] is not None

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import CycNumber
+from eiskling.exact_arith import CycNumber, euler_phi
 from eiskling.characters import DirichletChar, gauss_sum
+from eiskling.interpolation import _compare_cells
 from eiskling.values import ExactValue
 from eiskling.errors import NonIntegralExponentError
 
@@ -71,3 +73,77 @@ def test_to_json_deterministic():
     v = ExactValue.from_rational(Fraction(-3, 10))
     assert v.to_json() == v.to_json()
     assert v.to_json()["exponents"] == {"2": "-1/1", "3": "1/1", "5": "-1/1"}
+
+
+def test_half_integral_exponent_away_from_p_is_incomparable():
+    half = ExactValue.one().times_prime_power(7, Fraction(1, 2))
+    assert _compare_cells(half, half * 3, 1, 5, 12, 0) == (
+        "INCOMPARABLE", "non-integral exponent 1/2 at prime 7")
+
+
+# primitive characters of prime-power conductor; their Gauss sums and the
+# units below live at levels dividing 60
+CHARS = [DirichletChar.from_exponent(5, 1), DirichletChar.from_exponent(5, 2),
+         DirichletChar.quadratic(3)]
+
+
+@st.composite
+def cyc_numbers(draw):
+    level = draw(st.sampled_from([1, 3, 4, 5]))
+    nums = draw(st.lists(st.integers(-4, 4), min_size=euler_phi(level),
+                         max_size=euler_phi(level)))
+    return CycNumber.from_integers(level, nums, draw(st.integers(1, 6)))
+
+
+@st.composite
+def exact_values(draw):
+    exps = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7]),
+                                st.integers(-3, 3), max_size=3))
+    gauss = {}
+    for chi in draw(st.lists(st.sampled_from(CHARS), max_size=2)):
+        gauss[chi.key()] = (chi, draw(st.integers(-2, 2)))
+    return ExactValue(draw(cyc_numbers()), exps, gauss)
+
+
+def assert_normal(v):
+    """Zero is the level-1 zero with empty dicts; a rational unit is +-1;
+    no exponent or Gauss power is zero."""
+    if v.is_zero():
+        assert (v.unit.level, v.exps, v.gauss) == (1, {}, {})
+    elif v.unit.is_rational():
+        assert v.unit in (1, -1)
+    assert all(v.exps.values())
+    assert all(n for _, n in v.gauss.values())
+
+
+@given(exact_values(), exact_values(), st.integers(-3, 3),
+       st.sampled_from([2, 5, 11]), st.integers(-3, 3),
+       st.sampled_from(CHARS), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_operations_materialize_to_cyclotomic_operations(x, y, e, q, k, chi,
+                                                         n):
+    mx, my = x.materialize(), y.materialize()
+    results = [(x * y, mx * my),
+               (x.times_prime_power(q, k), mx * Fraction(q) ** k),
+               (x.with_gauss(chi, n), mx * gauss_sum(chi) ** n)]
+    if not x.is_zero() or e >= 0:
+        results.append((x ** e, mx ** e))
+    if not x.is_zero():
+        results.append((x.inverse(), mx.inverse()))
+    for value, expected in results:
+        assert_normal(value)
+        assert value.materialize() == expected
+    assert_normal(x)
+    assert x.is_zero() or x * CycNumber.root_of_unity(4) != x
+    g = ExactValue.one().with_gauss(chi, 1)
+    assert g != ExactValue(gauss_sum(chi))
+    assert g.materialize() == gauss_sum(chi)
+
+
+def test_zero_power_and_inverse():
+    z = ExactValue(CycNumber.zero(4))
+    assert_normal(z)
+    assert z ** 0 == ExactValue.one()
+    assert (z ** 3).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        z.inverse()
