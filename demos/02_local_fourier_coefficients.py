@@ -17,7 +17,7 @@ p, D = 5, 1          # p splits in Q(i)
 kappa = 6
 
 pair = SplitPCharPair(DirichletChar.from_exponent(p, 1),
-                      DirichletChar.from_exponent(p, 2), wt=kappa,
+                      DirichletChar.from_exponent(p, 2),
                       at_p1=CycNumber.root_of_unity(4, 1),
                       at_p2=CycNumber.root_of_unity(4, 3))
 datum = SiegelDatum(n=2, kappa=kappa, pair=pair, p=p, D=D,

@@ -8,9 +8,8 @@ congruent mod p -- the footprint of the underlying bounded measure.
 """
 
 from eiskling import (ArithmeticPoint, CharFamilySpec, CycNumber,
-                      DirichletChar, SiegelDatum, SplitPCharPair,
-                      check_congruences, coefficient_family,
-                      enumerate_hermitian, specialize)
+                      DirichletChar, SiegelDatum, check_congruences,
+                      coefficient_family, enumerate_hermitian, specialize)
 
 p = 5
 fam = CharFamilySpec(p=p, r=1,

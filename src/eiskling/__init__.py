@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     EisklingError,
     UnsupportedEmbeddingError,
-    NotRationalError,
     InsufficientPrecisionError,
     PoleError,
     ConductorError,
@@ -49,7 +48,6 @@ from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (
     SatakeParams,
     klingen_ratio_unramified,
-    aux_ell_scalar,
     p_constant_lfun,
     p_constant_klingen,
 )
@@ -62,6 +60,7 @@ from .qexp_diff import (
 from .siegel_fourier import (
     SiegelDatum,
     additive_char,
+    aux_ell_scalar,
     coeff_unramified,
     coeff_aux_ell,
     coeff_p,

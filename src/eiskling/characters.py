@@ -6,7 +6,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConductorError, PoleError
-from .exact_arith import CycNumber, euler_phi, factorize, reduce_powers
+from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
+                          legendre, reduce_powers)
 
 
 def kronecker_symbol(a, n):
@@ -76,6 +77,8 @@ class DirichletChar:
 
     @classmethod
     def trivial(cls, modulus=1):
+        if modulus < 1:
+            raise ValueError("the modulus must be positive")
         one = CycNumber.one()
         if modulus == 1:
             return cls(1, {0: one})
@@ -85,11 +88,10 @@ class DirichletChar:
     @classmethod
     def quadratic(cls, q):
         """The Legendre character modulo an odd prime q."""
-        vals = {}
-        for a in range(1, q):
-            s = pow(a, (q - 1) // 2, q)
-            vals[a] = CycNumber.from_rational(1 if s == 1 else -1)
-        return cls(q, vals)
+        if q == 2 or not is_prime(q):
+            raise ValueError("need an odd prime")
+        return cls(q, {a: CycNumber.from_rational(legendre(a, q))
+                       for a in range(1, q)})
 
     @classmethod
     def from_exponent(cls, modulus, k):
@@ -281,7 +283,6 @@ class SplitPCharPair:
 
     tau1: DirichletChar
     tau2: DirichletChar
-    wt: int
     at_p1: CycNumber = field(default_factory=CycNumber.one)
     at_p2: CycNumber = field(default_factory=CycNumber.one)
 

@@ -8,13 +8,12 @@ and a content hash of the canonicalized config in every report.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .errors import ConfigError, EisklingError
 from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
-                          enumerate_hermitian, factorize)
+                          enumerate_hermitian, factorize, is_prime)
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
 from .bernoulli_kl import kl_specialization, bernoulli_number
@@ -22,7 +21,7 @@ from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (SatakeParams, p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
 from .padic import PadicElem, UnramElem, congruent_mod
-from .siegel_fourier import SiegelDatum, assemble_global
+from .siegel_fourier import SiegelDatum, assemble_global, index_size
 from .interpolation import (ArithmeticPoint, CharFamilySpec,
                             coefficient_family, check_congruences)
 
@@ -35,7 +34,7 @@ _KEYS = {
     "r": ("int", 1),
     "ell": ("int", None),
     "a": ("int_list", ()),
-    "kappa": ("int_list", None),
+    "kappa": ("int", None),
     "tau1": ("char", None),
     "tau2": ("char", None),
     "chi": ("char", DirichletChar.trivial()),
@@ -80,12 +79,10 @@ def parse_char(text):
 def parse_cyc(text):
     """Cyclotomic specs: a rational, or 'zeta:m:k' for zeta_m^k."""
     text = text.strip()
-    if text.startswith("zeta:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("bad root-of-unity spec %r" % text)
-        return CycNumber.root_of_unity(int(parts[1]), int(parts[2]))
     try:
+        if text.startswith("zeta:"):
+            _, m, k = text.split(":")
+            return CycNumber.root_of_unity(int(m), int(k))
         return CycNumber.from_rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("bad cyclotomic spec %r: %s" % (text, exc))
@@ -149,7 +146,8 @@ def _parse_value(kind, text):
 
 
 def load_config(path):
-    """Flat 'key = value' config file; unknown keys are errors."""
+    """Flat 'key = value' config file; unknown keys are errors, and a key
+    with an empty value is unset, in the config hash too."""
     raw = {}
     try:
         with open(path) as fh:
@@ -168,14 +166,13 @@ def load_config(path):
                 raw[key] = value.strip()
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
+    raw = {key: value for key, value in raw.items() if value}
     cfg = {}
     for key, (kind, default) in _KEYS.items():
         if key in raw:
             try:
                 cfg[key] = _parse_value(kind, raw[key])
-            except ConfigError:
-                raise
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ConfigError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("key %r: %s" % (key, exc))
         else:
             cfg[key] = default
@@ -190,17 +187,17 @@ def config_hash(cfg):
 
 def _require(cfg, *keys):
     for k in keys:
-        if cfg.get(k) is None or cfg[k] == ():
+        if cfg.get(k) is None:
             raise ConfigError("missing required key %r" % k)
 
 
 def _validate_common(cfg):
     _require(cfg, "p")
     p = cfg["p"]
-    if p < 3 or factorize(p) != {p: 1}:
+    if p == 2 or not is_prime(p):
         raise ConfigError("key 'p': must be an odd prime, got %d" % p)
-    if cfg["D"] <= 0:
-        raise ConfigError("key 'D': must be a positive integer")
+    if cfg["D"] <= 0 or any(e > 1 for e in factorize(cfg["D"]).values()):
+        raise ConfigError("key 'D': must be a squarefree positive integer")
     if chi_K(cfg["D"], p) != 1:
         raise ConfigError("key 'p': %d does not split for D=%d" % (p, cfg["D"]))
 
@@ -267,23 +264,33 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _build_pair(cfg, kappa):
+def _build_pair(cfg):
     _require(cfg, "tau1", "tau2")
-    return SplitPCharPair(cfg["tau1"], cfg["tau2"], wt=kappa,
-                          at_p1=cfg["at_p1"], at_p2=cfg["at_p2"])
+    for key in ("at_p1", "at_p2"):
+        if cfg[key].is_zero():
+            raise ConfigError("key %r: must be nonzero" % key)
+    return SplitPCharPair(cfg["tau1"], cfg["tau2"], at_p1=cfg["at_p1"],
+                          at_p2=cfg["at_p2"])
 
 
-def _build_datum(cfg, kappa):
+def _rank(cfg):
+    """The rank r of the definite group U(r, 0); the paper's r is positive."""
+    if cfg["r"] < 1:
+        raise ConfigError("need r >= 1")
+    return cfg["r"]
+
+
+def _build_datum(cfg):
     _require(cfg, "ell")
     ell = cfg["ell"]
-    if ell < 2 or factorize(ell) != {ell: 1}:
+    if not is_prime(ell):
         raise ConfigError("key 'ell': must be a prime, got %d" % ell)
     if cfg["y_norm"] == 0:
         raise ConfigError("key 'y_norm': must be nonzero")
     if cfg["vol_Y"] <= 0:
         raise ConfigError("key 'vol_Y': must be positive")
-    n = cfg["r"] + 1 if cfg["variant"] == "klingen" else cfg["r"]
-    return SiegelDatum(n=n, kappa=kappa, pair=_build_pair(cfg, kappa),
+    n = index_size(_rank(cfg), cfg["variant"])
+    return SiegelDatum(n=n, kappa=cfg["kappa"], pair=_build_pair(cfg),
                        p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
                        ell=ell, y_norm=cfg["y_norm"], vol_Y=cfg["vol_Y"],
                        embedding_choice=cfg["embedding_choice"],
@@ -293,6 +300,8 @@ def _build_datum(cfg, kappa):
 def _betas(cfg, n):
     """The enumerated indices; a config whose enumeration would exceed the
     cap is rejected from the candidate count, before any is built."""
+    if cfg["dual_scale"] < 1:
+        raise ConfigError("key 'dual_scale': must be positive")
     args = (n, cfg["D"], cfg["trace_bound"], cfg["dual_scale"])
     if count_hermitian(*args) > ENUMERATION_CAP:
         raise ConfigError("key 'trace_bound': enumeration cap %d exceeded"
@@ -302,7 +311,7 @@ def _betas(cfg, n):
 
 def _base_weight(cfg):
     """The base weight a: r nonincreasing ints, all zero when unset."""
-    r = cfg["r"]
+    r = _rank(cfg)
     a = cfg["a"] or (0,) * r
     if len(a) != r:
         raise ConfigError("key 'a': need %d values" % r)
@@ -313,18 +322,19 @@ def _base_weight(cfg):
 
 def _satake(cfg):
     """The Satake parameters: r values, all ones when unset."""
-    r = cfg["r"]
+    r = _rank(cfg)
     chis = cfg["satake"] or (CycNumber.one(),) * r
     if len(chis) != r:
         raise ConfigError("key 'satake': need %d values" % r)
+    if any(x.is_zero() for x in chis):
+        raise ConfigError("key 'satake': values must be nonzero")
     return chis
 
 
 def cmd_coeff(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa")
-    kappa = cfg["kappa"][0]
-    datum = _build_datum(cfg, kappa)
+    datum = _build_datum(cfg)
     reports = []
     for beta in _betas(cfg, datum.n):
         try:
@@ -340,11 +350,10 @@ def cmd_family(cfg, args):
     _require(cfg, "kappa", "tau1", "tau2")
     if not cfg["points"]:
         raise ConfigError("key 'points': at least one arithmetic point needed")
-    fam = CharFamilySpec(p=cfg["p"], r=cfg["r"], tau1=cfg["tau1"],
+    fam = CharFamilySpec(p=cfg["p"], r=_rank(cfg), tau1=cfg["tau1"],
                          tau2=cfg["tau2"], at_p1=cfg["at_p1"],
                          at_p2=cfg["at_p2"], a=_base_weight(cfg))
-    kappa = cfg["kappa"][0]
-    datum = _build_datum(cfg, kappa)
+    datum = _build_datum(cfg)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
     table = coefficient_family(fam, list(cfg["points"]), betas, datum)
     report = {"command": "family", "table": table.to_json()}
@@ -359,6 +368,8 @@ def cmd_kl(cfg, args):
     _validate_common(cfg)
     p = cfg["p"]
     chi = cfg["chi"]
+    if cfg["k_min"] < 1:
+        raise ConfigError("key 'k_min': must be at least 1")
     ks = list(range(cfg["k_min"], cfg["k_max"] + 1))
     values = {}
     for k in ks:
@@ -403,15 +414,14 @@ def cmd_kl(cfg, args):
 def cmd_hecke(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
-    r = cfg["r"]
     a = _base_weight(cfg)
-    if a and a[-1] < 0:
+    if a[-1] < 0:
         raise ConfigError("key 'a': must be nonnegative")
     w = WeightTuple(a=a)
-    kappa = cfg["kappa"][0]
+    kappa = cfg["kappa"]
     chis = _satake(cfg)
-    pair = _build_pair(cfg, kappa)
-    kappas = kappa_set(w, r, 0)
+    pair = _build_pair(cfg)
+    kappas = kappa_set(w, len(a), 0)
     ups = up_eigenvalues(chis, w)
     kls = klingen_eigenvalues(chis, pair, kappa, w, cfg["p"])
     fmt = lambda lst: [{"unit": u.to_json(), "p_exponent": str(e)}
@@ -425,29 +435,33 @@ def cmd_hecke(cfg, args):
 def cmd_pullback(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
-    r = cfg["r"]
-    kappa = cfg["kappa"][0]
-    pair = _build_pair(cfg, kappa)
+    p = cfg["p"]
+    q = cfg["q"]
+    if q is not None and (not is_prime(q) or q == p
+                          or chi_K(cfg["D"], q) != 1):
+        raise ConfigError("key 'q': must be a prime that splits in K and "
+                          "differs from p")
+    kappa = cfg["kappa"]
+    pair = _build_pair(cfg)
     params = SatakeParams(_satake(cfg))
-    ckl = p_constant_klingen(params, pair, kappa, r, cfg["p"])
-    clf = p_constant_lfun(params, pair, kappa, r, cfg["p"])
+    ckl = p_constant_klingen(params, pair, kappa, params.r, p)
+    clf = p_constant_lfun(params, pair, kappa, params.r, p)
     out = {"command": "pullback",
            "p_constant_klingen": ckl.to_json(),
            "p_constant_lfun": clf.to_json(),
            "ratio": (ckl * clf.inverse()).to_json()}
-    if cfg["q"] is not None and cfg["s"] is not None:
+    if q is not None and cfg["s"] is not None:
         tv = pair.at_p1
         tvbar = pair.at_p2
         out["unramified_ratio"] = klingen_ratio_unramified(
-            params, (tv, tvbar), cfg["q"], cfg["s"],
+            params, (tv, tvbar), q, cfg["s"],
             variant=cfg["variant"]).to_json()
     return out
 
 
 def cmd_enumerate(cfg, args):
     _validate_common(cfg)
-    n = cfg["r"] + 1 if cfg["variant"] == "klingen" else cfg["r"]
-    betas = _betas(cfg, n)
+    betas = _betas(cfg, index_size(_rank(cfg), cfg["variant"]))
     return {"command": "enumerate", "count": len(betas),
             "betas": [b.to_json() for b in betas]}
 
@@ -487,8 +501,7 @@ def build_parser():
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility and ignored: cells are "
                          "computed serially")
-    ap.add_argument("--prec", type=int,
-                    default=int(os.environ.get("EK_PREC", "0")) or None)
+    ap.add_argument("--prec", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     return ap
 
@@ -503,9 +516,11 @@ def main(argv=None):
             cfg["_raw"] = {}
         else:
             raise ConfigError("--config is required for %r" % args.command)
-        if args.prec:
+        if args.prec is not None:
             cfg["prec"] = args.prec
             cfg["_raw"]["prec"] = str(args.prec)
+        if cfg["prec"] < 1:
+            raise ConfigError("key 'prec': must be at least 1")
         report = _COMMANDS[args.command](cfg, args)
     except EisklingError as exc:
         # a ConfigError names the key; the package's other errors mean the

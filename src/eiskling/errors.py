@@ -9,10 +9,6 @@ class UnsupportedEmbeddingError(EisklingError):
     """The cyclotomic element does not descend to a field embeddable as requested."""
 
 
-class NotRationalError(EisklingError):
-    """A Q_p-rational value was required but the image lies in an extension."""
-
-
 class InsufficientPrecisionError(EisklingError):
     """Stored precision is too low to decide the requested congruence."""
 

@@ -17,10 +17,9 @@ candidate.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 import cmath
 import itertools
-import threading
 
 from .errors import ResourceBoundError
 
@@ -55,6 +54,10 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n):
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def valuation(x, p):
@@ -101,7 +104,6 @@ def cyclotomic_poly(n):
 
 
 _POWER_TABLES = {}
-_POWER_TABLES_LOCK = threading.Lock()
 
 
 def _power_table(n, upto):
@@ -109,23 +111,21 @@ def _power_table(n, upto):
     table = _POWER_TABLES.get(n)
     if table is not None and len(table) >= upto:
         return table
-    with _POWER_TABLES_LOCK:
-        phi = euler_phi(n)
-        table = _POWER_TABLES.get(n)
-        if table is None:
-            table = [tuple(1 if i == j else 0 for i in range(phi))
-                     for j in range(phi)]
-            _POWER_TABLES[n] = table
-        poly = cyclotomic_poly(n)
-        while len(table) < upto:
-            prev = table[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                # x^phi = -(poly[0] + ... + poly[phi-1] x^(phi-1))
-                for i in range(phi):
-                    shifted[i] -= top * poly[i]
-            table.append(tuple(shifted))
+    phi = euler_phi(n)
+    if table is None:
+        table = [tuple(1 if i == j else 0 for i in range(phi))
+                 for j in range(phi)]
+        _POWER_TABLES[n] = table
+    poly = cyclotomic_poly(n)
+    while len(table) < upto:
+        prev = table[-1]
+        shifted = [0] + list(prev[:-1])
+        top = prev[-1]
+        if top:
+            # x^phi = -(poly[0] + ... + poly[phi-1] x^(phi-1))
+            for i in range(phi):
+                shifted[i] -= top * poly[i]
+        table.append(tuple(shifted))
     return table
 
 
@@ -207,6 +207,8 @@ class CycNumber:
     @classmethod
     def root_of_unity(cls, n, k=1):
         """zeta_n^k as an element of Q(zeta_n)."""
+        if n < 1:
+            raise ValueError("a root of unity needs an order n >= 1")
         return cls.from_integers(n, _power_table(n, n)[k % n])
 
     def is_zero(self):
@@ -432,7 +434,8 @@ def _solve_linear(columns, target):
     return sol
 
 
-def _legendre(a, q):
+def legendre(a, q):
+    """The Legendre symbol (a/q) for an odd prime q, by Euler's criterion."""
     a %= q
     if a == 0:
         return 0
@@ -453,7 +456,7 @@ def sqrt_minus_d(D):
         else:
             t = CycNumber.zero(q)
             for a in range(1, q):
-                s = _legendre(a, q)
+                s = legendre(a, q)
                 t = t + s * CycNumber.root_of_unity(q, a)
             if q % 4 == 3:
                 n_three += 1
@@ -727,8 +730,8 @@ def _diagonals(n, trace_bound):
 def _entry_bounds(bound, D):
     """(a, bmax) for each integer a with a^2 <= bound: the integers b with
     a^2 + D*b^2 <= bound are those with |b| <= bmax."""
-    amax = _isqrt(bound)
-    return [(a, _isqrt((bound - a * a) // D)) for a in range(-amax, amax + 1)]
+    amax = isqrt(bound)
+    return [(a, isqrt((bound - a * a) // D)) for a in range(-amax, amax + 1)]
 
 
 def count_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
@@ -789,14 +792,3 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
             if any(int_minor(image, D, idx, idx)[0] < 0 for idx in screened):
                 continue
             yield HermitianMatrix(D, rows)
-
-
-def _isqrt(x):
-    if x < 0:
-        return -1
-    r = int(x ** 0.5)
-    while r * r > x:
-        r -= 1
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    return r

@@ -131,8 +131,7 @@ def specialize(point, fam):
     w2 = wild_char(p, point.zeta2)
     tau1 = fam.tau1 * omega ** point.m_phi * w2
     tau2 = fam.tau2 * omega ** (-point.m_phi) * w1 * w2.conj()
-    pair = SplitPCharPair(tau1, tau2, wt=point.kappa_phi,
-                          at_p1=fam.at_p1, at_p2=fam.at_p2)
+    pair = SplitPCharPair(tau1, tau2, at_p1=fam.at_p1, at_p2=fam.at_p2)
     if point.flag == "Xpb":
         if point.kappa_phi <= fam.r + 1:
             raise ConductorError("pullback point needs kappa_phi > r + 1")
@@ -186,12 +185,12 @@ class FamilyTable:
         }
 
 
-def _compute_cell(i, j, beta, datum, weight, variant):
+def _compute_cell(i, j, beta, datum, weight):
     try:
         report = assemble_global(beta, datum)
         if not report.degenerate:
-            normalized = times_multiplier(report.normalized, beta, variant,
-                                          weight)
+            normalized = times_multiplier(report.normalized, beta,
+                                          datum.variant, weight)
             report = replace(report, normalized=normalized,
                              notes=report.notes + ["weight multiplier applied: "
                                                    "a = %s" % (weight,)])
@@ -215,8 +214,7 @@ def coefficient_family(fam, points, betas, datum_template):
             point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
             continue
         for j, beta in enumerate(betas):
-            cells[(i, j)] = _compute_cell(i, j, beta, datum, spec.weight,
-                                          datum.variant)
+            cells[(i, j)] = _compute_cell(i, j, beta, datum, spec.weight)
     return FamilyTable(fam, list(points), list(betas), cells, point_errors)
 
 

@@ -11,8 +11,7 @@ every factor.
 from fractions import Fraction
 from math import gcd
 
-from .errors import (InsufficientPrecisionError, NotRationalError,
-                     UnsupportedEmbeddingError)
+from .errors import InsufficientPrecisionError, UnsupportedEmbeddingError
 from .exact_arith import euler_phi, reduce_powers, valuation
 from .characters import primitive_root
 
@@ -320,7 +319,7 @@ def embedding_units(m):
     return [a for a in range(1, max(m, 2)) if gcd(a, m) == 1] or [1]
 
 
-def embed_cyclotomic(x, p, prec, choice=0, require_rational=False):
+def embed_cyclotomic(x, p, prec, choice=0):
     """Embed a CycNumber into Q_p (PadicElem) or the unramified carrier ring.
 
     The p-power part of the level must act trivially (the element must descend
@@ -355,8 +354,6 @@ def embed_cyclotomic(x, p, prec, choice=0, require_rational=False):
                     Fraction(c, x.den), p, prec)
             power = power * root
         return acc
-    if require_rational:
-        raise NotRationalError("image lies in an unramified extension of Q_p")
     coeffs = [Fraction(c, x.den) for c in x.nums]
     shift = 0
     for c in coeffs:

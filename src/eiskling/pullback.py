@@ -1,12 +1,13 @@
-"""Pullback constants: unramified ratios, auxiliary-prime scalars, and the
-p-place constants appearing in the Klingen and L-function normalizations."""
+"""Pullback constants: unramified ratios and the p-place constants appearing
+in the Klingen and L-function normalizations."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConductorError, ConfigError, NonIntegralExponentError,
                      PoleError)
-from .exact_arith import CycNumber, valuation
+from .exact_arith import CycNumber
+from .siegel_fourier import index_size
 from .values import ExactValue
 
 
@@ -36,7 +37,8 @@ def _one_minus_inv(term, side, q):
 def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
     """Exact value of the unramified-section ratio at a split prime q:
     a degree-2r L-factor at s + shift over a product of abelian L-factors at
-    2s + n - i, with shift = 1, n = r+1 (klingen) or shift = 1/2, n = r (lfun).
+    2s + n - i, with n = index_size(r, variant) and shift = 1 (klingen) or
+    1/2 (lfun).
 
     tau_data = (tv, tvbar): values of the character at the two uniformizers
     over q.  All exponents must be integral for exact materialization.
@@ -44,14 +46,8 @@ def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
     s = Fraction(s)
     r = params.r
     tv, tvbar = tau_data
-    if variant == "klingen":
-        shift = Fraction(1)
-        nden = r + 1
-    elif variant == "lfun":
-        shift = Fraction(1, 2)
-        nden = r
-    else:
-        raise ValueError("variant must be 'klingen' or 'lfun'")
+    nden = index_size(r, variant)
+    shift = Fraction(1) if variant == "klingen" else Fraction(1, 2)
     e_num = s + shift
     if e_num.denominator != 1:
         raise NonIntegralExponentError("s + shift = %s is not integral" % e_num)
@@ -73,19 +69,10 @@ def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
     return num * den
 
 
-def aux_ell_scalar(y_norm, ell, s, r, vol_Y, variant="klingen", tau_at_y=None):
-    """Scalar from the auxiliary-prime intertwined section:
-    tau(y ybar) |(y ybar)^2|^(-s - (r+1)/2) Vol(Y)   (klingen variant),
-    with (r+1)/2 replaced by r/2 for the lfun variant."""
-    s = Fraction(s)
-    v = valuation(Fraction(y_norm), ell)
-    shift = Fraction(r + 1, 2) if variant == "klingen" else Fraction(r, 2)
-    unit = tau_at_y if tau_at_y is not None else CycNumber.one()
-    out = ExactValue(unit) * Fraction(vol_Y)
-    return out.times_prime_power(ell, 2 * v * (s + shift))
-
-
-def _p_constant_common(params, pair, kappa, r, p):
+def p_constant_lfun(params, pair, kappa, r, p):
+    """The p-place constant of the L-function normalization:
+    p^(kappa r/2 - r(r+1)/2) g(tau1^-1)^r prod (chi_i tau_1)(p)
+    prod (chi_i^-1 tau_2)(p) taubar^c((p^r,1))."""
     if r < 1:
         raise ConfigError("need r >= 1")
     if not pair.conductors_all_p(p):
@@ -100,17 +87,10 @@ def _p_constant_common(params, pair, kappa, r, p):
     return out.with_gauss(pair.tau1.conj().primitive_part(), r)
 
 
-def p_constant_lfun(params, pair, kappa, r, p):
-    """The p-place constant of the L-function normalization:
-    p^(kappa r/2 - r(r+1)/2) g(tau1^-1)^r prod (chi_i tau_1)(p)
-    prod (chi_i^-1 tau_2)(p) taubar^c((p^r,1))."""
-    return _p_constant_common(params, pair, kappa, r, p)
-
-
 def p_constant_klingen(params, pair, kappa, r, p):
     """The p-place constant of the Klingen normalization: the lfun constant
     times tau'(p^-1) p^(kappa - r) g(taubar')^-1."""
-    out = _p_constant_common(params, pair, kappa, r, p)
+    out = p_constant_lfun(params, pair, kappa, r, p)
     out = out * ExactValue(pair.at_p_prime().inverse())
     out = out.times_prime_power(p, kappa - r)
     return out.with_gauss(pair.tau_prime().conj().primitive_part(), -1)

@@ -6,7 +6,7 @@ symbols (ExactValue).  Transcendental archimedean factors cancel against the
 global normalization and never appear.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -15,16 +15,26 @@ from .errors import ConductorError, ConfigError, UnsupportedBetaError
 from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
 from .characters import chi_K
 from .padic import PadicElem, embed_cyclotomic
-from .pullback import aux_ell_scalar
 from .values import ExactValue
+
+
+def index_size(r, variant):
+    """The size n of the Fourier index of the family that the variant builds
+    from a datum on U(r, 0): r + 1 for the Klingen Eisenstein family, r for
+    the L-function family.  The one check of the variant."""
+    if variant == "klingen":
+        return r + 1
+    if variant == "lfun":
+        return r
+    raise ConfigError("variant must be 'klingen' or 'lfun'")
 
 
 @dataclass
 class SiegelDatum:
     """Global datum fixing the section at every place.
 
-    n is the size of the coefficient index: n = r + 1 for the klingen variant
-    and n = r for the lfun variant, where r is the rank of the definite group.
+    n is the size of the coefficient index, index_size(r, variant), where
+    r >= 1 is the rank of the definite group.
 
     Everything fixed by the arithmetic point (tau', its Gauss character, the
     ell and p constants) is computed once per datum and cached, so a datum
@@ -40,14 +50,13 @@ class SiegelDatum:
     ell: int
     y_norm: Fraction = Fraction(1)
     vol_Y: Fraction = Fraction(1)
-    tau_ell_prime: CycNumber = field(default_factory=CycNumber.one)
     embedding_choice: int = 0
     prec: int = 12
     variant: str = "klingen"
 
     def __post_init__(self):
-        if self.variant not in ("klingen", "lfun"):
-            raise ConfigError("variant must be 'klingen' or 'lfun'")
+        if self.r < 1:
+            raise ConfigError("need r >= 1")
         if self.kappa < self.n:
             raise ConfigError("need kappa >= n")
         if self.p not in self.sigma:
@@ -59,9 +68,10 @@ class SiegelDatum:
         if chi_K(self.D, self.ell) == 0:
             raise ConfigError("the auxiliary prime must be unramified")
 
-    @property
+    @cached_property
     def r(self):
-        return self.n - 1 if self.variant == "klingen" else self.n
+        # index_size(0, variant) is the number of rows the variant adds to r
+        return self.n - index_size(0, self.variant)
 
     @property
     def s_point(self):
@@ -93,12 +103,8 @@ class SiegelDatum:
     @cached_property
     def aux_scalar(self):
         """The beta-independent scalar of the auxiliary-prime coefficient."""
-        tau_at_y = None
-        if self.y_norm != 1:
-            tau_at_y = self.tau_ell_prime ** valuation(self.y_norm, self.ell)
-        return aux_ell_scalar(self.y_norm, self.ell, self.s_point, self.r,
-                              self.vol_Y, variant=self.variant,
-                              tau_at_y=tau_at_y)
+        return aux_ell_scalar(self.y_norm, self.ell, self.s_point, self.n,
+                              self.vol_Y)
 
     @cached_property
     def p_unit(self):
@@ -113,6 +119,15 @@ class SiegelDatum:
         out = out.with_gauss(self.tau_prime.primitive_part(), n)
         return out.times_prime_power(
             self.p, -2 * n * self.s_point - Fraction(n * (n + 1), 2))
+
+
+def aux_ell_scalar(y_norm, ell, s, n, vol_Y):
+    """Scalar from the auxiliary-prime intertwined section for an n x n
+    index: tau(y ybar) |(y ybar)^2|^(-s - n/2) Vol(Y), with tau(y ybar)
+    taken as 1."""
+    v = valuation(Fraction(y_norm), ell)
+    out = ExactValue.from_rational(Fraction(vol_Y))
+    return out.times_prime_power(ell, 2 * v * (Fraction(s) + Fraction(n, 2)))
 
 
 def _entry_integral_at(beta, q):
@@ -174,32 +189,19 @@ def prefactor_ell_lfactors(datum):
     return ExactValue(_abelian_lfactors(datum, datum.ell).inverse())
 
 
-def coeff_aux_ell(beta, datum, A=None):
+def coeff_aux_ell(beta, datum):
     """Local coefficient at the auxiliary split prime ell:
 
-    tau(y ybar) |(y ybar)^2|^(-s - shift) Vol(Y) tau(det A Abar)
-    |det A Abar|^(-s + n/2) e_ell(d(beta) / (y ybar)) [beta integral at ell]
+    aux_ell_scalar * e_ell(d(beta) / (y ybar))   [beta integral at ell]
 
-    where shift = (r+1)/2 (klingen) or r/2 (lfun), A is an optional rational
-    diagonal change of basis, and d(beta) is the sum of the last r (klingen)
-    or all n (lfun) diagonal entries."""
-    ell = datum.ell
-    s = datum.s_point
-    if not _entry_integral_at(beta, ell):
+    where d(beta) is the sum of the last r diagonal entries (all n of them
+    for the lfun variant)."""
+    if not _entry_integral_at(beta, datum.ell):
         return ExactValue.zero()
-    out = datum.aux_scalar
-    if A is not None:
-        da = Fraction(1)
-        for x in A:
-            da *= Fraction(x)
-        v = valuation(da, ell)
-        if v:
-            out = out * ExactValue(datum.tau_ell_prime ** v)
-            out = out.times_prime_power(ell, 2 * v * (s - Fraction(datum.n, 2)))
-    start = 1 if datum.variant == "klingen" else 0
-    tr = sum((beta.entry(i, i).a for i in range(start, datum.n)), Fraction(0))
-    out = out * ExactValue(additive_char(tr / datum.y_norm, ell))
-    return out
+    n = datum.n
+    tr = sum((beta.entry(i, i).a for i in range(n - datum.r, n)), Fraction(0))
+    return datum.aux_scalar * ExactValue(additive_char(tr / datum.y_norm,
+                                                       datum.ell))
 
 
 def _sqrt_md_residue(datum):
@@ -230,12 +232,14 @@ def coeff_p(beta, datum):
 
     with c_n(tau', s) = tau'(p^n) p^{2ns - n(n+1)/2}, Phi supported on the
     matrices whose leading minors are all p-adic units with value
-    tau_2(det X), and X the transposed (rows 1..r, columns 2..r+1) block
-    (klingen) or the transpose of beta itself (lfun).  Nonzero values require
-    det beta in Z_p^*; p-divisible determinants give 0 through the character.
+    tau_2(det X), and X the transpose of the block of beta on the first r
+    rows and the last r columns (beta itself for the lfun variant).  Nonzero
+    values require det beta in Z_p^*; p-divisible determinants give 0
+    through the character.
     """
     p = datum.p
     n = datum.n
+    r = datum.r
     if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
     if not _entry_integral_at(beta, p):
@@ -246,24 +250,13 @@ def coeff_p(beta, datum):
     if valuation(det, p) != 0:
         return ExactValue.zero()  # taubar'(det beta) = 0
     root = datum.sqrt_md_mod_p
-    if datum.variant == "klingen":
-        rows = range(n - 1)
-        cols = range(1, n)
-        size = n - 1
-    else:
-        rows = range(n)
-        cols = range(n)
-        size = n
+    rows = range(r)
+    cols = range(n - r, n)
     # leading minors of the transposed block = minors on swapped index sets
-    for k in range(1, size + 1):
-        m = beta.minor(list(rows)[:k], list(cols)[:k])
-        if _quad_residue(m, p, root) == 0:
+    for k in range(1, r + 1):
+        if _quad_residue(beta.minor(rows[:k], cols[:k]), p, root) == 0:
             return ExactValue.zero()
-    if size:
-        det_x = beta.minor(rows, cols)
-        phi_val = datum.pair.tau2(_quad_residue(det_x, p, root))
-    else:
-        phi_val = CycNumber.one()
+    phi_val = datum.pair.tau2(_quad_residue(beta.minor(rows, cols), p, root))
     det_res = det.numerator * pow(det.denominator, -1, p) % p
     unit = datum.tau_prime_bar()(det_res) * phi_val * datum.p_unit
     return ExactValue(unit) * datum.p_factor

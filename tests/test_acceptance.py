@@ -20,7 +20,6 @@ from eiskling.siegel_fourier import SiegelDatum, coeff_p, _sqrt_md_residue
 from eiskling.interpolation import (ArithmeticPoint, CharFamilySpec,
                                     check_congruences, coefficient_family)
 from eiskling import cli
-from eiskling.errors import UnsupportedBetaError
 
 from oracles import (bernoulli_akiyama_tanigawa, minor_units_mod_p,
                      rank_one_coeff_p_oracle)
@@ -31,9 +30,9 @@ def _report(num, ok, detail):
     assert ok, "criterion %d failed: %s" % (num, detail)
 
 
-def _pair(p, k1, k2, kappa):
+def _pair(p, k1, k2):
     return SplitPCharPair(DirichletChar.from_exponent(p, k1),
-                          DirichletChar.from_exponent(p, k2), wt=kappa,
+                          DirichletChar.from_exponent(p, k2),
                           at_p1=CycNumber.root_of_unity(4, 1),
                           at_p2=CycNumber.root_of_unity(4, 3))
 
@@ -118,9 +117,8 @@ def test_criterion_4_vanishing_and_values():
     for p, D in ((5, 1), (7, 3)):
         for n in (2, 3):
             rng = random.Random(9000 + 10 * p + n)
-            data = {v: SiegelDatum(n=n, kappa=n + 4,
-                                   pair=_pair(p, *((1, 2) if p == 5 else (2, 3)),
-                                              n + 4),
+            ks = (1, 2) if p == 5 else (2, 3)
+            data = {v: SiegelDatum(n=n, kappa=n + 4, pair=_pair(p, *ks),
                                    p=p, D=D, sigma=(2, p), ell=13, variant=v)
                     for v in ("klingen", "lfun")}
             root = _sqrt_md_residue(data["klingen"])
@@ -144,7 +142,7 @@ def test_criterion_4_vanishing_and_values():
                      (CycNumber.root_of_unity(4, 1),
                       CycNumber.root_of_unity(4, 3))]:
         pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
-                              DirichletChar.from_exponent(5, 2), wt=6,
+                              DirichletChar.from_exponent(5, 2),
                               at_p1=at1, at_p2=at2)
         datum = SiegelDatum(n=1, kappa=6, pair=pair, p=5, D=1, sigma=(2, 5),
                             ell=13, variant="lfun")
@@ -227,7 +225,7 @@ def test_criterion_6_hecke_telescoping():
                 fails += 1
             prev = exp
     from eiskling.hecke import klingen_eigenvalues
-    pair = _pair(5, 1, 2, 6)
+    pair = _pair(5, 1, 2)
     eigs = klingen_eigenvalues([CycNumber.root_of_unity(8, 1)], pair, 6,
                                WeightTuple(a=(0,)), 5)
     u, e = eigs[0]
@@ -247,7 +245,7 @@ def test_criterion_7_pullback_quotient():
     fails = total = 0
     for p, k1, k2 in ((5, 1, 2), (7, 2, 3)):
         for r in (1, 2, 3):
-            pair = _pair(p, k1, k2, 0)
+            pair = _pair(p, k1, k2)
             alphas = tuple(CycNumber.root_of_unity(8, 2 * i + 1)
                            for i in range(r))
             params = SatakeParams(alphas)
@@ -270,7 +268,7 @@ def _criterion_8_family():
                          at_p1=CycNumber.root_of_unity(4, 1),
                          at_p2=CycNumber.root_of_unity(4, 3), a=(0,))
     points = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8, 12)]
-    datum = SiegelDatum(n=2, kappa=6, pair=_pair(5, 1, 2, 6), p=5, D=1,
+    datum = SiegelDatum(n=2, kappa=6, pair=_pair(5, 1, 2), p=5, D=1,
                         sigma=(2, 5), ell=7, variant="klingen")
     betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
     table = coefficient_family(fam, points, betas, datum)

@@ -80,14 +80,14 @@ def test_euler_factor():
 
 def test_split_pair():
     pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
-                          DirichletChar.from_exponent(5, 2), wt=6,
+                          DirichletChar.from_exponent(5, 2),
                           at_p1=CycNumber.root_of_unity(4, 1),
                           at_p2=CycNumber.root_of_unity(4, 3))
     assert pair.conductors_all_p(5)
     assert pair.tau_prime().conductor() == 5
     assert pair.at_p_prime() == CycNumber.one()
     bad = SplitPCharPair(DirichletChar.from_exponent(5, 1),
-                         DirichletChar.from_exponent(5, 3), wt=6)
+                         DirichletChar.from_exponent(5, 3))
     assert not bad.conductors_all_p(5)  # product is trivial
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -270,11 +272,51 @@ def edited(**keys):
     ("hecke", {"r": "2", "a": "0,1"}, "key 'a': must be nonincreasing"),
     ("family", {"r": "2", "a": "0,1"}, "key 'a': must be nonincreasing"),
     ("coeff", {"kappa": ""}, "missing required key 'kappa'"),
+] + [
+    ("pullback", {"satake": "zeta:8:1", "q": q, "s": "2"},
+     "key 'q': must be a prime that splits in K and differs from p")
+    for q in ("0", "3", "4", "5", "-13")
+] + [
+    ("kl", {"k_min": "0"}, "key 'k_min': must be at least 1"),
+] + [
+    (command, {"D": "4"}, "key 'D': must be a squarefree positive integer")
+    for command in ("family", "coeff", "kl", "hecke")
+] + [
+    (command, {"dual_scale": "0"}, "key 'dual_scale': must be positive")
+    for command in ("family", "enumerate")
+] + [
+    ("kl", {key: prec}, "key 'prec': must be at least 1")
+    for key in ("prec", "--prec") for prec in ("-3", "0")
+] + [
+    ("kl", {"chi": spec}, "key 'chi': bad character spec %r: %s" % (spec, why))
+    for spec, why in (("trivial:0", "the modulus must be positive"),
+                      ("trivial:-1", "the modulus must be positive"),
+                      ("quadratic:4", "need an odd prime"))
+] + [
+    ("coeff", {"at_p1": "zeta:-4:1"}, "key 'at_p1': bad cyclotomic spec "
+     "'zeta:-4:1': a root of unity needs an order n >= 1"),
+] + [
+    (command, {"r": "0"}, "need r >= 1")
+    for command in ("coeff", "family", "enumerate", "hecke")
+] + [
+    (command, {"variant": "foo"}, "variant must be 'klingen' or 'lfun'")
+    for command in ("coeff", "family", "enumerate")
+] + [
+    ("pullback", {"satake": "zeta:8:1", "q": "13", "s": "2",
+                  "variant": "foo"}, "variant must be 'klingen' or 'lfun'"),
+    ("coeff", {"kappa": "6,8"},
+     "key 'kappa': invalid literal for int() with base 10: '6,8'"),
+    ("coeff", {"at_p2": "0"}, "key 'at_p2': must be nonzero"),
+    ("hecke", {"satake": "0"}, "key 'satake': values must be nonzero"),
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):
-    path = write(tmp_path, edited(**keys))
-    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
+    """Keys that start with -- are command-line flags."""
+    flags = [x for k, v in keys.items() if k.startswith("--") for x in (k, v)]
+    path = write(tmp_path, edited(**{k: v for k, v in keys.items()
+                                     if not k.startswith("--")}))
+    assert main([command, "--config", path, "--out", "/dev/null"]
+                + flags) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
 
 
@@ -286,6 +328,23 @@ def test_kl_character_defaults_to_trivial(tmp_path):
                      "--out", str(out)]) == 0
         values.append(json.loads(out.read_text())["values"])
     assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("command, empty", [
+    ("kl", ["chi", "prec"]), ("family", ["pairs", "variant", "a"])])
+def test_empty_value_is_unset_key(tmp_path, command, empty):
+    """The report, config hash included, is the same with the keys left
+    out and with the keys set empty."""
+    cfg = "".join(line for line in FAMILY_CFG.splitlines(True)
+                  if line.split(" = ")[0] not in empty)
+    empty = "".join("%s =\n" % key for key in empty)
+    texts = []
+    for text in (cfg, cfg + empty):
+        out = tmp_path / "out.json"
+        assert main([command, "--config", write(tmp_path, text),
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
 
 
 def emitted(report):
@@ -346,3 +405,70 @@ def test_writer_rejects_what_json_cannot_hold():
     with pytest.raises(TypeError):
         emitted({"x": object()})
     assert emitted([1.5, float("inf")]) == "[\n  1.5,\n  Infinity\n]\n"
+
+
+CHARS = ["exp:5:1", "exp:5:2", "exp:5:3", "trivial", "trivial:5",
+         "teichmuller:5:1", "quadratic:5", "exp:7:1", "exp:9:2", "exp:11:3",
+         "trivial:0", "trivial:-1", "quadratic:4", "quadratic:2", "exp:0:1",
+         "exp:4:1", "teichmuller:5", "nonsense", ""]
+CYCS = ["zeta:4:1", "zeta:4:3", "1", "0", "-1/2", "zeta:8:3", "zeta:-4:1",
+        "zeta:0:1", "zeta:4", "zeta:a:1", "1/0", "x", ""]
+
+# The value of each key in the base config comes first in its pool; the
+# other values are edges.
+FUZZ_POOLS = {
+    "p": ["5", "13", "3", "7", "2", "9", "1", "0", "-5", "x"],
+    "D": ["1", "2", "3", "4", "12", "0", "-1"],
+    "r": ["1", "2", "0", "-1"],
+    "ell": ["7", "13", "2", "3", "5", "9", "1", "-7"],
+    "sigma": ["2,5", "2", "5", "2,5,7", "2,5,13", "-5,2", "x"],
+    "kappa": ["6", "8", "3", "2", "1", "0", "-2", "6,8"],
+    "tau1": CHARS,
+    "tau2": ["exp:5:2"] + CHARS,
+    "chi": CHARS,
+    "at_p1": CYCS,
+    "at_p2": ["zeta:4:3"] + CYCS,
+    "a": ["0", "0,0", "1,0", "0,1", "2", "-1", "-4", "1,2,3", "x"],
+    "trace_bound": ["2", "1", "0", "-1"],
+    "dual_scale": ["1", "2", "0", "-1"],
+    "prec": ["12", "1", "2", "0", "-3"],
+    "embedding_choice": ["0", "1", "-1", "7"],
+    "variant": ["klingen", "lfun", "foo"],
+    "y_norm": ["1", "49", "1/7", "7/2", "0", "-7", "x"],
+    "vol_Y": ["1", "1/3", "0", "-1"],
+    "points": ["6:0:Xpb;6:4:Xpb", "6:0", "8:0:X;8:4:X", "6:1:X;6:2:Xpb",
+               "6:-1", "2:0:Xpb", "0:0", "-6:0", "6:0:zeta:5:1",
+               "6:0:zeta:5:2:zeta:5:3", "6:0:zeta:4:1", "6:0:zeta:0:1",
+               "6:0:zeta:-5:1", "6:0:zeta:5", "6:0:Y", "6", "x"],
+    "pairs": ["0,1,1", "0,1,2;1,0,1", "0,0,1", "0,1", "0,5,1", "-1,0,1",
+              "0,1,0", "0,1,-1", "a,b,c"],
+    "k_min": ["1", "2", "0", "-2", "9"],
+    "k_max": ["6", "1", "0", "-1", "12"],
+}
+FUZZ_COMMANDS = ["coeff", "family", "kl", "enumerate"]
+
+
+@st.composite
+def flat_configs(draw):
+    """The base config with up to four keys set to an edge value, set
+    empty or left out."""
+    keys = draw(st.sets(st.sampled_from(sorted(FUZZ_POOLS)), max_size=4))
+    lines = []
+    for key, pool in FUZZ_POOLS.items():
+        value = pool[0]
+        if key in keys:
+            value = draw(st.sampled_from(pool[1:] + ["", None]))
+        if value is not None:
+            lines.append("%s = %s\n" % (key, value))
+    return "".join(lines)
+
+
+@given(st.sampled_from(FUZZ_COMMANDS), flat_configs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_random_configs_exit_0_or_2(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out.json")
+        assert main([command, "--config", path, "--out", out]) in (0, 2)

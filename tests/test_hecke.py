@@ -77,7 +77,7 @@ def test_up_units_are_partial_products():
 
 def test_klingen_extra_eigenvalues():
     pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
-                          DirichletChar.from_exponent(5, 2), wt=6,
+                          DirichletChar.from_exponent(5, 2),
                           at_p1=CycNumber.root_of_unity(4, 1),
                           at_p2=CycNumber.root_of_unity(4, 3))
     w = WeightTuple(a=(0,))
@@ -95,7 +95,7 @@ def test_klingen_extra_eigenvalues():
 
 def test_klingen_uniqueness_guard():
     pair = SplitPCharPair(DirichletChar.trivial(5), DirichletChar.trivial(5),
-                          wt=2, at_p1=CycNumber.one(), at_p2=CycNumber.one())
+                          at_p1=CycNumber.one(), at_p2=CycNumber.one())
     w = WeightTuple(a=(0,))
     chis = [CycNumber.one()]
     # kappa chosen so two eigenvalue exponents collide: -(r+kappa)/2 == kappa-r-1

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from eiskling.exact_arith import CycNumber, enumerate_hermitian

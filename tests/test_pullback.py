@@ -7,17 +7,17 @@ from eiskling.characters import DirichletChar, SplitPCharPair
 from eiskling.values import ExactValue
 from eiskling.pullback import (
     SatakeParams,
-    aux_ell_scalar,
     klingen_ratio_unramified,
     p_constant_klingen,
     p_constant_lfun,
 )
+from eiskling.siegel_fourier import aux_ell_scalar
 from eiskling.errors import ConductorError, NonIntegralExponentError
 
 
-def _pair(p, k1, k2, kappa, a1=(4, 1), a2=(4, 3)):
+def _pair(p, k1, k2, a1=(4, 1), a2=(4, 3)):
     return SplitPCharPair(DirichletChar.from_exponent(p, k1),
-                          DirichletChar.from_exponent(p, k2), wt=kappa,
+                          DirichletChar.from_exponent(p, k2),
                           at_p1=CycNumber.root_of_unity(*a1),
                           at_p2=CycNumber.root_of_unity(*a2))
 
@@ -32,7 +32,7 @@ def expected_ratio(pair, kappa, r, p):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("p,k1,k2", [(5, 1, 2), (7, 2, 3)])
 def test_quotient_identity(r, p, k1, k2):
-    pair = _pair(p, k1, k2, 0)
+    pair = _pair(p, k1, k2)
     alphas = tuple(CycNumber.root_of_unity(8, 2 * i + 1) for i in range(r))
     params = SatakeParams(alphas)
     for kappa in range(r + 2, r + 9):
@@ -43,7 +43,7 @@ def test_quotient_identity(r, p, k1, k2):
 
 def test_p_constant_requires_conductor_p():
     pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
-                          DirichletChar.from_exponent(5, 3), wt=6)
+                          DirichletChar.from_exponent(5, 3))
     params = SatakeParams((CycNumber.one(),))
     with pytest.raises(ConductorError):
         p_constant_lfun(params, pair, 6, 1, 5)
@@ -51,7 +51,7 @@ def test_p_constant_requires_conductor_p():
 
 def test_p_constant_lfun_shape():
     p = 5
-    pair = _pair(p, 1, 2, 6)
+    pair = _pair(p, 1, 2)
     params = SatakeParams((CycNumber.root_of_unity(4, 1),))
     v = p_constant_lfun(params, pair, 6, 1, p)
     assert v.exps[p] == Fraction(6 * 1, 2) - Fraction(1 * 2, 2)
@@ -77,10 +77,9 @@ def test_unramified_ratio_exact_and_poles():
 
 
 def test_aux_ell_scalar():
-    v = aux_ell_scalar(Fraction(49), 7, Fraction(2), 1, Fraction(1, 3),
-                       variant="klingen")
+    v = aux_ell_scalar(Fraction(49), 7, Fraction(2), 2, Fraction(1, 3))
     # tau trivial default; |y ybar^2|^{-s-1} = 7^{2*2*(2+1)} and Vol
     assert v.exps[7] == 12
     assert v.exps[3] == -1
-    w = aux_ell_scalar(Fraction(1), 7, Fraction(2), 1, Fraction(1))
+    w = aux_ell_scalar(Fraction(1), 7, Fraction(2), 2, Fraction(1))
     assert w == ExactValue.one()

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from eiskling.exact_arith import HermitianMatrix, QuadFieldElem, quad_det
 from eiskling.values import ExactValue

@@ -22,9 +22,9 @@ from eiskling.errors import UnsupportedBetaError
 from oracles import minor_units_mod_p, rank_one_coeff_p_oracle
 
 
-def make_pair(p, k1, k2, kappa):
+def make_pair(p, k1, k2):
     return SplitPCharPair(DirichletChar.from_exponent(p, k1),
-                          DirichletChar.from_exponent(p, k2), wt=kappa,
+                          DirichletChar.from_exponent(p, k2),
                           at_p1=CycNumber.root_of_unity(4, 1),
                           at_p2=CycNumber.root_of_unity(4, 3))
 
@@ -32,7 +32,7 @@ def make_pair(p, k1, k2, kappa):
 def make_datum(p, D, n, variant, kappa=None, ell=13):
     k1, k2 = (1, 2) if p == 5 else (2, 3)
     kappa = kappa or n + 4
-    return SiegelDatum(n=n, kappa=kappa, pair=make_pair(p, k1, k2, kappa),
+    return SiegelDatum(n=n, kappa=kappa, pair=make_pair(p, k1, k2),
                        p=p, D=D, sigma=(2, p), ell=ell, variant=variant)
 
 
@@ -67,7 +67,7 @@ def test_rank_one_value_oracle():
                      (CycNumber.root_of_unity(4, 1),
                       CycNumber.root_of_unity(4, 3))]:
         pair = SplitPCharPair(DirichletChar.from_exponent(p, 1),
-                              DirichletChar.from_exponent(p, 2), wt=6,
+                              DirichletChar.from_exponent(p, 2),
                               at_p1=at1, at_p2=at2)
         datum = SiegelDatum(n=1, kappa=6, pair=pair, p=p, D=1, sigma=(2, p),
                             ell=13, variant="lfun")
@@ -199,7 +199,7 @@ def test_assemble_global_rejects_non_primitive_index():
                        match="^beta not primitive at 3$"):
         assemble_global(det3, datum)
     # with 2 outside sigma, an even determinant meets the ramified prime 2
-    no_two = SiegelDatum(n=2, kappa=6, pair=make_pair(5, 1, 2, 6), p=5, D=1,
+    no_two = SiegelDatum(n=2, kappa=6, pair=make_pair(5, 1, 2), p=5, D=1,
                          sigma=(5,), ell=13, variant="klingen")
     det2 = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
                                [Fraction(0), Fraction(2)]])
