@@ -355,6 +355,10 @@ def cmd_family(cfg, args):
                          at_p2=cfg["at_p2"], a=_base_weight(cfg))
     datum = _build_datum(cfg)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
+    if not betas:
+        # congruences over no index would certify nothing
+        raise ConfigError("key 'trace_bound': no nonsingular index has "
+                          "trace at most %d" % cfg["trace_bound"])
     table = coefficient_family(fam, list(cfg["points"]), betas, datum)
     report = {"command": "family", "table": table.to_json()}
     if cfg["pairs"]:

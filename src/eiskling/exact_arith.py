@@ -9,9 +9,10 @@ Fractions.  Hermitian matrices over the quadratic field support exact minors,
 definiteness tests and a bounded-trace enumerator.  Minors are computed on
 integers: a matrix is scaled by the common denominator of its entries, its
 determinant expanded over Z[sqrt(-D)], and one Fraction division made at the
-end.  A HermitianMatrix keeps that integer image and memoizes its minors, and
-the enumerator tests semidefiniteness on integers before it builds a
-candidate.
+end.  A HermitianMatrix keeps that integer image and memoizes its minors and
+any other fact derived from it, and the enumerator tests semidefiniteness on
+integers before it builds a candidate, handing the minors it computed to the
+candidate's memo.
 """
 
 from dataclasses import dataclass
@@ -580,13 +581,14 @@ class HermitianMatrix:
 
     The constructor also builds the integer image of the matrix: the common
     denominator den of all entry parts, and each entry a + b*sqrt(-D) as the
-    integer pair (a*den, b*den).  Minors are expanded on that image and
-    memoized per instance, so each distinct minor is computed once for all
-    callers.  The cache does not enter equality or hashing; a matrix must not
-    be mutated after construction.
+    integer pair (a*den, b*den).  Minors are expanded on that image and kept
+    in a per-instance memo, so each distinct minor is computed once for all
+    callers; memo() keeps other facts derived from the matrix there too.
+    The memo does not enter equality or hashing; a matrix must not be
+    mutated after construction.
     """
 
-    __slots__ = ("D", "n", "entries", "_den", "_image", "_minors")
+    __slots__ = ("D", "n", "entries", "_den", "_image", "_memo")
 
     def __init__(self, D, rows):
         self.D = D
@@ -606,7 +608,7 @@ class HermitianMatrix:
         self.entries = rows
         self._den = den
         self._image = image
-        self._minors = {}
+        self._memo = {}
 
     def _entry_coerce(self, e):
         if isinstance(e, QuadFieldElem):
@@ -652,6 +654,23 @@ class HermitianMatrix:
             return A, B
         return expand(tuple(rows), tuple(cols))
 
+    @property
+    def den(self):
+        """The common denominator of the entry parts: a prime q divides it
+        exactly when some entry is not integral at q."""
+        return self._den
+
+    def memo(self, key, compute, *args):
+        """compute(self, *args), made once per key and kept with the minors.
+        The key names the fact (a str first, so it never equals the
+        (rows, cols) key of a minor) and holds every argument that compute
+        reads besides the matrix.  An error compute raises is not kept."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self, *args)
+            return value
+
     def entry(self, i, j):
         return self.entries[i][j]
 
@@ -661,7 +680,7 @@ class HermitianMatrix:
     def minor(self, rows, cols):
         """Determinant of the rows x cols block, computed once per block."""
         key = (tuple(rows), tuple(cols))
-        m = self._minors.get(key)
+        m = self._memo.get(key)
         if m is None:
             k = len(key[0])
             if k == 0 or k != len(key[1]):
@@ -670,7 +689,7 @@ class HermitianMatrix:
             A, B = self._int_minor(self._image, self.D, *key)
             scale = self._den ** k
             m = QuadFieldElem(Fraction(A, scale), Fraction(B, scale), self.D)
-            self._minors[key] = m
+            self._memo[key] = m
         return m
 
     def leading_minors(self):
@@ -759,7 +778,8 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     off-diagonal entries run over (a + b*sqrt(-D))/dual_scale with integer a, b
     constrained by the 2x2 minor bound, which makes every principal minor of
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
-    integer matrix dual_scale * beta before a candidate is built.  The cap
+    integer matrix dual_scale * beta before a candidate is built, and a
+    candidate that is yielded keeps them in its minor memo.  The cap
     counts every candidate examined (count_hermitian gives that number in
     advance).  Deterministic order.
     """
@@ -767,7 +787,9 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     s2 = s * s
     examined = 0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    screened = [idx for size in range(3, n + 1)
+    # (idx, dual_scale^size): a minor of dual_scale * beta over the scale
+    # is the minor of beta
+    screened = [(idx, s ** size) for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
     int_minor = HermitianMatrix._int_minor
     for diag in _diagonals(n, trace_bound):
@@ -789,6 +811,14 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                 raise ResourceBoundError("enumeration cap %d exceeded" % cap)
             for (i, j), opt in zip(pairs, combo):
                 image[i][j], image[j][i], rows[i][j], rows[j][i] = opt
-            if any(int_minor(image, D, idx, idx)[0] < 0 for idx in screened):
-                continue
-            yield HermitianMatrix(D, rows)
+            minors = []
+            for idx, scale in screened:
+                A, B = int_minor(image, D, idx, idx)
+                if A < 0:
+                    break
+                minors.append(((idx, idx), QuadFieldElem(
+                    Fraction(A, scale), Fraction(B, scale), D)))
+            else:
+                beta = HermitianMatrix(D, rows)
+                beta._memo.update(minors)
+                yield beta

@@ -7,6 +7,7 @@ variants differ only in which block of beta the minors are taken from.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact_arith import QuadFieldElem, quad_to_cyc
 from .values import ExactValue
@@ -36,16 +37,34 @@ def multiplier_lfun(beta, a):
 
 
 def _minor_monomial(beta, a, row_offset):
+    """The product of the minors to their powers, taken on integers in
+    Z[sqrt(-D)]: each minor as (A + B sqrt(-D)) / d, the powers and the
+    product by square-and-multiply on the integer pairs, and one division
+    by the product of the denominators at the end."""
     a = _pad_weights(a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError("weights must be nonincreasing with a_r >= 0")
-    acc = QuadFieldElem(Fraction(1), Fraction(0), beta.D)
+    D = beta.D
+    num_a, num_b, den = 1, 0, 1
+
+    def times(x, y, u, v):
+        return x * u - D * y * v, x * v + y * u
+
     for k in range(1, len(a)):
         e = a[k - 1] - a[k]
         if e:
             m = beta.minor(range(row_offset, row_offset + k), range(k))
-            acc = acc * m ** e
-    return acc
+            d = lcm(m.a.denominator, m.b.denominator)
+            x = m.a.numerator * (d // m.a.denominator)
+            y = m.b.numerator * (d // m.b.denominator)
+            den *= d ** e
+            while e:
+                if e & 1:
+                    num_a, num_b = times(num_a, num_b, x, y)
+                e >>= 1
+                if e:
+                    x, y = times(x, y, x, y)
+    return QuadFieldElem(Fraction(num_a, den), Fraction(num_b, den), D)
 
 
 @dataclass

@@ -4,6 +4,13 @@ assembly into normalized global q-expansion coefficients.
 All values are exact: cyclotomic units times formal prime powers and Gauss
 symbols (ExactValue).  Transcendental archimedean factors cancel against the
 global normalization and never appear.
+
+What a coefficient takes from its index beta alone, or from beta and datum
+fields that stay the same from one arithmetic point to the next, is computed
+once per index and kept in the index's memo (HermitianMatrix.memo), keyed by
+every datum field it reads: the prime support, the ell additive character,
+the residues mod p behind coeff_p, and the archimedean rational.  A family
+evaluates each index at every point and reuses them there.
 """
 
 from dataclasses import dataclass
@@ -130,12 +137,17 @@ def aux_ell_scalar(y_norm, ell, s, n, vol_Y):
     return out.times_prime_power(ell, 2 * v * (Fraction(s) + Fraction(n, 2)))
 
 
-def _entry_integral_at(beta, q):
-    for row in beta.entries:
-        for e in row:
-            if e.a.denominator % q == 0 or e.b.denominator % q == 0:
-                return False
-    return True
+def _integral_at(beta, q):
+    """Whether every entry of beta is integral at the prime q."""
+    return beta.den % q != 0
+
+
+def _support(beta):
+    """The primes dividing det beta (nonzero) or an entry denominator, in
+    increasing order: those of the determinant's numerator and of the common
+    denominator, a power of which the determinant's denominator divides."""
+    return sorted(set(factorize(abs(beta.det().numerator)))
+                  | set(factorize(beta.den)))
 
 
 def additive_char(x, q):
@@ -174,7 +186,7 @@ def coeff_unramified(beta, q, datum):
     ck = chi_K(datum.D, q)
     if ck == 0:
         raise UnsupportedBetaError("ramified prime %d not supported" % q)
-    if not _entry_integral_at(beta, q):
+    if not _integral_at(beta, q):
         raise UnsupportedBetaError("beta not integral at %d" % q)
     det = beta.det()
     if det == 0 or valuation(det, q) != 0:
@@ -196,12 +208,21 @@ def coeff_aux_ell(beta, datum):
 
     where d(beta) is the sum of the last r diagonal entries (all n of them
     for the lfun variant)."""
-    if not _entry_integral_at(beta, datum.ell):
+    ell, y_norm, r, n = datum.ell, datum.y_norm, datum.r, datum.n
+    char = beta.memo(("ell", ell, y_norm, r, n), _ell_character,
+                     ell, y_norm, r, n)
+    if char is None:
         return ExactValue.zero()
-    n = datum.n
-    tr = sum((beta.entry(i, i).a for i in range(n - datum.r, n)), Fraction(0))
-    return datum.aux_scalar * ExactValue(additive_char(tr / datum.y_norm,
-                                                       datum.ell))
+    return datum.aux_scalar * char
+
+
+def _ell_character(beta, ell, y_norm, r, n):
+    """e_ell(d(beta) / (y ybar)) as an ExactValue, or None when beta is not
+    integral at ell."""
+    if not _integral_at(beta, ell):
+        return None
+    tr = sum((beta.entry(i, i).a for i in range(n - r, n)), Fraction(0))
+    return ExactValue(additive_char(tr / y_norm, ell))
 
 
 def _sqrt_md_residue(datum):
@@ -237,29 +258,37 @@ def coeff_p(beta, datum):
     values require det beta in Z_p^*; p-divisible determinants give 0
     through the character.
     """
-    p = datum.p
-    n = datum.n
-    r = datum.r
     if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
-    if not _entry_integral_at(beta, p):
+    p, root, r = datum.p, datum.sqrt_md_mod_p, datum.r
+    residues = beta.memo(("p", p, root, r), _p_residues, p, root, r)
+    if residues is None:
         return ExactValue.zero()
+    det_res, x_res = residues
+    unit = (datum.tau_prime_bar()(det_res) * datum.pair.tau2(x_res)
+            * datum.p_unit)
+    return ExactValue(unit) * datum.p_factor
+
+
+def _p_residues(beta, p, root, r):
+    """(det beta mod p, det X mod p) for coeff_p, with root a square root of
+    -D mod p; None where the coefficient vanishes: beta not integral at p,
+    det beta not a unit at p, or a leading minor of X not a unit at p."""
+    if not _integral_at(beta, p):
+        return None
     det = beta.det()
     if det == 0:
         raise UnsupportedBetaError("coeff_p needs det beta != 0")
     if valuation(det, p) != 0:
-        return ExactValue.zero()  # taubar'(det beta) = 0
-    root = datum.sqrt_md_mod_p
+        return None  # taubar'(det beta) = 0
     rows = range(r)
-    cols = range(n - r, n)
+    cols = range(beta.n - r, beta.n)
     # leading minors of the transposed block = minors on swapped index sets
     for k in range(1, r + 1):
-        if _quad_residue(beta.minor(rows[:k], cols[:k]), p, root) == 0:
-            return ExactValue.zero()
-    phi_val = datum.pair.tau2(_quad_residue(beta.minor(rows, cols), p, root))
-    det_res = det.numerator * pow(det.denominator, -1, p) % p
-    unit = datum.tau_prime_bar()(det_res) * phi_val * datum.p_unit
-    return ExactValue(unit) * datum.p_factor
+        x_res = _quad_residue(beta.minor(rows[:k], cols[:k]), p, root)
+        if x_res == 0:
+            return None
+    return det.numerator * pow(det.denominator, -1, p) % p, x_res
 
 
 def _p_convention_unit(datum):
@@ -275,13 +304,18 @@ def coeff_arch_normalized(beta, datum):
     (-2)^(-n) det(beta)^(kappa-n) / (kappa-1)!  for the klingen variant,
     (-2)^(-n) det(beta)^(kappa-n)               for the lfun variant;
     zero unless det beta > 0.  The datum guarantees kappa >= n."""
-    n = datum.n
+    kappa, variant, n = datum.kappa, datum.variant, datum.n
+    return beta.memo(("arch", kappa, variant, n), _arch_rational,
+                     kappa, variant, n)
+
+
+def _arch_rational(beta, kappa, variant, n):
     det = beta.det()
     if det <= 0:
         return ExactValue.zero()
-    val = Fraction((-1) ** n, 2 ** n) * det ** (datum.kappa - n)
-    if datum.variant == "klingen":
-        val /= factorial(datum.kappa - 1)
+    val = Fraction((-1) ** n, 2 ** n) * det ** (kappa - n)
+    if variant == "klingen":
+        val /= factorial(kappa - 1)
     return ExactValue.from_rational(val)
 
 
@@ -326,13 +360,8 @@ def assemble_global(beta, datum):
         return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
                                  ["index not positive definite: archimedean "
                                   "coefficient vanishes"], degenerate=False)
-    support = set(factorize(abs(det.numerator))) | set(factorize(det.denominator))
-    for row in beta.entries:
-        for e in row:
-            support |= set(factorize(e.a.denominator))
-            support |= set(factorize(e.b.denominator))
-    good = sorted(q for q in support
-                  if q not in datum.sigma and q not in (datum.ell, datum.p))
+    good = [q for q in beta.memo(("support",), _support)
+            if q not in datum.sigma and q not in (datum.ell, datum.p)]
     for q in good:
         # every q here divides det beta or an entry denominator, so this
         # raises; a q-primitive coefficient would cancel its L-factor to 1

@@ -1,5 +1,5 @@
 """Symbolic exact values: a cyclotomic unit times formal prime powers with
-Fraction exponents times formal powers of Gauss sums.
+rational exponents times formal powers of Gauss sums.
 
 Rational content of the unit is factored into the prime-exponent dictionary at
 construction, so prime valuations of products stay readable even when the
@@ -13,44 +13,81 @@ from .errors import NonIntegralExponentError
 from .exact_arith import CycNumber, factorize, valuation
 from .characters import gauss_sum
 
+# the units of every rational value and of zero, shared by all ExactValues
+_ZERO = CycNumber.zero()
+_ONE = CycNumber.one()
+_MINUS_ONE = CycNumber.from_rational(-1)
+
+
+def _add_exponent(exps, q, e):
+    """exps[q] += e for an int or Fraction e, kept in normal form: an
+    integral sum becomes an int and a zero sum is dropped."""
+    s = exps.get(q, 0) + e
+    if isinstance(s, Fraction) and s.denominator == 1:
+        s = s.numerator
+    if s:
+        exps[q] = s
+    else:
+        exps.pop(q, None)
+
+
+def _sign(unit, exps):
+    """The shared +-1 of a nonzero rational CycNumber; its content, when it
+    is not +-1, is factored into exps."""
+    num, den = unit.nums[0], unit.den
+    if den != 1 or (num != 1 and num != -1):
+        for q, e in factorize(abs(num)).items():
+            _add_exponent(exps, q, e)
+        for q, e in factorize(den).items():
+            _add_exponent(exps, q, -e)
+    return _ONE if num > 0 else _MINUS_ONE
+
 
 class ExactValue:
     """unit * prod_q q^exps[q] * prod_chi g(chi)^gauss[chi].
 
-    The normal form, made once by the constructor: a rational unit is +-1
-    with its content in exps, no exponent or Gauss power is zero, and zero is
-    the level-1 zero with empty dicts.  gauss maps chi.key() to (chi, n)."""
+    The normal form, made once when a value is built: a rational unit is the
+    shared +-1 with its content in exps, an exponent is an int or a
+    non-integral Fraction, no exponent or Gauss power is zero, and zero is
+    the shared level-1 zero with empty dicts.  gauss maps chi.key() to
+    (chi, n).  A value is never changed after it is built, so values may
+    share their unit and dicts."""
 
     __slots__ = ("unit", "exps", "gauss")
 
     def __init__(self, unit, exps=None, gauss=None):
         if unit.is_zero():
-            self.unit, self.exps, self.gauss = CycNumber.zero(), {}, {}
+            self.unit, self.exps, self.gauss = _ZERO, {}, {}
             return
-        if unit.is_rational():
-            exps = dict(exps or {})
-            r = unit.rational()
-            for q, e in factorize(abs(r.numerator)).items():
-                exps[q] = exps.get(q, 0) + e
-            for q, e in factorize(r.denominator).items():
-                exps[q] = exps.get(q, 0) - e
-            unit = CycNumber.from_rational(1 if r > 0 else -1)
-        self.unit = unit
-        self.exps = {q: Fraction(e) for q, e in (exps or {}).items() if e}
+        norm = {}
+        for q, e in (exps or {}).items():
+            _add_exponent(norm, q, e)
+        self.unit = _sign(unit, norm) if unit.is_rational() else unit
+        self.exps = norm
         self.gauss = {k: (chi, n) for k, (chi, n) in (gauss or {}).items()
                       if n}
 
     @classmethod
+    def _normal(cls, unit, exps, gauss):
+        """The value with parts already in normal form, taken as they are."""
+        v = object.__new__(cls)
+        v.unit, v.exps, v.gauss = unit, exps, gauss
+        return v
+
+    @classmethod
     def one(cls):
-        return cls(CycNumber.one())
+        return cls._normal(_ONE, {}, {})
 
     @classmethod
     def zero(cls):
-        return cls(CycNumber.zero())
+        return cls._normal(_ZERO, {}, {})
 
     @classmethod
     def from_rational(cls, x):
-        return cls(CycNumber.from_rational(x))
+        if not x:
+            return cls.zero()
+        exps = {}
+        return cls._normal(_sign(CycNumber.from_rational(x), exps), exps, {})
 
     def is_zero(self):
         return self.unit.is_zero()
@@ -59,16 +96,37 @@ class ExactValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.unit, other.unit
+        if a is _ZERO or b is _ZERO:
             return ExactValue.zero()
-        exps = dict(self.exps)
-        for q, e in other.exps.items():
-            exps[q] = exps.get(q, 0) + e
-        gauss = dict(self.gauss)
-        for k, (chi, n) in other.gauss.items():
-            first, m = gauss.get(k, (chi, 0))
-            gauss[k] = (first, m + n)
-        return ExactValue(self.unit * other.unit, exps, gauss)
+        if b is _ONE:
+            unit = a
+        elif a is _ONE:
+            unit = b
+        else:
+            unit = a * b
+        exps = self.exps
+        if not exps:
+            exps = other.exps
+        elif other.exps:
+            exps = dict(exps)
+            for q, e in other.exps.items():
+                _add_exponent(exps, q, e)
+        if unit.is_rational() and unit is not _ONE and unit is not _MINUS_ONE:
+            exps = dict(exps)
+            unit = _sign(unit, exps)
+        gauss = self.gauss
+        if not gauss:
+            gauss = other.gauss
+        elif other.gauss:
+            gauss = dict(gauss)
+            for k, (chi, n) in other.gauss.items():
+                first, m = gauss.get(k, (chi, 0))
+                if m + n:
+                    gauss[k] = (first, m + n)
+                else:
+                    del gauss[k]
+        return ExactValue._normal(unit, exps, gauss)
 
     __rmul__ = __mul__
 
@@ -81,18 +139,18 @@ class ExactValue:
         return self ** -1
 
     def times_prime_power(self, q, e):
-        return self * ExactValue(CycNumber.one(), {q: e})
+        return self * ExactValue(_ONE, {q: e})
 
     def with_gauss(self, chi, n):
         """Multiply by the formal symbol g(chi)^n (chi primitive, prime power)."""
-        return self * ExactValue(CycNumber.one(), gauss={chi.key(): (chi, n)})
+        return self * ExactValue(_ONE, gauss={chi.key(): (chi, n)})
 
     def p_valuation(self, p):
         """Valuation at p, assuming the (non-rational) unit part is a p-adic
         unit; Gauss symbols of conductor p^t contribute n*t/2."""
         if self.is_zero():
             return None
-        v = self.exps.get(p, Fraction(0))
+        v = self.exps.get(p, 0)
         for chi, n in self.gauss.values():
             t = valuation(chi.modulus, p)
             if t and chi.modulus == p ** t:
@@ -101,12 +159,18 @@ class ExactValue:
 
     def materialize(self):
         """Expand to a single CycNumber; all prime exponents must be integers."""
-        acc = self.unit
+        num = den = 1
         for q, e in sorted(self.exps.items()):
-            if e.denominator != 1:
+            if isinstance(e, Fraction):
                 raise NonIntegralExponentError(
                     "non-integral exponent %s at prime %d" % (e, q))
-            acc = acc * (Fraction(q) ** int(e))
+            if e > 0:
+                num *= q ** e
+            else:
+                den *= q ** -e
+        acc = self.unit
+        if num != 1 or den != 1:
+            acc = acc * Fraction(num, den)
         for chi, n in self.gauss.values():
             if n >= 0:
                 acc = acc * gauss_sum(chi) ** n

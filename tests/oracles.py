@@ -8,17 +8,21 @@ semidefiniteness by floating-point eigenvalues, and determinants over
 Q(sqrt(-D)) by Laplace expansion on QuadFieldElem entries (Fraction arithmetic,
 no integer image, no cache), cyclotomic arithmetic on Fraction coefficient
 vectors reduced by long division by the cyclotomic polynomial (inverses by
-the extended Euclidean algorithm), and the JSON text of a report by
-converting it first and handing it to json.dumps.
+the extended Euclidean algorithm), the JSON text of a report by converting
+it first and handing it to json.dumps, the integrality and prime support
+of an index entry by entry, as assemble_global once found them, and exact
+values with every exponent a Fraction, each product renormalized from
+scratch, as ExactValue once kept them.
 """
 
 import itertools
 import json
 from fractions import Fraction
 
-from eiskling.errors import ResourceBoundError
+from eiskling.characters import gauss_sum
+from eiskling.errors import NonIntegralExponentError, ResourceBoundError
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, QuadFieldElem,
-                                  cyclotomic_poly)
+                                  cyclotomic_poly, factorize, valuation)
 from eiskling.values import ExactValue
 
 
@@ -204,6 +208,119 @@ def psd_by_principal_minors(beta):
             if quad_det_laplace(beta.submatrix(idx, idx)).a < 0:
                 return False
     return True
+
+
+def entry_integral_at(beta, q):
+    """Whether both parts of every entry of beta are integral at q."""
+    for row in beta.entries:
+        for e in row:
+            if e.a.denominator % q == 0 or e.b.denominator % q == 0:
+                return False
+    return True
+
+
+def index_support(beta):
+    """The primes dividing the numerator or the denominator of det beta
+    (nonzero) or the denominator of a part of an entry, in increasing order."""
+    det = beta.det()
+    support = set(factorize(abs(det.numerator))) | set(factorize(det.denominator))
+    for row in beta.entries:
+        for e in row:
+            support |= set(factorize(e.a.denominator))
+            support |= set(factorize(e.b.denominator))
+    return sorted(support)
+
+
+class FractionExponentValue:
+    """unit * prod_q q^exps[q] * prod_chi g(chi)^gauss[chi] with Fraction
+    exponents: the constructor folds the content of a rational unit into
+    exps, wraps every exponent in a Fraction and drops zero exponents and
+    Gauss powers, and every product is rebuilt through it."""
+
+    def __init__(self, unit, exps=None, gauss=None):
+        if unit.is_zero():
+            self.unit, self.exps, self.gauss = CycNumber.zero(), {}, {}
+            return
+        exps = dict(exps or {})
+        if unit.is_rational():
+            r = unit.rational()
+            for q, e in factorize(abs(r.numerator)).items():
+                exps[q] = exps.get(q, 0) + e
+            for q, e in factorize(r.denominator).items():
+                exps[q] = exps.get(q, 0) - e
+            unit = CycNumber.from_rational(1 if r > 0 else -1)
+        self.unit = unit
+        self.exps = {q: Fraction(e) for q, e in exps.items() if e}
+        self.gauss = {k: (chi, n) for k, (chi, n) in (gauss or {}).items()
+                      if n}
+
+    def is_zero(self):
+        return self.unit.is_zero()
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return FractionExponentValue(CycNumber.zero())
+        exps = dict(self.exps)
+        for q, e in other.exps.items():
+            exps[q] = exps.get(q, 0) + e
+        gauss = dict(self.gauss)
+        for k, (chi, n) in other.gauss.items():
+            first, m = gauss.get(k, (chi, 0))
+            gauss[k] = (first, m + n)
+        return FractionExponentValue(self.unit * other.unit, exps, gauss)
+
+    def __pow__(self, e):
+        return FractionExponentValue(
+            self.unit ** e, {q: x * e for q, x in self.exps.items()},
+            {k: (chi, n * e) for k, (chi, n) in self.gauss.items()})
+
+    def times_prime_power(self, q, e):
+        return self * FractionExponentValue(CycNumber.one(), {q: e})
+
+    def with_gauss(self, chi, n):
+        return self * FractionExponentValue(CycNumber.one(),
+                                            gauss={chi.key(): (chi, n)})
+
+    def p_valuation(self, p):
+        if self.is_zero():
+            return None
+        v = self.exps.get(p, Fraction(0))
+        for chi, n in self.gauss.values():
+            t = valuation(chi.modulus, p)
+            if t and chi.modulus == p ** t:
+                v += Fraction(n * t, 2)
+        return v
+
+    def materialize(self):
+        acc = self.unit
+        for q, e in sorted(self.exps.items()):
+            if e.denominator != 1:
+                raise NonIntegralExponentError(
+                    "non-integral exponent %s at prime %d" % (e, q))
+            acc = acc * (Fraction(q) ** int(e))
+        for chi, n in self.gauss.values():
+            if n >= 0:
+                acc = acc * gauss_sum(chi) ** n
+            else:
+                m = chi.modulus
+                inv = chi(-1) * gauss_sum(chi.conj()) * Fraction(1, m)
+                acc = acc * inv ** (-n)
+        return acc
+
+    def __eq__(self, other):
+        return (self.exps == other.exps and self.unit == other.unit
+                and {k: n for k, (_, n) in self.gauss.items()}
+                == {k: n for k, (_, n) in other.gauss.items()})
+
+    def to_json(self):
+        return {
+            "unit": self.unit.to_json(),
+            "exponents": {str(q): "%d/%d" % (e.numerator, e.denominator)
+                          for q, e in sorted(self.exps.items())},
+            "gauss": [{"modulus": chi.modulus, "power": n}
+                      for chi, n in sorted(self.gauss.values(),
+                                           key=lambda t: (t[0].modulus, t[1]))],
+        }
 
 
 def hermitian_candidates_oracle(n, D, trace_bound, dual_scale=1):

@@ -249,6 +249,17 @@ def test_enumeration_cap_is_config_error_other_commands(tmp_path, capsys,
         "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
 
 
+@pytest.mark.parametrize("bound", [-1, 0])
+def test_family_without_nonsingular_index_is_config_error(tmp_path, capsys,
+                                                          bound):
+    path = write(tmp_path, FAMILY_CFG.replace(
+        "trace_bound = 2", "trace_bound = %d" % bound))
+    assert main(["family", "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'trace_bound': no nonsingular index has trace at "
+        "most %d\n" % bound)
+
+
 def edited(**keys):
     """FAMILY_CFG with some keys replaced or added."""
     cfg = dict(line.split(" = ", 1) for line in FAMILY_CFG.splitlines())

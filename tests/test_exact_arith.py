@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -328,6 +329,20 @@ def test_minor_cache_is_invisible(beta):
     beta.is_positive_semidefinite()
     assert twin == beta and hash(twin) == hash(beta)
     assert twin.minor(everything, everything) == first
+
+
+@pytest.mark.parametrize("n, D, trace, scale", [(3, 1, 3, 1), (3, 3, 3, 2),
+                                                 (3, 1, 2, 3), (4, 1, 3, 1)])
+def test_enumeration_hands_screened_minors_to_the_memo(n, D, trace, scale):
+    """Every principal minor of size >= 3 that the enumerator's screen
+    computed is in the yielded matrix's memo, with the value that the
+    Laplace oracle gives."""
+    for beta in enumerate_hermitian(n, D, trace, scale):
+        for size in range(3, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                assert (idx, idx) in beta._memo
+                assert beta.minor(idx, idx) == quad_det_laplace(
+                    beta.submatrix(idx, idx))
 
 
 def _drain(gen):

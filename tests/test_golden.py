@@ -75,6 +75,14 @@ CLI_CASES = {
         p="7", D="3", r="2", ell="5", sigma="3,7", tau1="exp:7:1",
         tau2="exp:7:2", at_p1="zeta:6:1", at_p2="zeta:6:5", a="0,0",
         trace_bound="5", points="6:0:Xpb;6:6:Xpb", pairs="0,1,1")),
+    # a different kappa at each point, y_norm away from 1, the second
+    # embedding and half-integral off-diagonal entries: the datum fields
+    # that key the facts an index shares across points
+    "family kappa=6,8,7,6 y_norm=7/3 choice=1 dual_scale=2": (
+        "family", readme_config(
+            points="6:0:Xpb;8:4:Xpb;7:8:Xpb;6:12:Xpb", y_norm="7/3",
+            embedding_choice="1", dual_scale="2",
+            pairs="0,1,1;0,2,1;0,3,1")),
     "kl exp:7:1": ("kl", workloads.kl_config("exp:7:1")),
 }
 

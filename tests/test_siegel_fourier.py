@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import CycNumber, HermitianMatrix, QuadFieldElem
+from eiskling.exact_arith import (CycNumber, HermitianMatrix, QuadFieldElem,
+                                  enumerate_hermitian)
 from eiskling.characters import DirichletChar, SplitPCharPair
 from eiskling.values import ExactValue
 from eiskling.siegel_fourier import (
@@ -15,11 +17,14 @@ from eiskling.siegel_fourier import (
     coeff_p,
     coeff_unramified,
     prefactor_ell_lfactors,
+    _integral_at,
     _sqrt_md_residue,
+    _support,
 )
-from eiskling.errors import UnsupportedBetaError
+from eiskling.errors import EisklingError, UnsupportedBetaError
 
-from oracles import minor_units_mod_p, rank_one_coeff_p_oracle
+from oracles import (entry_integral_at, index_support, minor_units_mod_p,
+                     rank_one_coeff_p_oracle)
 
 
 def make_pair(p, k1, k2):
@@ -212,3 +217,46 @@ def test_prefactor_ell_matches_inverse_lfactors():
     datum = make_datum(5, 1, 2, "klingen", kappa=6, ell=13)
     v = prefactor_ell_lfactors(datum)
     assert not v.is_zero()
+
+
+# nonsingular enumerated indices of sizes 2 and 3 over Q(i), among them
+# indices that are not integral at 2, 3 or 5 (dual_scale 2, 3, 5)
+INDEX_POOL = [beta for n, scale, trace in [(2, 1, 4), (2, 2, 3), (2, 3, 2),
+                                           (2, 5, 2), (3, 1, 3)]
+              for beta in enumerate_hermitian(n, 1, trace, scale)
+              if beta.det() != 0]
+
+
+@st.composite
+def datums(draw, n):
+    """A datum for n x n indices over Q(i) at p = 5: every field that an
+    index's shared facts read is drawn."""
+    k1, k2 = draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 3), (1, 1)]))
+    return SiegelDatum(
+        n=n, kappa=draw(st.integers(n, n + 5)), pair=make_pair(5, k1, k2),
+        p=5, D=1, sigma=(2, 5), ell=draw(st.sampled_from([3, 7, 13])),
+        y_norm=draw(st.sampled_from([Fraction(1), Fraction(7, 3),
+                                     Fraction(49), Fraction(-7, 5)])),
+        embedding_choice=draw(st.integers(0, 1)),
+        variant=draw(st.sampled_from(["klingen", "lfun"])))
+
+
+def coefficient_json(beta, datum):
+    try:
+        return assemble_global(beta, datum).to_json()
+    except EisklingError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@given(st.sampled_from(INDEX_POOL), st.data())
+@settings(max_examples=60, deadline=None)
+def test_index_memo_is_invisible(beta, data):
+    """One index object evaluated under a run of different datums gives what
+    a fresh copy of it gives under each, and its integrality and support
+    read from the common denominator agree with the entry-by-entry loop."""
+    for datum in data.draw(st.lists(datums(beta.n), min_size=2, max_size=5)):
+        fresh = HermitianMatrix(beta.D, beta.entries)
+        assert coefficient_json(beta, datum) == coefficient_json(fresh, datum)
+    assert _support(beta) == index_support(beta)
+    for q in (2, 3, 5, 7, 13):
+        assert _integral_at(beta, q) == entry_integral_at(beta, q)

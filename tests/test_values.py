@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from eiskling.characters import DirichletChar, gauss_sum
 from eiskling.interpolation import _compare_cells
 from eiskling.values import ExactValue
 from eiskling.errors import NonIntegralExponentError
+
+from oracles import FractionExponentValue
 
 
 def test_rational_content_factored():
@@ -107,12 +110,15 @@ def exact_values(draw):
 
 def assert_normal(v):
     """Zero is the level-1 zero with empty dicts; a rational unit is +-1;
-    no exponent or Gauss power is zero."""
+    every exponent is an int or a Fraction that is not an integer; no
+    exponent or Gauss power is zero."""
     if v.is_zero():
         assert (v.unit.level, v.exps, v.gauss) == (1, {}, {})
     elif v.unit.is_rational():
         assert v.unit in (1, -1)
     assert all(v.exps.values())
+    assert all(type(e) is int or (type(e) is Fraction and e.denominator > 1)
+               for e in v.exps.values())
     assert all(n for _, n in v.gauss.values())
 
 
@@ -147,3 +153,54 @@ def test_zero_power_and_inverse():
     assert (z ** 3).is_zero()
     with pytest.raises(ZeroDivisionError):
         z.inverse()
+
+
+@st.composite
+def value_parts(draw):
+    """(unit, exps, gauss) with integral and half-integral exponents given
+    as ints and as Fractions."""
+    exps = draw(st.dictionaries(
+        st.sampled_from([2, 3, 5, 7]),
+        st.one_of(st.integers(-3, 3),
+                  st.builds(Fraction, st.integers(-6, 6), st.sampled_from(
+                      [1, 2]))), max_size=3))
+    gauss = {}
+    for chi in draw(st.lists(st.sampled_from(CHARS), max_size=2)):
+        gauss[chi.key()] = (chi, draw(st.integers(-2, 2)))
+    return draw(cyc_numbers()), exps, gauss
+
+
+def materialized(v):
+    try:
+        return v.materialize()
+    except NonIntegralExponentError as exc:
+        return str(exc)
+
+
+@given(value_parts(), value_parts(), st.integers(-2, 2),
+       st.sampled_from([2, 5, 11]),
+       st.sampled_from([-2, 0, 3, Fraction(1, 2), Fraction(-3, 2)]),
+       st.sampled_from(CHARS), st.integers(-2, 2), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_fraction_exponent_reference(px, py, e, q, k, chi,
+                                                         n, kk):
+    """Values built and multiplied in the normal form print, compare,
+    materialize and take valuations as values kept with Fraction exponents
+    do, and the congruence check words its details the same for both."""
+    x, rx = ExactValue(*px), FractionExponentValue(*px)
+    y, ry = ExactValue(*py), FractionExponentValue(*py)
+    pairs = [(x, rx), (y, ry), (x * y, rx * ry),
+             (x.times_prime_power(q, k), rx.times_prime_power(q, k)),
+             (x.with_gauss(chi, n), rx.with_gauss(chi, n))]
+    if not x.is_zero() or e >= 0:
+        pairs.append((x ** e, rx ** e))
+    for v, ref in pairs:
+        assert_normal(v)
+        assert v.to_json() == ref.to_json()
+        assert materialized(v) == materialized(ref)
+        for p in (2, 3, 5, 7):
+            assert str(v.p_valuation(p)) == str(ref.p_valuation(p))
+    for (a, ra), (b, rb) in itertools.combinations(pairs[:4], 2):
+        assert (a == b) == (ra == rb)
+        assert (_compare_cells(a, b, kk, 5, 12, 0)
+                == _compare_cells(ra, rb, kk, 5, 12, 0))
