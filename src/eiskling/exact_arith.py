@@ -5,14 +5,13 @@ power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic
 polynomial, kept coprime to that denominator, as number-field elements are
 stored by FLINT/Antic (nf_elem; Cohen, A Course in Computational Algebraic
 Number Theory, section 4).  Quadratic elements a + b*sqrt(-D) keep a, b as
-Fractions.  Hermitian matrices over the quadratic field support exact minors,
-definiteness tests and a bounded-trace enumerator.  Minors are computed on
-integers: a matrix is scaled by the common denominator of its entries, its
-determinant expanded over Z[sqrt(-D)], and one Fraction division made at the
-end.  A HermitianMatrix keeps that integer image and memoizes its minors and
-any other fact derived from it, and the enumerator tests semidefiniteness on
-integers before it builds a candidate, handing the minors it computed to the
-candidate's memo.
+Fractions.  A Hermitian matrix over the quadratic field is stored as its
+integer image alone: the lowest common denominator den of its entry parts and
+each entry as the integer pair (a*den, b*den).  Its minors are expanded on
+that image over Z[sqrt(-D)], kept as integers and read as (A, B, den^k)
+through HermitianMatrix.int_minor.  The bounded-trace enumerator screens
+candidates on integers and hands each one it yields its image and those
+minors, with no Fraction in between.
 """
 
 from dataclasses import dataclass
@@ -558,45 +557,32 @@ class QuadFieldElem:
             e >>= 1
         return acc
 
-    def to_json(self):
-        return ["%d/%d" % (self.a.numerator, self.a.denominator),
-                "%d/%d" % (self.b.numerator, self.b.denominator)]
-
-
-def quad_det(rows):
-    """Determinant of a square matrix of QuadFieldElem: Laplace expansion
-    over Z[sqrt(-D)] after clearing the common denominator of the entries."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    D = rows[0][0].D
-    den, image = HermitianMatrix._integer_image(rows)
-    A, B = HermitianMatrix._int_minor(image, D, range(n), range(n))
-    scale = den ** n
-    return QuadFieldElem(Fraction(A, scale), Fraction(B, scale), D)
-
 
 class HermitianMatrix:
     """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal.
 
-    The constructor also builds the integer image of the matrix: the common
-    denominator den of all entry parts, and each entry a + b*sqrt(-D) as the
-    integer pair (a*den, b*den).  Minors are expanded on that image and kept
-    in a per-instance memo, so each distinct minor is computed once for all
-    callers; memo() keeps other facts derived from the matrix there too.
-    The memo does not enter equality or hashing; a matrix must not be
+    Stored as its integer image alone: den, the lowest common denominator
+    of the entry parts, and image[i][j] = (a, b) for the entry
+    (a + b*sqrt(-D)) / den, so equal matrices have equal images.  Each minor
+    is expanded on the image once and kept in a per-instance memo as the
+    pair (A, B) of (A + B*sqrt(-D)) / den^k, whose sign is that of A on a
+    principal block; memo() keeps other facts derived from the matrix there
+    too.  The memo does not enter equality or hashing; a matrix must not be
     mutated after construction.
     """
 
-    __slots__ = ("D", "n", "entries", "_den", "_image", "_memo")
+    __slots__ = ("D", "n", "den", "_image", "_memo")
 
     def __init__(self, D, rows):
-        self.D = D
-        rows = tuple(tuple(self._entry_coerce(e) for e in row) for row in rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        parts = tuple(tuple(self._entry_parts(D, e) for e in row)
+                      for row in rows)
+        n = len(parts)
+        if any(len(r) != n for r in parts):
             raise ValueError("matrix must be square")
-        den, image = self._integer_image(rows)
+        den = lcm(*(x.denominator for row in parts for e in row for x in e))
+        image = tuple(tuple((a.numerator * (den // a.denominator),
+                             b.numerator * (den // b.denominator))
+                            for a, b in row) for row in parts)
         for i in range(n):
             if image[i][i][1]:
                 raise ValueError("diagonal must be rational")
@@ -604,33 +590,38 @@ class HermitianMatrix:
                 a, b = image[i][j]
                 if image[j][i] != (a, -b):
                     raise ValueError("matrix must be hermitian")
-        self.n = n
-        self.entries = rows
-        self._den = den
-        self._image = image
-        self._memo = {}
+        self._adopt(D, den, image, {})
 
-    def _entry_coerce(self, e):
-        if isinstance(e, QuadFieldElem):
-            if e.D != self.D:
-                raise ValueError("mixed quadratic fields")
-            return e
-        if isinstance(e, (int, Fraction)):
-            return QuadFieldElem(Fraction(e), Fraction(0), self.D)
-        if isinstance(e, tuple) and len(e) == 2:
-            return QuadFieldElem(Fraction(e[0]), Fraction(e[1]), self.D)
-        raise TypeError("bad matrix entry %r" % (e,))
+    def _adopt(self, D, den, image, minors):
+        """The core of both constructors: image / den, image a tuple of rows
+        of integer pairs, brought to lowest terms with the minors known so
+        far, {(rows, cols): (A, B)}."""
+        g = gcd(den, *(x for row in image for e in row for x in e))
+        if g > 1:
+            den //= g
+            image = tuple(tuple((a // g, b // g) for a, b in row)
+                          for row in image)
+            # a k x k minor is homogeneous of degree k in the entries
+            minors = {key: (A // g ** len(key[0]), B // g ** len(key[0]))
+                      for key, (A, B) in minors.items()}
+        self.D = D
+        self.n = len(image)
+        self.den = den
+        self._image = image
+        self._memo = minors
 
     @staticmethod
-    def _integer_image(rows):
-        """(den, image): den the common denominator of the entry parts and
-        image the entries a + b*sqrt(-D) as integer pairs (a*den, b*den)."""
-        den = lcm(*(x.denominator for row in rows for e in row
-                    for x in (e.a, e.b)))
-        image = tuple(tuple((e.a.numerator * (den // e.a.denominator),
-                             e.b.numerator * (den // e.b.denominator))
-                            for e in row) for row in rows)
-        return den, image
+    def _entry_parts(D, e):
+        """The parts (a, b) of an entry a + b*sqrt(-D) as Fractions."""
+        if isinstance(e, QuadFieldElem):
+            if e.D != D:
+                raise ValueError("mixed quadratic fields")
+            return e.a, e.b
+        if isinstance(e, (int, Fraction)):
+            return Fraction(e), Fraction(0)
+        if isinstance(e, tuple) and len(e) == 2:
+            return Fraction(e[0]), Fraction(e[1])
+        raise TypeError("bad matrix entry %r" % (e,))
 
     @staticmethod
     def _int_minor(image, D, rows, cols):
@@ -654,12 +645,6 @@ class HermitianMatrix:
             return A, B
         return expand(tuple(rows), tuple(cols))
 
-    @property
-    def den(self):
-        """The common denominator of the entry parts: a prime q divides it
-        exactly when some entry is not integral at q."""
-        return self._den
-
     def memo(self, key, compute, *args):
         """compute(self, *args), made once per key and kept with the minors.
         The key names the fact (a str first, so it never equals the
@@ -672,13 +657,22 @@ class HermitianMatrix:
             return value
 
     def entry(self, i, j):
-        return self.entries[i][j]
+        a, b = self._image[i][j]
+        return QuadFieldElem(Fraction(a, self.den), Fraction(b, self.den),
+                             self.D)
+
+    @property
+    def entries(self):
+        return tuple(tuple(self.entry(i, j) for j in range(self.n))
+                     for i in range(self.n))
 
     def submatrix(self, rows, cols):
-        return [[self.entries[i][j] for j in cols] for i in rows]
+        return [[self.entry(i, j) for j in cols] for i in rows]
 
-    def minor(self, rows, cols):
-        """Determinant of the rows x cols block, computed once per block."""
+    def int_minor(self, rows, cols):
+        """The determinant of the rows x cols block as integers (A, B, d):
+        it is (A + B*sqrt(-D)) / d with d = den^k for a k x k block, not
+        reduced.  Expanded once per block."""
         key = (tuple(rows), tuple(cols))
         m = self._memo.get(key)
         if m is None:
@@ -686,51 +680,59 @@ class HermitianMatrix:
             if k == 0 or k != len(key[1]):
                 raise ValueError("a minor needs equal, nonempty row and "
                                  "column sets")
-            A, B = self._int_minor(self._image, self.D, *key)
-            scale = self._den ** k
-            m = QuadFieldElem(Fraction(A, scale), Fraction(B, scale), self.D)
-            self._memo[key] = m
-        return m
+            m = self._memo[key] = self._int_minor(self._image, self.D, *key)
+        return m + (self.den ** len(key[0]),)
+
+    def minor(self, rows, cols):
+        """Determinant of the rows x cols block as a QuadFieldElem."""
+        A, B, d = self.int_minor(rows, cols)
+        return QuadFieldElem(Fraction(A, d), Fraction(B, d), self.D)
 
     def leading_minors(self):
         """Determinants of the leading principal k x k blocks, k = 1..n."""
         out = []
         for k in range(1, self.n + 1):
-            d = self.minor(range(k), range(k))
-            assert d.b == 0
-            out.append(d.a)
+            A, B, d = self.int_minor(range(k), range(k))
+            assert B == 0
+            out.append(Fraction(A, d))
         return out
 
     def det(self):
         if not self.n:
             return Fraction(1)
-        return self.minor(range(self.n), range(self.n)).a
+        A, _, d = self.int_minor(range(self.n), range(self.n))
+        return Fraction(A, d)
 
     def trace(self):
-        return sum(self.entries[i][i].a for i in range(self.n))
+        return Fraction(sum(self._image[i][i][0] for i in range(self.n)),
+                        self.den)
 
     def is_positive_definite(self):
-        return all(m > 0 for m in self.leading_minors())
+        return all(self.int_minor(range(k), range(k))[0] > 0
+                   for k in range(1, self.n + 1))
 
     def is_positive_semidefinite(self):
         for size in range(1, self.n + 1):
             for idx in itertools.combinations(range(self.n), size):
-                d = self.minor(idx, idx)
-                assert d.b == 0
-                if d.a < 0:
+                A, B, _ = self.int_minor(idx, idx)
+                assert B == 0
+                if A < 0:
                     return False
         return True
 
     def __eq__(self, other):
         return (isinstance(other, HermitianMatrix) and self.D == other.D
-                and self.entries == other.entries)
+                and self.den == other.den and self._image == other._image)
 
     def __hash__(self):
-        return hash((self.D, self.entries))
+        return hash((self.D, self.den, self._image))
 
     def to_json(self):
+        den = self.den
         return {"n": self.n, "D": self.D,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
+                "entries": [[["%d/%d" % (x // g, den // g)
+                              for x in e for g in (gcd(x, den),)]
+                             for e in row] for row in self._image]}
 
     def __repr__(self):
         return "HermitianMatrix(D=%d, entries=%r)" % (self.D, self.entries)
@@ -778,8 +780,8 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     off-diagonal entries run over (a + b*sqrt(-D))/dual_scale with integer a, b
     constrained by the 2x2 minor bound, which makes every principal minor of
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
-    integer matrix dual_scale * beta before a candidate is built, and a
-    candidate that is yielded keeps them in its minor memo.  The cap
+    integer image dual_scale * beta, and a candidate that passes is built
+    from that image, keeping them in its minor memo.  The cap
     counts every candidate examined (count_hermitian gives that number in
     advance).  Deterministic order.
     """
@@ -787,38 +789,27 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     s2 = s * s
     examined = 0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    # (idx, dual_scale^size): a minor of dual_scale * beta over the scale
-    # is the minor of beta
-    screened = [(idx, s ** size) for size in range(3, n + 1)
+    screened = [(idx, idx) for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
     int_minor = HermitianMatrix._int_minor
     for diag in _diagonals(n, trace_bound):
-        ranges = []
-        for (i, j) in pairs:
-            opts = []
-            for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D):
-                for b in range(-bmax, bmax + 1):
-                    x = QuadFieldElem(Fraction(a, s), Fraction(b, s), D)
-                    opts.append(((a, b), (a, -b), x, x.conj()))
-            ranges.append(opts)
+        ranges = [[((a, b), (a, -b))
+                   for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D)
+                   for b in range(-bmax, bmax + 1)] for (i, j) in pairs]
         image = [[(s * diag[i], 0) if i == j else None for j in range(n)]
                  for i in range(n)]
-        rows = [[QuadFieldElem(Fraction(diag[i]), Fraction(0), D)
-                 if i == j else None for j in range(n)] for i in range(n)]
         for combo in itertools.product(*ranges):
             examined += 1
             if examined > cap:
                 raise ResourceBoundError("enumeration cap %d exceeded" % cap)
-            for (i, j), opt in zip(pairs, combo):
-                image[i][j], image[j][i], rows[i][j], rows[j][i] = opt
-            minors = []
-            for idx, scale in screened:
-                A, B = int_minor(image, D, idx, idx)
-                if A < 0:
+            for (i, j), (x, xbar) in zip(pairs, combo):
+                image[i][j], image[j][i] = x, xbar
+            minors = {}
+            for key in screened:
+                m = minors[key] = int_minor(image, D, *key)
+                if m[0] < 0:
                     break
-                minors.append(((idx, idx), QuadFieldElem(
-                    Fraction(A, scale), Fraction(B, scale), D)))
             else:
-                beta = HermitianMatrix(D, rows)
-                beta._memo.update(minors)
+                beta = object.__new__(HermitianMatrix)
+                beta._adopt(D, s, tuple(map(tuple, image)), minors)
                 yield beta

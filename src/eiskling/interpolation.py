@@ -15,7 +15,7 @@ from .errors import (ConductorError, ConfigError, EisklingError,
                      UnsupportedEmbeddingError)
 from .exact_arith import CycNumber
 from .characters import DirichletChar, SplitPCharPair
-from .padic import congruent_mod, embed_cyclotomic
+from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
 from .qexp_diff import times_multiplier
 from .siegel_fourier import assemble_global
@@ -264,9 +264,8 @@ def _compare_cells(v1, v2, k, p, prec, choice):
     if diff.is_zero():
         return "PASS", "unit parts agree exactly"
     try:
-        emb = embed_cyclotomic(diff, p, prec, choice=choice)
-        zero = embed_cyclotomic(CycNumber.zero(), p, prec, choice=choice)
-        ok = congruent_mod(emb, zero, int(target))
+        ok = valuation_at_least(embed_cyclotomic(diff, p, prec, choice=choice),
+                                int(target))
     except InsufficientPrecisionError as exc:
         return "INSUFFICIENT", str(exc)
     except UnsupportedEmbeddingError as exc:

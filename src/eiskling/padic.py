@@ -368,22 +368,27 @@ def embed_cyclotomic(x, p, prec, choice=0):
     return UnramElem(p, m, tuple(units), prec, shift)
 
 
+def valuation_at_least(x, k):
+    """Decide valuation(x) >= k for a PadicElem or UnramElem, raising when
+    precision cannot decide."""
+    if isinstance(x, PadicElem):
+        if x.is_zero():
+            if x.prec < k:
+                raise InsufficientPrecisionError("prec %d < %d" % (x.prec, k))
+            return True
+        return x.val >= k
+    v, exact = x.valuation_bound()
+    if exact:
+        return v >= k
+    if v < k:
+        raise InsufficientPrecisionError("prec bound %d < %d" % (v, k))
+    return True
+
+
 def congruent_mod(a, b, k):
     """Decide valuation(a - b) >= k, raising when precision cannot decide."""
     if isinstance(a, PadicElem) and isinstance(b, UnramElem):
         a = UnramElem.from_padic(a, b.level)
     if isinstance(b, PadicElem) and isinstance(a, UnramElem):
         b = UnramElem.from_padic(b, a.level)
-    d = a - b
-    if isinstance(d, PadicElem):
-        if d.is_zero():
-            if d.prec < k:
-                raise InsufficientPrecisionError("prec %d < %d" % (d.prec, k))
-            return True
-        return d.val >= k
-    v, exact = d.valuation_bound()
-    if exact:
-        return v >= k
-    if v < k:
-        raise InsufficientPrecisionError("prec bound %d < %d" % (v, k))
-    return True
+    return valuation_at_least(a - b, k)

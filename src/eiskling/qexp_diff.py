@@ -7,7 +7,6 @@ variants differ only in which block of beta the minors are taken from.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .exact_arith import QuadFieldElem, quad_to_cyc
 from .values import ExactValue
@@ -38,9 +37,9 @@ def multiplier_lfun(beta, a):
 
 def _minor_monomial(beta, a, row_offset):
     """The product of the minors to their powers, taken on integers in
-    Z[sqrt(-D)]: each minor as (A + B sqrt(-D)) / d, the powers and the
-    product by square-and-multiply on the integer pairs, and one division
-    by the product of the denominators at the end."""
+    Z[sqrt(-D)]: each minor as beta.int_minor gives it, (A + B sqrt(-D)) / d,
+    the powers and the product by square-and-multiply on the integer pairs,
+    and one division by the product of the denominators at the end."""
     a = _pad_weights(a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError("weights must be nonincreasing with a_r >= 0")
@@ -53,10 +52,8 @@ def _minor_monomial(beta, a, row_offset):
     for k in range(1, len(a)):
         e = a[k - 1] - a[k]
         if e:
-            m = beta.minor(range(row_offset, row_offset + k), range(k))
-            d = lcm(m.a.denominator, m.b.denominator)
-            x = m.a.numerator * (d // m.a.denominator)
-            y = m.b.numerator * (d // m.b.denominator)
+            x, y, d = beta.int_minor(range(row_offset, row_offset + k),
+                                     range(k))
             den *= d ** e
             while e:
                 if e & 1:

@@ -238,14 +238,6 @@ def _sqrt_md_residue(datum):
     raise UnsupportedBetaError("no square root of -D mod p")
 
 
-def _quad_residue(x, p, root):
-    if x.a.denominator % p == 0 or x.b.denominator % p == 0:
-        raise UnsupportedBetaError("entry not integral at p")
-    a = x.a.numerator * pow(x.a.denominator, -1, p) % p
-    b = x.b.numerator * pow(x.b.denominator, -1, p) % p
-    return (a + b * root) % p
-
-
 def coeff_p(beta, datum):
     """Local coefficient at p for the stabilized section:
 
@@ -276,19 +268,23 @@ def _p_residues(beta, p, root, r):
     det beta not a unit at p, or a leading minor of X not a unit at p."""
     if not _integral_at(beta, p):
         return None
-    det = beta.det()
-    if det == 0:
+    # p does not divide den, so each minor (A + B sqrt(-D)) / d has the
+    # residue (A + B root) / d mod p
+    A, _, d = beta.int_minor(range(beta.n), range(beta.n))
+    if A == 0:
         raise UnsupportedBetaError("coeff_p needs det beta != 0")
-    if valuation(det, p) != 0:
+    det_res = A * pow(d, -1, p) % p
+    if det_res == 0:
         return None  # taubar'(det beta) = 0
     rows = range(r)
     cols = range(beta.n - r, beta.n)
     # leading minors of the transposed block = minors on swapped index sets
     for k in range(1, r + 1):
-        x_res = _quad_residue(beta.minor(rows[:k], cols[:k]), p, root)
+        A, B, d = beta.int_minor(rows[:k], cols[:k])
+        x_res = (A + B * root) * pow(d, -1, p) % p
         if x_res == 0:
             return None
-    return det.numerator * pow(det.denominator, -1, p) % p, x_res
+    return det_res, x_res
 
 
 def _p_convention_unit(datum):
@@ -362,12 +358,13 @@ def assemble_global(beta, datum):
                                   "coefficient vanishes"], degenerate=False)
     good = [q for q in beta.memo(("support",), _support)
             if q not in datum.sigma and q not in (datum.ell, datum.p)]
-    for q in good:
-        # every q here divides det beta or an entry denominator, so this
-        # raises; a q-primitive coefficient would cancel its L-factor to 1
-        coeff_unramified(beta, q, datum)
+    if good:
+        # every q in good divides det beta or an entry denominator, so the
+        # check at the smallest raises; a q-primitive coefficient would
+        # cancel its L-factor to 1
+        coeff_unramified(beta, good[0], datum)
     locs = {"unramified": ExactValue.one()}
-    notes.append("good primes checked for primitivity: %s" % (good or "none"))
+    notes.append("good primes checked for primitivity: none")
     for q in sorted(datum.sigma):
         if q != datum.p:
             notes.append("place %d in sigma: section normalized to 1 "

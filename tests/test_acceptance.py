@@ -22,7 +22,7 @@ from eiskling.interpolation import (ArithmeticPoint, CharFamilySpec,
 from eiskling import cli
 
 from oracles import (bernoulli_akiyama_tanigawa, minor_units_mod_p,
-                     rank_one_coeff_p_oracle)
+                     quad_det_laplace, rank_one_coeff_p_oracle)
 
 
 def _report(num, ok, detail):
@@ -165,13 +165,13 @@ def test_criterion_5_multiplier_oracle():
     200 random triples."""
 
     def direct(beta, a, variant):
-        from eiskling.exact_arith import quad_det
         acc = QuadFieldElem(Fraction(1), Fraction(0), beta.D)
         padded = tuple(a) + (0,)
         for k in range(1, len(padded)):
             e = padded[k - 1] - padded[k]
             rows = range(1, k + 1) if variant == "klingen" else range(k)
-            m = quad_det([[beta.entry(i, j) for j in range(k)] for i in rows])
+            m = quad_det_laplace([[beta.entry(i, j) for j in range(k)]
+                                  for i in rows])
             acc = acc * m ** e
         return acc
 

@@ -1,8 +1,11 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every private helper of
+the package is used by the package.
 
-The check reads the sources with the standard-library ast module: a name
-bound by an import is used when it appears as a name anywhere in the file.
-Package __init__.py files import to re-export and are exempt.
+The checks read the sources with the standard-library ast module: a name
+bound by an import is used when it appears as a name anywhere in the file
+(package __init__.py files import to re-export and are exempt), and a
+module-level function of src/eiskling whose name starts with "_" is used
+when some file of src/ names it outside the function's own definition.
 """
 
 import ast
@@ -47,3 +50,51 @@ def test_checker_finds_unused_imports():
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def orphaned_helpers(sources):
+    """The module-level functions named "_..." that no source in sources,
+    a dict of path -> text, names outside their own definition, as sorted
+    (path, name) pairs."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    helpers = {}  # name -> [(path, ids of the nodes of its definition)]
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                helpers.setdefault(node.name, []).append(
+                    (path, {id(n) for n in ast.walk(node)}))
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            for path, inside in helpers.get(name, ()):
+                if id(node) not in inside:
+                    used.add((path, name))
+    return sorted((path, name) for name, defs in helpers.items()
+                  for path, _ in defs if (path, name) not in used)
+
+
+def test_checker_finds_orphaned_helpers():
+    sources = {"a.py": ("def _kept(x):\n    return x\n"
+                        "def _self_only(n):\n    return _self_only(n - 1)\n"
+                        "def _lost():\n    pass\n"),
+               "b.py": "import a\nprint(a._kept(1))\n"}
+    assert orphaned_helpers(sources) == [("a.py", "_lost"),
+                                         ("a.py", "_self_only")]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {}
+    for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, "src")):
+        for name in filenames:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    sources[os.path.relpath(path, ROOT)] = fh.read()
+    assert orphaned_helpers(sources) == []

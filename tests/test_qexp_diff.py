@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eiskling.exact_arith import HermitianMatrix, QuadFieldElem, quad_det
+from eiskling.exact_arith import HermitianMatrix, QuadFieldElem
 from eiskling.values import ExactValue
 from eiskling.qexp_diff import (
     QExpansion,
@@ -11,6 +11,8 @@ from eiskling.qexp_diff import (
     multiplier_klingen,
     multiplier_lfun,
 )
+
+from oracles import quad_det_laplace
 
 
 def random_hermitian(rng, n, D=1, span=3):
@@ -26,7 +28,7 @@ def random_hermitian(rng, n, D=1, span=3):
 
 
 def direct_minor(beta, rows, cols):
-    return quad_det([[beta.entry(i, j) for j in cols] for i in rows])
+    return quad_det_laplace([[beta.entry(i, j) for j in cols] for i in rows])
 
 
 def direct_klingen(beta, a):

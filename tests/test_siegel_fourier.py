@@ -198,11 +198,13 @@ def test_assemble_global_degenerate_and_nonpd():
 
 def test_assemble_global_rejects_non_primitive_index():
     datum = make_datum(5, 1, 2, "klingen", kappa=6)
-    det3 = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
-                               [Fraction(0), Fraction(3)]])
-    with pytest.raises(UnsupportedBetaError,
-                       match="^beta not primitive at 3$"):
-        assemble_global(det3, datum)
+    # det 3, and det 21 with two good primes: the smaller one is named
+    for d in (3, 21):
+        beta = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
+                                   [Fraction(0), Fraction(d)]])
+        with pytest.raises(UnsupportedBetaError,
+                           match="^beta not primitive at 3$"):
+            assemble_global(beta, datum)
     # with 2 outside sigma, an even determinant meets the ramified prime 2
     no_two = SiegelDatum(n=2, kappa=6, pair=make_pair(5, 1, 2), p=5, D=1,
                          sigma=(5,), ell=13, variant="klingen")
