@@ -12,8 +12,9 @@ import sys
 from fractions import Fraction
 
 from .errors import ConfigError, EisklingError
-from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
-                          enumerate_hermitian, factorize, is_prime)
+from .exact_arith import (ENUMERATION_CAP, CycNumber, HermitianMatrix,
+                          count_hermitian, enumerate_hermitian, factorize,
+                          is_prime)
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
 from .bernoulli_kl import kl_specialization, bernoulli_number
@@ -26,6 +27,9 @@ from .interpolation import (ArithmeticPoint, CharFamilySpec,
                             coefficient_family, check_congruences)
 
 SCHEMA = 1
+
+# the exact types the writer takes from their own json_text()
+_EXACT = (HermitianMatrix, ExactValue, CycNumber)
 
 _KEYS = {
     # key: (parser name, default or None when required by the command)
@@ -205,14 +209,29 @@ def _validate_common(cfg):
 def _emit(report, out_path):
     """Write the report as json.dumps(..., sort_keys=True, indent=2) would
     write it after exact values become their to_json() forms, Fractions
-    "a/b" strings, dict keys strings and tuples lists, in one pass."""
+    "a/b" strings, dict keys strings and tuples lists, in one pass.
+
+    A HermitianMatrix, ExactValue or CycNumber is written from its own
+    json_text(), built once per object in this call and pasted in at each
+    place the object appears, indented to its depth; the bytes are those
+    json.dumps writes for its to_json() form."""
     parts = []
     put = parts.append
     escape = json.encoder.encode_basestring_ascii
+    texts = {}  # id(obj) -> (obj, text); holding obj keeps its id from reuse
+
+    def text(obj):
+        entry = texts.get(id(obj))
+        if entry is None:
+            entry = texts[id(obj)] = (obj, obj.json_text())
+        return entry[1]
 
     def write(obj, pad):
         if isinstance(obj, str):
             put(escape(obj))
+        elif isinstance(obj, _EXACT):
+            t = text(obj)
+            put(t.replace("\n", "\n" + pad) if pad else t)
         elif obj is None:
             put("null")
         elif obj is True:
@@ -249,19 +268,17 @@ def _emit(report, out_path):
             put("\n" + pad + "]")
         elif isinstance(obj, Fraction):
             put('"%d/%d"' % (obj.numerator, obj.denominator))
-        elif isinstance(obj, (CycNumber, ExactValue)):
-            write(obj.to_json(), pad)
         else:  # floats, or an error for what JSON cannot hold
             put(json.dumps(obj))
 
     write(report, "")
     put("\n")
-    text = "".join(parts)
+    out = "".join(parts)
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
 
 
 def _build_pair(cfg):
@@ -340,7 +357,7 @@ def cmd_coeff(cfg, args):
         try:
             reports.append(assemble_global(beta, datum).to_json())
         except EisklingError as exc:
-            reports.append({"beta": beta.to_json(),
+            reports.append({"beta": beta,
                             "error": "%s: %s" % (type(exc).__name__, exc)})
     return {"command": "coeff", "reports": reports}
 
@@ -428,7 +445,7 @@ def cmd_hecke(cfg, args):
     kappas = kappa_set(w, len(a), 0)
     ups = up_eigenvalues(chis, w)
     kls = klingen_eigenvalues(chis, pair, kappa, w, cfg["p"])
-    fmt = lambda lst: [{"unit": u.to_json(), "p_exponent": str(e)}
+    fmt = lambda lst: [{"unit": u, "p_exponent": str(e)}
                        for u, e in lst]
     return {"command": "hecke",
             "kappa_set": [str(k) for k in kappas],
@@ -451,15 +468,15 @@ def cmd_pullback(cfg, args):
     ckl = p_constant_klingen(params, pair, kappa, params.r, p)
     clf = p_constant_lfun(params, pair, kappa, params.r, p)
     out = {"command": "pullback",
-           "p_constant_klingen": ckl.to_json(),
-           "p_constant_lfun": clf.to_json(),
-           "ratio": (ckl * clf.inverse()).to_json()}
+           "p_constant_klingen": ckl,
+           "p_constant_lfun": clf,
+           "ratio": ckl * clf.inverse()}
     if q is not None and cfg["s"] is not None:
         tv = pair.at_p1
         tvbar = pair.at_p2
         out["unramified_ratio"] = klingen_ratio_unramified(
             params, (tv, tvbar), q, cfg["s"],
-            variant=cfg["variant"]).to_json()
+            variant=cfg["variant"])
     return out
 
 
@@ -467,7 +484,7 @@ def cmd_enumerate(cfg, args):
     _validate_common(cfg)
     betas = _betas(cfg, index_size(_rank(cfg), cfg["variant"]))
     return {"command": "enumerate", "count": len(betas),
-            "betas": [b.to_json() for b in betas]}
+            "betas": betas}
 
 
 def cmd_selftest(cfg, args):

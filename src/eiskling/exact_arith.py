@@ -396,6 +396,15 @@ class CycNumber:
                 "coeffs": ["%d/%d" % (c // g, den // g)
                            for c in self.nums for g in (gcd(c, den),)]}
 
+    def json_text(self):
+        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
+        writes, built from the integers."""
+        den = self.den
+        coeffs = '",\n    "'.join("%d/%d" % (c // g, den // g)
+                                   for c in self.nums for g in (gcd(c, den),))
+        return '{\n  "coeffs": [\n    "%s"\n  ],\n  "level": %d\n}' % (
+            coeffs, self.level)
+
     def __repr__(self):
         return "CycNumber(level=%d, nums=%s, den=%d)" % (
             self.level, list(self.nums), self.den)
@@ -733,6 +742,19 @@ class HermitianMatrix:
                 "entries": [[["%d/%d" % (x // g, den // g)
                               for x in e for g in (gcd(x, den),)]
                              for e in row] for row in self._image]}
+
+    def json_text(self):
+        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
+        writes, built from the integer image."""
+        den = self.den
+
+        def pair(e):
+            return '[\n        "%s",\n        "%s"\n      ]' % tuple(
+                "%d/%d" % (x // g, den // g) for x in e for g in (gcd(x, den),))
+        rows = ",\n    ".join("[\n      %s\n    ]" % ",\n      ".join(
+            map(pair, row)) for row in self._image)
+        return '{\n  "D": %d,\n  "entries": %s,\n  "n": %d\n}' % (
+            self.D, "[\n    %s\n  ]" % rows if rows else "[]", self.n)
 
     def __repr__(self):
         return "HermitianMatrix(D=%d, entries=%r)" % (self.D, self.entries)

@@ -176,10 +176,12 @@ class FamilyTable:
         return self.cells.get((i, j))
 
     def to_json(self):
+        """The table's data; indices and cell values stay objects, which
+        cli._emit writes as their to_json() forms."""
         return {
             "points": [{"kappa_phi": pt.kappa_phi, "m_phi": pt.m_phi,
                         "flag": pt.flag} for pt in self.points],
-            "betas": [b.to_json() for b in self.betas],
+            "betas": self.betas,
             "point_errors": {str(i): e for i, e in sorted(self.point_errors.items())},
             "cells": [self.cells[k].to_json() for k in sorted(self.cells)],
         }
@@ -229,10 +231,11 @@ def _split_for_congruence(value, p):
     return gauss_key, value.exps.get(p, Fraction(0)), unit
 
 
-def _compare_cells(v1, v2, k, p, prec, choice):
+def _compare_cells(v1, v2, k, p, prec, choice, split=_split_for_congruence):
     """Status of the congruence v1 = v2 mod p^k between two exact values,
     compared through their unit parts after aligning identical Gauss content
-    and p-powers."""
+    and p-powers.  split(value, p) is _split_for_congruence or a memo of
+    it."""
     if v1.is_zero() and v2.is_zero():
         return "PASS", "both cells vanish"
     if v1.is_zero() or v2.is_zero():
@@ -243,8 +246,8 @@ def _compare_cells(v1, v2, k, p, prec, choice):
         return "FAIL", ("one cell vanishes; the other has valuation %s < %d"
                         % (nu, k))
     try:
-        g1, nu1, u1 = _split_for_congruence(v1, p)
-        g2, nu2, u2 = _split_for_congruence(v2, p)
+        g1, nu1, u1 = split(v1, p)
+        g2, nu2, u2 = split(v2, p)
     except NonIntegralExponentError as exc:
         return "INCOMPARABLE", str(exc)
     if g1 != g2:
@@ -285,6 +288,21 @@ def check_congruences(table, pairs, prec=12, choice=0):
     full detail string."""
     p = table.fam.p
     records = []
+    splits = {}  # id(cell value) -> its split, or the error splitting raised
+
+    def split(value, p):
+        # each cell is split once, however many pairs it is in; the table
+        # holds the values, so their ids stay theirs
+        s = splits.get(id(value))
+        if s is None:
+            try:
+                s = _split_for_congruence(value, p)
+            except NonIntegralExponentError as exc:
+                s = exc
+            splits[id(value)] = s
+        if isinstance(s, NonIntegralExponentError):
+            raise s.with_traceback(None)
+        return s
     for (i1, i2, k) in pairs:
         for j in range(len(table.betas)):
             c1 = table.cell(i1, j)
@@ -295,7 +313,7 @@ def check_congruences(table, pairs, prec=12, choice=0):
                                 "detail": "cell error or missing"})
                 continue
             status, detail = _compare_cells(c1.value(), c2.value(), k, p,
-                                            prec, choice)
+                                            prec, choice, split)
             records.append({"pair": (i1, i2), "beta": j, "k": k,
                             "status": status, "detail": detail})
     n_fail = sum(1 for r in records if r["status"] == "FAIL")

@@ -325,13 +325,15 @@ class CoefficientReport:
     degenerate: bool = False
 
     def to_json(self):
+        """The report's data; beta and the values stay objects, which
+        cli._emit writes as their to_json() forms."""
         return {
-            "beta": self.beta.to_json(),
+            "beta": self.beta,
             "variant": self.variant,
             "degenerate": self.degenerate,
-            "locals": {k: v.to_json() for k, v in self.locals.items()},
-            "normalized": self.normalized.to_json(),
-            "notes": list(self.notes),
+            "locals": self.locals,
+            "normalized": self.normalized,
+            "notes": self.notes,
         }
 
 

@@ -74,13 +74,13 @@ class ExactValue:
         v.unit, v.exps, v.gauss = unit, exps, gauss
         return v
 
-    @classmethod
-    def one(cls):
-        return cls._normal(_ONE, {}, {})
+    @staticmethod
+    def one():
+        return _ONE_VALUE
 
-    @classmethod
-    def zero(cls):
-        return cls._normal(_ZERO, {}, {})
+    @staticmethod
+    def zero():
+        return _ZERO_VALUE
 
     @classmethod
     def from_rational(cls, x):
@@ -201,10 +201,34 @@ class ExactValue:
                                            key=lambda t: (t[0].modulus, t[1]))],
         }
 
+    def json_text(self):
+        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
+        writes, built from exps, gauss and the unit's json_text()."""
+        if self.exps:
+            exps = "{\n    %s\n  }" % ",\n    ".join(sorted(
+                '"%d": "%d/%d"' % (q, e.numerator, e.denominator)
+                for q, e in self.exps.items()))
+        else:
+            exps = "{}"
+        if self.gauss:
+            gauss = "[\n    %s\n  ]" % ",\n    ".join(
+                '{\n      "modulus": %d,\n      "power": %d\n    }' % t
+                for t in sorted((chi.modulus, n)
+                                for chi, n in self.gauss.values()))
+        else:
+            gauss = "[]"
+        return '{\n  "exponents": %s,\n  "gauss": %s,\n  "unit": %s\n}' % (
+            exps, gauss, self.unit.json_text().replace("\n", "\n  "))
+
     def __repr__(self):
         return "ExactValue(unit=%r, exps=%r, gauss=%r)" % (
             self.unit, self.exps,
             {k[0]: n for k, (chi, n) in self.gauss.items()})
+
+
+# shared like the units: a value is never changed after it is built
+_ONE_VALUE = ExactValue._normal(_ONE, {}, {})
+_ZERO_VALUE = ExactValue._normal(_ZERO, {}, {})
 
 
 def _coerce(x):

@@ -458,12 +458,12 @@ def cyc_inverse(level, coeffs):
 
 
 def encode_for_json(obj):
-    """A report as plain JSON data: Fractions as "a/b" strings, CycNumber
-    and ExactValue as their to_json() forms, dict keys as strings, tuples as
-    lists."""
+    """A report as plain JSON data: Fractions as "a/b" strings,
+    HermitianMatrix, CycNumber and ExactValue as their to_json() forms, dict
+    keys as strings, tuples as lists."""
     if isinstance(obj, Fraction):
         return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, (CycNumber, ExactValue)):
+    if isinstance(obj, (HermitianMatrix, CycNumber, ExactValue)):
         return obj.to_json()
     if isinstance(obj, dict):
         return {str(k): encode_for_json(v) for k, v in obj.items()}

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
                           parse_cyc, parse_point)
 from eiskling.errors import ConfigError
-from eiskling.exact_arith import CycNumber, euler_phi
+from eiskling.characters import DirichletChar
+from eiskling.exact_arith import CycNumber, HermitianMatrix, euler_phi
 from eiskling.values import ExactValue
 
 from oracles import report_text
@@ -378,7 +379,7 @@ def _nested(leaves, keys):
 
 
 @given(_nested(json_scalars, json_text))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_writer_matches_json_dumps(obj):
     assert emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -391,24 +392,55 @@ def cyc_numbers(draw):
         max_size=euler_phi(level))))
 
 
+GAUSS_CHARS = [DirichletChar.from_exponent(5, 1),
+               DirichletChar.from_exponent(5, 2), DirichletChar.quadratic(3),
+               DirichletChar.from_exponent(13, 1)]
+
+
 @st.composite
 def exact_values(draw):
-    exps = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7]),
-                                st.fractions(max_denominator=4), max_size=3))
-    return ExactValue(draw(cyc_numbers()), exps)
+    exps = draw(st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]),
+                                st.fractions(max_denominator=4), max_size=4))
+    gauss = {chi.key(): (chi, n) for chi, n in draw(st.lists(
+        st.tuples(st.sampled_from(GAUSS_CHARS), st.integers(-3, 3)),
+        max_size=3))}
+    return ExactValue(draw(cyc_numbers()), exps, gauss)
 
 
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.sampled_from([2, 3, 1, 0]))
+    part = st.fractions(-4, 4, max_denominator=6)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(part)
+        for j in range(i + 1, n):
+            a, b = draw(part), draw(part)
+            rows[i][j], rows[j][i] = (a, b), (a, -b)
+    return HermitianMatrix(draw(st.sampled_from([1, 2, 3])), rows)
+
+
+exact_objects = cyc_numbers() | exact_values() | hermitian_matrices()
 exact_leaves = (json_scalars | st.fractions(max_denominator=50)
-                | cyc_numbers() | exact_values())
+                | exact_objects)
+
+
+@st.composite
+def shared_objects(draw):
+    """One exact object, and an ExactValue with its unit, each at several
+    depths of one report."""
+    x, v = draw(exact_objects), draw(exact_values())
+    return [x, {"deeper": [x, v], "unit": v.unit}, [[v.unit, {"x": x}]], v]
 
 
 @given(_nested(exact_leaves, st.integers() | json_text)
-       | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves)))
-@settings(max_examples=100, deadline=None)
+       | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves))
+       | shared_objects())
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_writer_matches_old_encoding(obj):
     """Exact leaves, int keys (sorted as their strings) and tuples are
     written as converting the report first and calling json.dumps wrote
-    them."""
+    them, also where one object appears at several depths."""
     assert emitted(obj) == report_text(obj)
 
 
@@ -455,8 +487,11 @@ FUZZ_POOLS = {
               "0,1,0", "0,1,-1", "a,b,c"],
     "k_min": ["1", "2", "0", "-2", "9"],
     "k_max": ["6", "1", "0", "-1", "12"],
+    "q": ["13", "3", "5", "4", "0", "-13", "x"],
+    "s": ["2", "1/2", "0", "x"],
+    "satake": ["zeta:8:1", "1,1", "0", "x"],
 }
-FUZZ_COMMANDS = ["coeff", "family", "kl", "enumerate"]
+FUZZ_COMMANDS = ["coeff", "family", "kl", "enumerate", "hecke", "pullback"]
 
 
 @st.composite

@@ -1,11 +1,19 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
+from eiskling import interpolation
 from eiskling.exact_arith import CycNumber, enumerate_hermitian
 from eiskling.characters import DirichletChar
 from eiskling.siegel_fourier import SiegelDatum
+from eiskling.values import ExactValue
 from eiskling.interpolation import (
     ArithmeticPoint,
     CharFamilySpec,
+    FamilyCell,
+    FamilyTable,
+    _compare_cells,
     check_congruences,
     coefficient_family,
     specialize,
@@ -158,3 +166,33 @@ def test_congruence_detects_failure():
     rep = check_congruences(table, [(0, 1, 1)])
     assert any(r["status"] == "FAIL" for r in rep["records"])
 
+
+def test_congruence_records_match_pairwise_comparison(monkeypatch):
+    """Each cell is split once, however many pairs it is in; every record,
+    the INCOMPARABLE detail of a non-integral exponent included, is what
+    comparing its two cells alone gives."""
+    split = interpolation._split_for_congruence
+    calls = []
+
+    def counted(value, p):
+        calls.append(value)
+        return split(value, p)
+    monkeypatch.setattr(interpolation, "_split_for_congruence", counted)
+    half = ExactValue.one().times_prime_power(7, Fraction(1, 2))
+    columns = [[half * 3, half, half * 2],
+               [ExactValue.from_rational(10), ExactValue.from_rational(35),
+                ExactValue.zero()],
+               [half * 5, ExactValue.from_rational(2), half]]
+    cells = {(i, j): FamilyCell(i, j, report=SimpleNamespace(normalized=v))
+             for j, column in enumerate(columns) for i, v in enumerate(column)}
+    pts = [ArithmeticPoint(6, m) for m in (0, 4, 8)]
+    table = FamilyTable(family(), pts, [None] * len(columns), cells, {})
+    pairs = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 0, 1)]
+    records = check_congruences(table, pairs)["records"]
+    # seven values, half in two cells, each split once
+    assert len(calls) == len({id(v) for v in calls}) == 7
+    expected = [_compare_cells(columns[j][i1], columns[j][i2], k, 5, 12, 0)
+                for i1, i2, k in pairs for j in range(len(columns))]
+    assert [(r["status"], r["detail"]) for r in records] == expected
+    assert expected.count(("INCOMPARABLE",
+                           "non-integral exponent 1/2 at prime 7")) == 8

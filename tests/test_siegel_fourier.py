@@ -24,7 +24,7 @@ from eiskling.siegel_fourier import (
 from eiskling.errors import EisklingError, UnsupportedBetaError
 
 from oracles import (entry_integral_at, index_support, minor_units_mod_p,
-                     rank_one_coeff_p_oracle)
+                     rank_one_coeff_p_oracle, report_text)
 
 
 def make_pair(p, k1, k2):
@@ -245,7 +245,7 @@ def datums(draw, n):
 
 def coefficient_json(beta, datum):
     try:
-        return assemble_global(beta, datum).to_json()
+        return report_text(assemble_global(beta, datum).to_json())
     except EisklingError as exc:
         return "%s: %s" % (type(exc).__name__, exc)
 
