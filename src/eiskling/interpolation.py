@@ -152,9 +152,6 @@ class FamilyCell:
     report: object = None
     error: str = None
 
-    def value(self):
-        return None if self.report is None else self.report.normalized
-
     def to_json(self):
         out = {"point": self.point_index, "beta": self.beta_index}
         if self.error is not None:
@@ -171,9 +168,6 @@ class FamilyTable:
     betas: list
     cells: dict  # (point_index, beta_index) -> FamilyCell
     point_errors: dict  # point_index -> str for rejected points
-
-    def cell(self, i, j):
-        return self.cells.get((i, j))
 
     def to_json(self):
         """The table's data; indices and cell values stay objects, which
@@ -220,41 +214,56 @@ def coefficient_family(fam, points, betas, datum_template):
     return FamilyTable(fam, list(points), list(betas), cells, point_errors)
 
 
-def _split_for_congruence(value, p):
-    """Write an ExactValue as (unit CycNumber away from p) * p^nu * (common
-    Gauss symbol data).  Returns (key, nu, unit) where key freezes the Gauss
-    content; raises NonIntegralExponentError when prime exponents away from
-    p are non-integral."""
-    gauss_key = tuple(sorted((k, n) for k, (chi, n) in value.gauss.items()))
-    unit = ExactValue(value.unit, {q: e for q, e in value.exps.items()
-                                   if q != p}).materialize()
-    return gauss_key, value.exps.get(p, Fraction(0)), unit
+@dataclass(frozen=True)
+class PadicCell:
+    """The p-adic reading of a nonzero cell value, made once per cell: val,
+    its valuation at p (ExactValue.p_valuation); nu, the exponent of p;
+    gauss_key, its Gauss content; and unit, the part away from p and the
+    Gauss symbols materialized as a CycNumber, or error, the text of the
+    NonIntegralExponentError that materializing raised."""
+
+    val: object
+    nu: object
+    gauss_key: tuple
+    unit: CycNumber
+    error: str
 
 
-def _compare_cells(v1, v2, k, p, prec, choice, split=_split_for_congruence):
-    """Status of the congruence v1 = v2 mod p^k between two exact values,
-    compared through their unit parts after aligning identical Gauss content
-    and p-powers.  split(value, p) is _split_for_congruence or a memo of
-    it."""
-    if v1.is_zero() and v2.is_zero():
+def padic_cell(value, p):
+    """The PadicCell of an exact value at p, or None when it is zero."""
+    if value.is_zero():
+        return None
+    unit = error = None
+    try:
+        unit = ExactValue(value.unit, {q: e for q, e in value.exps.items()
+                                       if q != p}).materialize()
+    except NonIntegralExponentError as exc:
+        error = str(exc)
+    return PadicCell(value.p_valuation(p), value.exps.get(p, 0),
+                     tuple(sorted((k, n) for k, (chi, n)
+                                  in value.gauss.items())), unit, error)
+
+
+def _compare_cells(c1, c2, k, p, prec, choice):
+    """Status of the congruence mod p^k between two exact values, given as
+    their padic_cell forms c1, c2, compared through their unit parts after
+    aligning identical Gauss content and p-powers."""
+    if c1 is None and c2 is None:
         return "PASS", "both cells vanish"
-    if v1.is_zero() or v2.is_zero():
-        w = v2 if v1.is_zero() else v1
-        nu = w.p_valuation(p)
+    if c1 is None or c2 is None:
+        nu = (c1 or c2).val
         if nu >= k:
             return "PASS", "one cell vanishes; the other has valuation %s" % nu
         return "FAIL", ("one cell vanishes; the other has valuation %s < %d"
                         % (nu, k))
-    try:
-        g1, nu1, u1 = split(v1, p)
-        g2, nu2, u2 = split(v2, p)
-    except NonIntegralExponentError as exc:
-        return "INCOMPARABLE", str(exc)
-    if g1 != g2:
+    error = c1.error or c2.error
+    if error:
+        return "INCOMPARABLE", error
+    if c1.gauss_key != c2.gauss_key:
         return "INCOMPARABLE", "cells carry different Gauss symbols"
-    gshift = v1.p_valuation(p) - nu1  # common Gauss contribution at p
-    nu0 = min(nu1, nu2)
-    d1, d2 = nu1 - nu0, nu2 - nu0
+    gshift = c1.val - c1.nu  # common Gauss contribution at p
+    nu0 = min(c1.nu, c2.nu)
+    d1, d2 = c1.nu - nu0, c2.nu - nu0
     if d1.denominator != 1 or d2.denominator != 1:
         return "INCOMPARABLE", "half-integral p-power mismatch"
     target = Fraction(k) - gshift - nu0
@@ -262,8 +271,8 @@ def _compare_cells(v1, v2, k, p, prec, choice, split=_split_for_congruence):
         return "PASS", "required valuation %s already met by prime powers" % target
     if target.denominator != 1:
         return "INCOMPARABLE", "half-integral required valuation %s" % target
-    diff = (ExactValue(u1, {p: d1}).materialize()
-            - ExactValue(u2, {p: d2}).materialize())
+    diff = (ExactValue(c1.unit, {p: d1}).materialize()
+            - ExactValue(c2.unit, {p: d2}).materialize())
     if diff.is_zero():
         return "PASS", "unit parts agree exactly"
     try:
@@ -287,36 +296,20 @@ def check_congruences(table, pairs, prec=12, choice=0):
     Returns a report with one record per (pair, beta); failures carry the
     full detail string."""
     p = table.fam.p
+    read = {i for i1, i2, _ in pairs for i in (i1, i2)}
+    forms = {key: padic_cell(cell.report.normalized, p)
+             for key, cell in table.cells.items()
+             if key[0] in read and cell.error is None}
     records = []
-    splits = {}  # id(cell value) -> its split, or the error splitting raised
-
-    def split(value, p):
-        # each cell is split once, however many pairs it is in; the table
-        # holds the values, so their ids stay theirs
-        s = splits.get(id(value))
-        if s is None:
-            try:
-                s = _split_for_congruence(value, p)
-            except NonIntegralExponentError as exc:
-                s = exc
-            splits[id(value)] = s
-        if isinstance(s, NonIntegralExponentError):
-            raise s.with_traceback(None)
-        return s
     for (i1, i2, k) in pairs:
         for j in range(len(table.betas)):
-            c1 = table.cell(i1, j)
-            c2 = table.cell(i2, j)
-            if c1 is None or c2 is None or c1.error or c2.error:
-                records.append({"pair": (i1, i2), "beta": j, "k": k,
-                                "status": "SKIPPED",
-                                "detail": "cell error or missing"})
-                continue
-            status, detail = _compare_cells(c1.value(), c2.value(), k, p,
-                                            prec, choice, split)
+            if (i1, j) in forms and (i2, j) in forms:
+                status, detail = _compare_cells(forms[i1, j], forms[i2, j],
+                                                k, p, prec, choice)
+            else:
+                status, detail = "SKIPPED", "cell error or missing"
             records.append({"pair": (i1, i2), "beta": j, "k": k,
                             "status": status, "detail": detail})
     n_fail = sum(1 for r in records if r["status"] == "FAIL")
     return {"records": records, "failures": n_fail,
             "all_pass": all(r["status"] == "PASS" for r in records)}
-

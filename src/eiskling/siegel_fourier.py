@@ -89,11 +89,8 @@ class SiegelDatum:
         return self.pair.tau_prime()
 
     @cached_property
-    def _tau_prime_bar(self):
-        return self.tau_prime.conj()
-
     def tau_prime_bar(self):
-        return self._tau_prime_bar
+        return self.tau_prime.conj()
 
     @cached_property
     def conductors_ok(self):
@@ -167,7 +164,7 @@ def additive_char(x, q):
 def _abelian_lfactors(datum, q):
     """prod_{i=0}^{n-1} (1 - taubar' chi_K^i (q) q^{-(kappa-i)}) as a
     CycNumber: the abelian L-factors at q, inverted."""
-    tpb = datum.tau_prime_bar()
+    tpb = datum.tau_prime_bar
     ck = chi_K(datum.D, q)
     acc = CycNumber.one()
     sign = 1
@@ -257,7 +254,7 @@ def coeff_p(beta, datum):
     if residues is None:
         return ExactValue.zero()
     det_res, x_res = residues
-    unit = (datum.tau_prime_bar()(det_res) * datum.pair.tau2(x_res)
+    unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
             * datum.p_unit)
     return ExactValue(unit) * datum.p_factor
 

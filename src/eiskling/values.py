@@ -86,6 +86,8 @@ class ExactValue:
     def from_rational(cls, x):
         if not x:
             return cls.zero()
+        if x == 1:
+            return cls.one()
         exps = {}
         return cls._normal(_sign(CycNumber.from_rational(x), exps), exps, {})
 
@@ -99,6 +101,11 @@ class ExactValue:
         a, b = self.unit, other.unit
         if a is _ZERO or b is _ZERO:
             return ExactValue.zero()
+        # a factor equal to one: its normal form is the bare shared unit
+        if b is _ONE and not other.exps and not other.gauss:
+            return self
+        if a is _ONE and not self.exps and not self.gauss:
+            return other
         if b is _ONE:
             unit = a
         elif a is _ONE:

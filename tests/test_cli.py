@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
                           parse_cyc, parse_point)
@@ -379,7 +379,9 @@ def _nested(leaves, keys):
 
 
 @given(_nested(json_scalars, json_text))
-@settings(max_examples=100, deadline=None, derandomize=True)
+# no shrink phase: shrinking a failing nested report takes minutes
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=set(Phase) - {Phase.shrink})
 def test_writer_matches_json_dumps(obj):
     assert emitted(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -436,7 +438,9 @@ def shared_objects(draw):
 @given(_nested(exact_leaves, st.integers() | json_text)
        | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves))
        | shared_objects())
-@settings(max_examples=100, deadline=None, derandomize=True)
+# no shrink phase: shrinking a failing nested report takes minutes
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=set(Phase) - {Phase.shrink})
 def test_writer_matches_old_encoding(obj):
     """Exact leaves, int keys (sorted as their strings) and tuples are
     written as converting the report first and calling json.dumps wrote

@@ -168,31 +168,47 @@ def test_congruence_detects_failure():
 
 
 def test_congruence_records_match_pairwise_comparison(monkeypatch):
-    """Each cell is split once, however many pairs it is in; every record,
-    the INCOMPARABLE detail of a non-integral exponent included, is what
-    comparing its two cells alone gives."""
-    split = interpolation._split_for_congruence
-    calls = []
+    """Each cell's p-adic form is built once and its valuation read once,
+    however many pairs the cell is in; every record, the INCOMPARABLE detail
+    of a non-integral exponent and the vanishing partner of such a cell
+    included, is what comparing its two cells alone gives."""
+    build = interpolation.padic_cell
+    p_valuation = ExactValue.p_valuation
+    builds, valuations = [], []
 
-    def counted(value, p):
-        calls.append(value)
-        return split(value, p)
-    monkeypatch.setattr(interpolation, "_split_for_congruence", counted)
+    def counted_build(value, p):
+        builds.append(value)
+        return build(value, p)
+
+    def counted_valuation(value, p):
+        valuations.append(value)
+        return p_valuation(value, p)
+    monkeypatch.setattr(interpolation, "padic_cell", counted_build)
+    monkeypatch.setattr(ExactValue, "p_valuation", counted_valuation)
     half = ExactValue.one().times_prime_power(7, Fraction(1, 2))
     columns = [[half * 3, half, half * 2],
                [ExactValue.from_rational(10), ExactValue.from_rational(35),
                 ExactValue.zero()],
-               [half * 5, ExactValue.from_rational(2), half]]
+               [half * 5, ExactValue.from_rational(2), half],
+               [half * 25, ExactValue.zero(), half * 3]]
     cells = {(i, j): FamilyCell(i, j, report=SimpleNamespace(normalized=v))
              for j, column in enumerate(columns) for i, v in enumerate(column)}
     pts = [ArithmeticPoint(6, m) for m in (0, 4, 8)]
     table = FamilyTable(family(), pts, [None] * len(columns), cells, {})
     pairs = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 0, 1)]
     records = check_congruences(table, pairs)["records"]
-    # seven values, half in two cells, each split once
-    assert len(calls) == len({id(v) for v in calls}) == 7
-    expected = [_compare_cells(columns[j][i1], columns[j][i2], k, 5, 12, 0)
+    # twelve cells, half in two of them, each built once; ten are nonzero
+    assert len(builds) == 12
+    assert sorted(map(id, valuations)) == sorted(
+        id(v) for v in builds if not v.is_zero())
+    expected = [_compare_cells(build(columns[j][i1], 5),
+                               build(columns[j][i2], 5), k, 5, 12, 0)
                 for i1, i2, k in pairs for j in range(len(columns))]
     assert [(r["status"], r["detail"]) for r in records] == expected
     assert expected.count(("INCOMPARABLE",
-                           "non-integral exponent 1/2 at prime 7")) == 8
+                           "non-integral exponent 1/2 at prime 7")) == 10
+    # a non-integral exponent at 7 does not matter when the partner vanishes
+    assert expected[3] == ("PASS",
+                           "one cell vanishes; the other has valuation 2")
+    assert expected[3 + 2 * len(columns)] == (
+        "FAIL", "one cell vanishes; the other has valuation 0 < 2")

@@ -122,7 +122,7 @@ def test_unramified_cancellation():
     c = coeff_unramified(beta, 3, datum)
     # the local value is exactly the inverse of the global L-prefactor at 3
     acc = c
-    tpb = datum.tau_prime_bar()
+    tpb = datum.tau_prime_bar
     sign = 1
     from eiskling.characters import chi_K
     ck = chi_K(1, 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eiskling.exact_arith import CycNumber, euler_phi
 from eiskling.characters import DirichletChar, gauss_sum
-from eiskling.interpolation import _compare_cells
+from eiskling.interpolation import _compare_cells, padic_cell
 from eiskling.values import ExactValue
 from eiskling.errors import NonIntegralExponentError
 
@@ -57,6 +57,16 @@ def test_p_valuation_with_gauss():
     assert v.p_valuation(5) == Fraction(-1) + Fraction(3 * 2, 2)
 
 
+def test_one_is_shared():
+    v = ExactValue.from_rational(Fraction(-3, 10)).with_gauss(
+        DirichletChar.from_exponent(5, 1), 1)
+    one = ExactValue.one()
+    assert v * one is v and one * v is v
+    assert v * ExactValue(CycNumber.one(), {7: 0}) is v
+    assert ExactValue.from_rational(1) is one
+    assert ExactValue.from_rational(Fraction(1)) is one
+
+
 def test_zero_absorbs():
     z = ExactValue.zero()
     assert (z * ExactValue.from_rational(7)).is_zero()
@@ -80,7 +90,8 @@ def test_to_json_deterministic():
 
 def test_half_integral_exponent_away_from_p_is_incomparable():
     half = ExactValue.one().times_prime_power(7, Fraction(1, 2))
-    assert _compare_cells(half, half * 3, 1, 5, 12, 0) == (
+    assert _compare_cells(padic_cell(half, 5), padic_cell(half * 3, 5), 1, 5,
+                          12, 0) == (
         "INCOMPARABLE", "non-integral exponent 1/2 at prime 7")
 
 
@@ -202,5 +213,7 @@ def test_normal_form_matches_fraction_exponent_reference(px, py, e, q, k, chi,
             assert str(v.p_valuation(p)) == str(ref.p_valuation(p))
     for (a, ra), (b, rb) in itertools.combinations(pairs[:4], 2):
         assert (a == b) == (ra == rb)
-        assert (_compare_cells(a, b, kk, 5, 12, 0)
-                == _compare_cells(ra, rb, kk, 5, 12, 0))
+        assert (_compare_cells(padic_cell(a, 5), padic_cell(b, 5), kk, 5,
+                               12, 0)
+                == _compare_cells(padic_cell(ra, 5), padic_cell(rb, 5), kk, 5,
+                                  12, 0))
