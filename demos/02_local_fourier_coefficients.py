@@ -9,9 +9,9 @@ index fails to be a p-adic unit.
 
 from fractions import Fraction
 
-from eiskling import (CycNumber, DirichletChar, HermitianMatrix,
-                      QuadFieldElem, SiegelDatum, SplitPCharPair,
-                      assemble_global, coeff_p, enumerate_hermitian)
+from eiskling import (CycNumber, DirichletChar, HermitianMatrix, SiegelDatum,
+                      SplitPCharPair, assemble_global, coeff_p,
+                      enumerate_hermitian)
 
 p, D = 5, 1          # p splits in Q(i)
 kappa = 6
@@ -23,16 +23,17 @@ pair = SplitPCharPair(DirichletChar.from_exponent(p, 1),
 datum = SiegelDatum(n=2, kappa=kappa, pair=pair, p=p, D=D,
                     sigma=(2, p), ell=7, variant="klingen")
 
-# A 2x2 Hermitian index over Z[i] whose lower-left entry is a unit mod 5:
-beta = HermitianMatrix(D, [[Fraction(1), QuadFieldElem(Fraction(1), Fraction(0), D)],
-                           [QuadFieldElem(Fraction(1), Fraction(0), D), Fraction(2)]])
+# A 2x2 Hermitian index over Z[i] whose lower-left entry is a unit mod 5;
+# an entry a + b*sqrt(-D) is the pair (a, b):
+beta = HermitianMatrix(D, [[Fraction(1), (1, 0)],
+                           [(1, 0), Fraction(2)]])
 v = coeff_p(beta, datum)
 print("p-local coefficient:", v.to_json())
 print("p-valuation:", v.p_valuation(p))
 
 # Scaling the off-diagonal block by p kills the relevant minor -> zero:
-beta5 = HermitianMatrix(D, [[Fraction(1), QuadFieldElem(Fraction(5), Fraction(0), D)],
-                            [QuadFieldElem(Fraction(5), Fraction(0), D), Fraction(26)]])
+beta5 = HermitianMatrix(D, [[Fraction(1), (5, 0)],
+                            [(5, 0), Fraction(26)]])
 print("after scaling the minor by p: zero?",
       coeff_p(beta5, datum).is_zero())
 

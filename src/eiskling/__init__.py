@@ -22,10 +22,8 @@ from .errors import (
 )
 from .exact_arith import (
     CycNumber,
-    QuadFieldElem,
     HermitianMatrix,
     sqrt_minus_d,
-    quad_to_cyc,
     enumerate_hermitian,
 )
 from .padic import PadicElem, UnramElem, embed_cyclotomic, congruent_mod
@@ -54,8 +52,6 @@ from .pullback import (
 from .qexp_diff import (
     multiplier_klingen,
     multiplier_lfun,
-    QExpansion,
-    apply_to_expansion,
 )
 from .siegel_fourier import (
     SiegelDatum,

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ConductorError, PoleError
+from .errors import ConductorError, NonIntegralExponentError, PoleError
 from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
                           legendre, reduce_powers)
 
@@ -74,6 +74,7 @@ class DirichletChar:
         self.modulus = modulus
         self.values = dict(values)
         self._conductor = None
+        self._key = None
 
     @classmethod
     def trivial(cls, modulus=1):
@@ -149,9 +150,10 @@ class DirichletChar:
     def __pow__(self, k):
         if k == 0:
             return DirichletChar.trivial(self.modulus)
-        vals = {a: v ** (k % self.order() if k < 0 else k)
-                for a, v in self.values.items()}
-        return DirichletChar(self.modulus, vals)
+        if k < 0:
+            k %= self.order()
+        return DirichletChar(self.modulus,
+                             {a: v ** k for a, v in self.values.items()})
 
     def conj(self):
         return DirichletChar(self.modulus, {a: v.conj() for a, v in self.values.items()})
@@ -191,7 +193,7 @@ class DirichletChar:
         are encoded as discrete logarithms against a fixed root of unity of
         the character order, so the fingerprint does not depend on the
         cyclotomic level the values happen to be stored at."""
-        if getattr(self, "_key", None) is not None:
+        if self._key is not None:
             return self._key
         order = self.order()
         z = CycNumber.root_of_unity(order) if order > 1 else CycNumber.one()
@@ -265,7 +267,6 @@ def euler_factor(chi, q, s):
     """
     s = Fraction(s)
     if s.denominator != 1:
-        from .errors import NonIntegralExponentError
         raise NonIntegralExponentError("euler_factor needs an integral s, got %s" % s)
     s = int(s)
     term = chi(q) * Fraction(q) ** (-s)

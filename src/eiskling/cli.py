@@ -398,7 +398,7 @@ def cmd_kl(cfg, args):
             values[k] = kl_specialization(chi, k, p, sigma=cfg["sigma"],
                                           prec=cfg["prec"],
                                           choice=cfg["embedding_choice"])
-        except EisklingError as exc:
+        except EisklingError:
             values[k] = None
     matrix = {}
     for k in ks:

@@ -1,20 +1,21 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N) and imaginary quadratic fields.
+"""Exact arithmetic in cyclotomic fields Q(zeta_N) and Hermitian matrices
+over imaginary quadratic fields Q(sqrt(-D)).
 
 A cyclotomic element is an integer vector over one positive denominator on the
 power basis 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic
 polynomial, kept coprime to that denominator, as number-field elements are
 stored by FLINT/Antic (nf_elem; Cohen, A Course in Computational Algebraic
-Number Theory, section 4).  Quadratic elements a + b*sqrt(-D) keep a, b as
-Fractions.  A Hermitian matrix over the quadratic field is stored as its
-integer image alone: the lowest common denominator den of its entry parts and
-each entry as the integer pair (a*den, b*den).  Its minors are expanded on
-that image over Z[sqrt(-D)], kept as integers and read as (A, B, den^k)
-through HermitianMatrix.int_minor.  The bounded-trace enumerator screens
-candidates on integers and hands each one it yields its image and those
-minors, with no Fraction in between.
+Number Theory, section 4).  An element a + b*sqrt(-D) of the quadratic field
+is an integer pair (a, b) over a denominator; it enters a cyclotomic field
+only through sqrt_minus_d.  A Hermitian matrix is stored as its integer
+image alone: the lowest common denominator den of its entry parts and each
+entry as the integer pair (a*den, b*den).  Its minors are expanded on that
+image over Z[sqrt(-D)], kept as integers and read as (A, B, den^k) through
+HermitianMatrix.int_minor.  The bounded-trace enumerator screens candidates
+on integers and hands each one it yields its image and those minors, with
+no Fraction in between.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -476,99 +477,10 @@ def sqrt_minus_d(D):
     return prod
 
 
-def quad_to_cyc(x):
-    """Embed a + b*sqrt(-D) into a cyclotomic field via the Gauss-sum square root."""
-    return CycNumber.from_rational(x.a) + x.b * sqrt_minus_d(x.D)
-
-
-@dataclass(frozen=True)
-class QuadFieldElem:
-    """a + b*sqrt(-D) with rational a, b."""
-
-    a: Fraction
-    b: Fraction
-    D: int
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadFieldElem(Fraction(other), Fraction(0), self.D)
-        if isinstance(other, QuadFieldElem):
-            if other.D != self.D:
-                raise ValueError("mixed quadratic fields")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadFieldElem(self.a + o.a, self.b + o.b, self.D)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadFieldElem(-self.a, -self.b, self.D)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadFieldElem(self.a - o.a, self.b - o.b, self.D)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadFieldElem(self.a * o.a - self.D * self.b * o.b,
-                             self.a * o.b + self.b * o.a, self.D)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return QuadFieldElem(self.a, -self.b, self.D)
-
-    def norm(self):
-        return self.a * self.a + self.D * self.b * self.b
-
-    def trace(self):
-        return 2 * self.a
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self):
-        return self.b == 0
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError
-        return QuadFieldElem(self.a / n, -self.b / n, self.D)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = QuadFieldElem(Fraction(1), Fraction(0), self.D)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-
 class HermitianMatrix:
-    """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal.
+    """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal, built
+    from rows whose entries are ints, Fractions or pairs (a, b) standing for
+    a + b*sqrt(-D).
 
     Stored as its integer image alone: den, the lowest common denominator
     of the entry parts, and image[i][j] = (a, b) for the entry
@@ -583,7 +495,7 @@ class HermitianMatrix:
     __slots__ = ("D", "n", "den", "_image", "_memo")
 
     def __init__(self, D, rows):
-        parts = tuple(tuple(self._entry_parts(D, e) for e in row)
+        parts = tuple(tuple(self._entry_parts(e) for e in row)
                       for row in rows)
         n = len(parts)
         if any(len(r) != n for r in parts):
@@ -620,12 +532,8 @@ class HermitianMatrix:
         self._memo = minors
 
     @staticmethod
-    def _entry_parts(D, e):
+    def _entry_parts(e):
         """The parts (a, b) of an entry a + b*sqrt(-D) as Fractions."""
-        if isinstance(e, QuadFieldElem):
-            if e.D != D:
-                raise ValueError("mixed quadratic fields")
-            return e.a, e.b
         if isinstance(e, (int, Fraction)):
             return Fraction(e), Fraction(0)
         if isinstance(e, tuple) and len(e) == 2:
@@ -665,19 +573,6 @@ class HermitianMatrix:
             value = self._memo[key] = compute(self, *args)
             return value
 
-    def entry(self, i, j):
-        a, b = self._image[i][j]
-        return QuadFieldElem(Fraction(a, self.den), Fraction(b, self.den),
-                             self.D)
-
-    @property
-    def entries(self):
-        return tuple(tuple(self.entry(i, j) for j in range(self.n))
-                     for i in range(self.n))
-
-    def submatrix(self, rows, cols):
-        return [[self.entry(i, j) for j in cols] for i in rows]
-
     def int_minor(self, rows, cols):
         """The determinant of the rows x cols block as integers (A, B, d):
         it is (A + B*sqrt(-D)) / d with d = den^k for a k x k block, not
@@ -691,20 +586,6 @@ class HermitianMatrix:
                                  "column sets")
             m = self._memo[key] = self._int_minor(self._image, self.D, *key)
         return m + (self.den ** len(key[0]),)
-
-    def minor(self, rows, cols):
-        """Determinant of the rows x cols block as a QuadFieldElem."""
-        A, B, d = self.int_minor(rows, cols)
-        return QuadFieldElem(Fraction(A, d), Fraction(B, d), self.D)
-
-    def leading_minors(self):
-        """Determinants of the leading principal k x k blocks, k = 1..n."""
-        out = []
-        for k in range(1, self.n + 1):
-            A, B, d = self.int_minor(range(k), range(k))
-            assert B == 0
-            out.append(Fraction(A, d))
-        return out
 
     def det(self):
         if not self.n:
@@ -757,7 +638,8 @@ class HermitianMatrix:
             self.D, "[\n    %s\n  ]" % rows if rows else "[]", self.n)
 
     def __repr__(self):
-        return "HermitianMatrix(D=%d, entries=%r)" % (self.D, self.entries)
+        return "HermitianMatrix(D=%d, den=%d, image=%r)" % (
+            self.D, self.den, self._image)
 
 
 ENUMERATION_CAP = 200000

@@ -2,13 +2,12 @@
 
 Applying the weight-raising operator and pairing with a highest weight vector
 multiplies the coefficient at beta by a monomial in minors of beta.  The two
-variants differ only in which block of beta the minors are taken from.
+variants differ only in which block of beta the minors are taken from.  The
+monomial is taken on integers in Z[sqrt(-D)] and returned as a CycNumber at
+the level of sqrt_minus_d(D).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .exact_arith import QuadFieldElem, quad_to_cyc
+from .exact_arith import CycNumber, sqrt_minus_d
 from .values import ExactValue
 
 
@@ -39,7 +38,8 @@ def _minor_monomial(beta, a, row_offset):
     """The product of the minors to their powers, taken on integers in
     Z[sqrt(-D)]: each minor as beta.int_minor gives it, (A + B sqrt(-D)) / d,
     the powers and the product by square-and-multiply on the integer pairs,
-    and one division by the product of the denominators at the end."""
+    and one CycNumber (A + B sqrt(-D)) / den at the end, den the product of
+    the denominators and sqrt(-D) the one sqrt_minus_d gives."""
     a = _pad_weights(a)
     if any(a[i] < a[i + 1] for i in range(len(a) - 1)):
         raise ValueError("weights must be nonincreasing with a_r >= 0")
@@ -61,15 +61,10 @@ def _minor_monomial(beta, a, row_offset):
                 e >>= 1
                 if e:
                     x, y = times(x, y, x, y)
-    return QuadFieldElem(Fraction(num_a, den), Fraction(num_b, den), D)
-
-
-@dataclass
-class QExpansion:
-    """A finite q-expansion: coefficient values indexed by hermitian beta."""
-
-    n: int
-    entries: list  # list of (HermitianMatrix, ExactValue)
+    root = sqrt_minus_d(D)
+    nums = [num_b * c for c in root.nums]
+    nums[0] += num_a * root.den
+    return CycNumber.from_integers(root.level, nums, den * root.den)
 
 
 def times_multiplier(value, beta, variant, a):
@@ -79,11 +74,4 @@ def times_multiplier(value, beta, variant, a):
     m = mul(beta, a)
     if m.is_zero():
         return ExactValue.zero()
-    return value * ExactValue(quad_to_cyc(m))
-
-
-def apply_to_expansion(expansion, variant, a):
-    """Multiply each coefficient by its minor monomial."""
-    return QExpansion(expansion.n,
-                      [(beta, times_multiplier(value, beta, variant, a))
-                       for beta, value in expansion.entries])
+    return value * ExactValue(m)

@@ -218,7 +218,8 @@ def _ell_character(beta, ell, y_norm, r, n):
     integral at ell."""
     if not _integral_at(beta, ell):
         return None
-    tr = sum((beta.entry(i, i).a for i in range(n - r, n)), Fraction(0))
+    tr = Fraction(sum(beta.int_minor((i,), (i,))[0] for i in range(n - r, n)),
+                  beta.den)
     return ExactValue(additive_char(tr / y_norm, ell))
 
 

@@ -4,9 +4,10 @@ Each oracle recomputes a quantity by a different route than the package:
 Bernoulli numbers by the Akiyama-Tanigawa scheme, the rank-one p-local
 coefficient by the literal finite shell sum over the big cell, mod-p minor
 units by integer Gaussian elimination after substituting a mod-p square root,
-semidefiniteness by floating-point eigenvalues, and determinants over
-Q(sqrt(-D)) by Laplace expansion on QuadFieldElem entries (Fraction arithmetic,
-no integer image, no cache), cyclotomic arithmetic on Fraction coefficient
+semidefiniteness by floating-point eigenvalues, elements a + b*sqrt(-D) of
+the quadratic field as QuadFieldElem, a pair of Fractions, read from an
+index's JSON entries, and determinants over Q(sqrt(-D)) by Laplace expansion
+on them (Fraction arithmetic, no integer image, no cache), cyclotomic arithmetic on Fraction coefficient
 vectors reduced by long division by the cyclotomic polynomial (inverses by
 the extended Euclidean algorithm), the JSON text of a report by converting
 it first and handing it to json.dumps, the integrality and prime support
@@ -17,12 +18,13 @@ scratch, as ExactValue once kept them.
 
 import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 from eiskling.characters import gauss_sum
 from eiskling.errors import NonIntegralExponentError, ResourceBoundError
-from eiskling.exact_arith import (CycNumber, HermitianMatrix, QuadFieldElem,
-                                  cyclotomic_poly, factorize, valuation)
+from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
+                                  factorize, sqrt_minus_d, valuation)
 from eiskling.values import ExactValue
 
 
@@ -64,6 +66,71 @@ def e_p(x, p):
     # d is the prime-to-p part of the denominator; invert it mod p^level
     e = x.numerator * pow(d, -1, pL) % pL
     return CycNumber.root_of_unity(pL, e)
+
+
+@dataclass(frozen=True)
+class QuadFieldElem:
+    """a + b*sqrt(-D) with Fraction parts a, b."""
+
+    a: Fraction
+    b: Fraction
+    D: int
+
+    def _parts(self, other):
+        if isinstance(other, QuadFieldElem):
+            assert other.D == self.D, "mixed quadratic fields"
+            return other.a, other.b
+        return Fraction(other), Fraction(0)
+
+    def __add__(self, other):
+        a, b = self._parts(other)
+        return QuadFieldElem(self.a + a, self.b + b, self.D)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        a, b = self._parts(other)
+        return QuadFieldElem(self.a * a - self.D * self.b * b,
+                             self.a * b + self.b * a, self.D)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        """self^e for an int e >= 0, by e multiplications."""
+        acc = QuadFieldElem(Fraction(1), Fraction(0), self.D)
+        for _ in range(e):
+            acc = acc * self
+        return acc
+
+    def conj(self):
+        return QuadFieldElem(self.a, -self.b, self.D)
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+    def cyc(self):
+        """The element in a cyclotomic field: a + b * sqrt_minus_d(D), by
+        CycNumber arithmetic."""
+        return CycNumber.from_rational(self.a) + self.b * sqrt_minus_d(self.D)
+
+
+def quad_rows(beta):
+    """The entries of an index as rows of QuadFieldElem, read back from the
+    "a/b" strings of its JSON."""
+    return [[QuadFieldElem(Fraction(a), Fraction(b), beta.D) for a, b in row]
+            for row in beta.to_json()["entries"]]
+
+
+def hermitian_of(D, rows):
+    """The HermitianMatrix with the given QuadFieldElem rows, each entry
+    handed over as its pair (a, b)."""
+    return HermitianMatrix(D, [[(e.a, e.b) for e in row] for row in rows])
+
+
+def quad_minor(beta, rows, cols):
+    """The rows x cols minor of an index by quad_det_laplace on quad_rows."""
+    ent = quad_rows(beta)
+    return quad_det_laplace([[ent[i][j] for j in cols] for i in rows])
 
 
 def rank_one_coeff_p_oracle(beta, pair, p, s):
@@ -117,10 +184,9 @@ def minor_units_mod_p(beta, p, root, variant):
     regardless of minors)."""
     n = beta.n
     mat = []
-    for i in range(n):
+    for entries in quad_rows(beta):
         row = []
-        for j in range(n):
-            e = beta.entry(i, j)
+        for e in entries:
             if e.a.denominator % p == 0 or e.b.denominator % p == 0:
                 return False, False
             a = e.a.numerator * pow(e.a.denominator, -1, p) % p
@@ -173,9 +239,8 @@ def psd_by_eigenvalues(beta, tol=1e-9):
     n = beta.n
     mat = np.zeros((n, n), dtype=complex)
     sq = complex(0, beta.D ** 0.5)
-    for i in range(n):
-        for j in range(n):
-            e = beta.entry(i, j)
+    for i, row in enumerate(quad_rows(beta)):
+        for j, e in enumerate(row):
             mat[i, j] = float(e.a) + float(e.b) * sq
     eig = np.linalg.eigvalsh(mat)
     return bool(eig.min() >= -tol)
@@ -203,16 +268,18 @@ def quad_det_laplace(rows):
 
 def psd_by_principal_minors(beta):
     """Semidefiniteness: every principal minor, by quad_det_laplace, is >= 0."""
+    ent = quad_rows(beta)
     for size in range(1, beta.n + 1):
         for idx in itertools.combinations(range(beta.n), size):
-            if quad_det_laplace(beta.submatrix(idx, idx)).a < 0:
+            if quad_det_laplace([[ent[i][j] for j in idx]
+                                 for i in idx]).a < 0:
                 return False
     return True
 
 
 def entry_integral_at(beta, q):
     """Whether both parts of every entry of beta are integral at q."""
-    for row in beta.entries:
+    for row in quad_rows(beta):
         for e in row:
             if e.a.denominator % q == 0 or e.b.denominator % q == 0:
                 return False
@@ -224,7 +291,7 @@ def index_support(beta):
     (nonzero) or the denominator of a part of an entry, in increasing order."""
     det = beta.det()
     support = set(factorize(abs(det.numerator))) | set(factorize(det.denominator))
-    for row in beta.entries:
+    for row in quad_rows(beta):
         for e in row:
             support |= set(factorize(e.a.denominator))
             support |= set(factorize(e.b.denominator))

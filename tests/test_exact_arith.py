@@ -8,21 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 from eiskling.exact_arith import (
     CycNumber,
     HermitianMatrix,
-    QuadFieldElem,
     count_hermitian,
     cyclotomic_poly,
     enumerate_hermitian,
     euler_phi,
-    quad_to_cyc,
     sqrt_minus_d,
     valuation,
 )
 from eiskling.errors import ResourceBoundError
 
-from oracles import (cyc_fractions, cyc_galois, cyc_inverse, cyc_lift,
-                     cyc_mul, enumerate_hermitian_oracle,
-                     hermitian_candidates_oracle, psd_by_eigenvalues,
-                     psd_by_principal_minors, quad_det_laplace)
+from oracles import (QuadFieldElem, cyc_fractions, cyc_galois, cyc_inverse,
+                     cyc_lift, cyc_mul, enumerate_hermitian_oracle,
+                     hermitian_candidates_oracle, hermitian_of,
+                     psd_by_eigenvalues, psd_by_principal_minors, quad_minor,
+                     quad_rows)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 levels = st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15])
@@ -171,12 +170,6 @@ def test_sqrt_minus_d(D):
     assert v.complex_value().imag > 0
 
 
-def test_quad_to_cyc():
-    x = QuadFieldElem(Fraction(2), Fraction(3), 1)
-    c = quad_to_cyc(x)
-    assert c == CycNumber.from_rational(2) + 3 * sqrt_minus_d(1)
-
-
 def test_descend_lift_roundtrip():
     x = CycNumber.root_of_unity(5) + 1
     y = x.lift(15)
@@ -197,11 +190,14 @@ def test_valuation():
 
 
 def test_hermitian_det_and_minors():
-    b = _mat(1, [[Fraction(2), QuadFieldElem(Fraction(1), Fraction(1), 1)],
-                 [QuadFieldElem(Fraction(1), Fraction(-1), 1), Fraction(3)]])
+    b = _mat(1, [[Fraction(2), (1, 1)], [(1, -1), Fraction(3)]])
     # det = 2*3 - (1+i)(1-i) = 6 - 2 = 4
     assert b.det() == Fraction(4)
-    assert b.minor([0], [0]).a == Fraction(2)
+    assert b.int_minor([0], [0]) == (2, 0, 1)
+    # the off-diagonal 1 x 1 block (1 + i) and the 2 x 2 minor over den^2
+    assert b.int_minor([0], [1]) == (1, 1, 1)
+    half = _mat(1, [[1, (Fraction(1, 2), 1)], [(Fraction(1, 2), -1), 2]])
+    assert half.int_minor([0, 1], [0, 1]) == (3, 0, 4)
     assert b.is_positive_definite()
 
 
@@ -214,6 +210,8 @@ def test_hermitian_validation():
         _mat(1, [[1, 2], [3]])
     half = _mat(1, [[1, (Fraction(1, 2), 1)], [(Fraction(1, 2), -1), 2]])
     assert half.det() == Fraction(3, 4)
+    with pytest.raises(TypeError, match="bad matrix entry"):
+        _mat(1, [[1.5]])
 
 
 def test_positive_definite_examples():
@@ -239,7 +237,7 @@ def test_enumeration_dual_scale():
     seen = list(enumerate_hermitian(2, 1, 2, dual_scale=2))
     halves = [b for b in seen
               if any(e.a.denominator == 2 or e.b.denominator == 2
-                     for row in b.entries for e in row)]
+                     for row in quad_rows(b) for e in row)]
     assert halves, "dual lattice entries with denominator 2 expected"
     for b in seen:
         assert b.is_positive_semidefinite()
@@ -286,7 +284,13 @@ def hermitian_matrices(draw, max_n=4):
             for j in range(i + 1, n):
                 rows[i][j] = _quad(draw, D)
                 rows[j][i] = rows[i][j].conj()
-    return HermitianMatrix(D, rows)
+    return hermitian_of(D, rows)
+
+
+def _minor(beta, rows, cols):
+    """The int_minor of beta as a QuadFieldElem."""
+    A, B, d = beta.int_minor(rows, cols)
+    return QuadFieldElem(Fraction(A, d), Fraction(B, d), beta.D)
 
 
 @given(hermitian_matrices(), st.data())
@@ -296,25 +300,25 @@ def test_hermitian_minors_match_laplace_oracle(beta, data):
     k = data.draw(st.integers(1, n))
     rows = data.draw(st.permutations(range(n)))[:k]
     cols = data.draw(st.permutations(range(n)))[:k]
-    assert beta.minor(rows, cols) == quad_det_laplace(beta.submatrix(rows, cols))
-    expect = [quad_det_laplace(beta.submatrix(range(j), range(j))).a
-              for j in range(1, n + 1)]
-    assert beta.leading_minors() == expect
-    assert beta.det() == expect[-1]
+    assert _minor(beta, rows, cols) == quad_minor(beta, rows, cols)
+    for j in range(1, n + 1):
+        assert _minor(beta, range(j), range(j)) == quad_minor(beta, range(j),
+                                                              range(j))
+    assert beta.det() == quad_minor(beta, range(n), range(n)).a
     assert beta.is_positive_semidefinite() == psd_by_principal_minors(beta)
 
 
 @given(hermitian_matrices(max_n=3))
 @settings(max_examples=40, deadline=None)
 def test_minor_cache_is_invisible(beta):
-    twin = HermitianMatrix(beta.D, beta.entries)
+    twin = hermitian_of(beta.D, quad_rows(beta))
     everything = list(range(beta.n))
-    first = beta.minor(everything, everything)
-    assert beta.minor(range(beta.n), range(beta.n)) == first
-    assert beta.minor(everything, everything) == first
+    first = beta.int_minor(everything, everything)
+    assert beta.int_minor(range(beta.n), range(beta.n)) == first
+    assert beta.int_minor(everything, everything) == first
     beta.is_positive_semidefinite()
     assert twin == beta and hash(twin) == hash(beta)
-    assert twin.minor(everything, everything) == first
+    assert twin.int_minor(everything, everything) == first
 
 
 @pytest.mark.parametrize("n, D, trace, scale", [(3, 1, 3, 1), (3, 3, 3, 2),
@@ -327,8 +331,7 @@ def test_enumeration_hands_screened_minors_to_the_memo(n, D, trace, scale):
         for size in range(3, n + 1):
             for idx in itertools.combinations(range(n), size):
                 assert (idx, idx) in beta._memo
-                assert beta.minor(idx, idx) == quad_det_laplace(
-                    beta.submatrix(idx, idx))
+                assert _minor(beta, idx, idx) == quad_minor(beta, idx, idx)
 
 
 def _drain(gen):

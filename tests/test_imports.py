@@ -4,8 +4,9 @@ the package is used by the package.
 The checks read the sources with the standard-library ast module: a name
 bound by an import is used when it appears as a name anywhere in the file
 (package __init__.py files import to re-export and are exempt), and a
-module-level function of src/eiskling whose name starts with "_" is used
-when some file of src/ names it outside the function's own definition.
+module-level function or class method of src/eiskling whose name starts
+with "_" (and does not end with "__") is used when some file of src/ names
+it outside the function's own definition.
 """
 
 import ast
@@ -53,15 +54,19 @@ def test_no_unused_imports(path):
 
 
 def orphaned_helpers(sources):
-    """The module-level functions named "_..." that no source in sources,
-    a dict of path -> text, names outside their own definition, as sorted
-    (path, name) pairs."""
+    """The module-level functions and the methods of module-level classes
+    named "_..." that no source in sources, a dict of path -> text, names
+    outside their own definition, as sorted (path, name) pairs."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     helpers = {}  # name -> [(path, ids of the nodes of its definition)]
     for path, tree in trees.items():
+        defs = list(tree.body)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs.extend(node.body)
+        for node in defs:
             if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+                    and not node.name.endswith("__")):
                 helpers.setdefault(node.name, []).append(
                     (path, {id(n) for n in ast.walk(node)}))
     used = set()
@@ -83,10 +88,16 @@ def orphaned_helpers(sources):
 def test_checker_finds_orphaned_helpers():
     sources = {"a.py": ("def _kept(x):\n    return x\n"
                         "def _self_only(n):\n    return _self_only(n - 1)\n"
-                        "def _lost():\n    pass\n"),
+                        "def _lost():\n    pass\n"
+                        "class C:\n"
+                        "    def __init__(self):\n        self._used()\n"
+                        "    def _used(self):\n        pass\n"
+                        "    @staticmethod\n"
+                        "    def _unused():\n        pass\n"),
                "b.py": "import a\nprint(a._kept(1))\n"}
     assert orphaned_helpers(sources) == [("a.py", "_lost"),
-                                         ("a.py", "_self_only")]
+                                         ("a.py", "_self_only"),
+                                         ("a.py", "_unused")]
 
 
 def test_no_orphaned_private_helpers():

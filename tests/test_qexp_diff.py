@@ -3,50 +3,37 @@ from fractions import Fraction
 
 import pytest
 
-from eiskling.exact_arith import HermitianMatrix, QuadFieldElem
+from eiskling.exact_arith import HermitianMatrix, sqrt_minus_d
 from eiskling.values import ExactValue
 from eiskling.qexp_diff import (
-    QExpansion,
-    apply_to_expansion,
     multiplier_klingen,
     multiplier_lfun,
+    times_multiplier,
 )
 
-from oracles import quad_det_laplace
+from oracles import QuadFieldElem, hermitian_of, quad_minor, quad_rows
 
 
-def random_hermitian(rng, n, D=1, span=3):
+def random_hermitian(rng, n, D=1, span=3, scale=1):
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = Fraction(rng.randint(-span, span))
+        rows[i][i] = Fraction(rng.randint(-span, span), scale)
         for j in range(i + 1, n):
-            a = Fraction(rng.randint(-span, span))
-            b = Fraction(rng.randint(-span, span))
-            rows[i][j] = QuadFieldElem(a, b, D)
-            rows[j][i] = QuadFieldElem(a, -b, D)
+            a = Fraction(rng.randint(-span, span), scale)
+            b = Fraction(rng.randint(-span, span), scale)
+            rows[i][j] = (a, b)
+            rows[j][i] = (a, -b)
     return HermitianMatrix(D, rows)
 
 
-def direct_minor(beta, rows, cols):
-    return quad_det_laplace([[beta.entry(i, j) for j in cols] for i in rows])
-
-
-def direct_klingen(beta, a):
+def direct(beta, a, row_offset):
+    """The minor monomial as a QuadFieldElem, each minor by Laplace
+    expansion."""
     acc = QuadFieldElem(Fraction(1), Fraction(0), beta.D)
     padded = tuple(a) + (0,)
     for k in range(1, len(padded)):
         e = padded[k - 1] - padded[k]
-        m = direct_minor(beta, range(1, k + 1), range(k))
-        acc = acc * m ** e
-    return acc
-
-
-def direct_lfun(beta, a):
-    acc = QuadFieldElem(Fraction(1), Fraction(0), beta.D)
-    padded = tuple(a) + (0,)
-    for k in range(1, len(padded)):
-        e = padded[k - 1] - padded[k]
-        m = direct_minor(beta, range(k), range(k))
+        m = quad_minor(beta, range(row_offset, row_offset + k), range(k))
         acc = acc * m ** e
     return acc
 
@@ -65,10 +52,10 @@ def test_multiplier_oracle_500():
         bl = random_hermitian(rng, r)
         mk = multiplier_klingen(bk, a)
         ml = multiplier_lfun(bl, a)
-        dk = direct_klingen(bk, a)
-        dl = direct_lfun(bl, a)
-        assert (mk - dk).is_zero()
-        assert (ml - dl).is_zero()
+        dk = direct(bk, a, 1).cyc()
+        dl = direct(bl, a, 0).cyc()
+        assert mk == dk
+        assert ml == dl
 
 
 def test_weight_additivity_200():
@@ -88,10 +75,15 @@ def test_weight_additivity_200():
 
 def test_examples():
     b = HermitianMatrix(1, [[Fraction(2)]])
-    assert multiplier_lfun(b, (3,)).a == Fraction(8)
+    assert multiplier_lfun(b, (3,)) == 8
     ident = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
                                 [Fraction(0), Fraction(1)]])
-    assert multiplier_lfun(ident, (2, 1)).a == Fraction(1)
+    assert multiplier_lfun(ident, (2, 1)) == 1
+    # weight zero multiplies every coefficient by one
+    b2 = HermitianMatrix(1, [[1, (2, 3)], [(2, -3), 5]])
+    assert multiplier_klingen(b2, (0,)) == 1
+    v = ExactValue.from_rational(Fraction(3, 7))
+    assert times_multiplier(v, b2, "klingen", (0,)) == v
 
 
 def test_klingen_kills_zero_subdiagonal():
@@ -111,27 +103,37 @@ def test_weight_shape_validation():
         multiplier_klingen(b2, (-1,))
 
 
-def test_apply_to_expansion_zero_weight_is_identity():
-    rng = random.Random(3)
-    entries = [(random_hermitian(rng, 2), ExactValue.from_rational(k + 1))
-               for k in range(4)]
-    e = QExpansion(2, entries)
-    out = apply_to_expansion(e, "klingen", (0,))
-    for (b1, v1), (b2, v2) in zip(e.entries, out.entries):
-        assert b1 == b2 and v1 == v2
+# sqrt_minus_d(D) lies in Q(zeta_level) with these levels
+ROOT_LEVELS = {1: 4, 2: 8, 3: 3, 5: 20, 6: 24, 7: 7}
 
 
-def test_apply_to_expansion_composes():
-    rng = random.Random(5)
-    entries = [(random_hermitian(rng, 2), ExactValue.from_rational(1))
-               for _ in range(5)]
-    e = QExpansion(2, entries)
-    one_then_two = apply_to_expansion(apply_to_expansion(e, "klingen", (1,)),
-                                      "klingen", (2,))
-    three = apply_to_expansion(e, "klingen", (3,))
-    for (b1, v1), (b2, v2) in zip(one_then_two.entries, three.entries):
-        assert b1 == b2
-        assert v1 == v2 or (v1.is_zero() and v2.is_zero())
+@pytest.mark.parametrize("D", sorted(ROOT_LEVELS))
+def test_multiplier_matches_oracle_at_each_level(D):
+    """Each multiplier is the CycNumber the oracle's a + b*sqrt(-D) embeds
+    to, with the same level, coefficients and denominator, over fields whose
+    square roots of -D lie at different levels; a multiplier vanishing on a
+    zero subdiagonal is zero at that level too."""
+    level = ROOT_LEVELS[D]
+    assert sqrt_minus_d(D).level == level
+    rng = random.Random(D)
+    for _ in range(40):
+        r = rng.randint(1, 3)
+        a = random_weight(rng, r)
+        scale = rng.randint(1, 3)
+        for n, offset, mul in ((r + 1, 1, multiplier_klingen),
+                               (r, 0, multiplier_lfun)):
+            beta = random_hermitian(rng, n, D, scale=scale)
+            got = mul(beta, a)
+            want = direct(beta, a, offset).cyc()
+            assert want.level == level
+            assert (got.level, got.nums, got.den) == (want.level, want.nums,
+                                                      want.den)
+    rows = [[(2, 0), (0, 0)], [(0, 0), (3, 0)]]
+    zero = multiplier_klingen(HermitianMatrix(D, rows), (1,))
+    assert zero.is_zero() and zero.level == level
+    one = ExactValue.from_rational(1)
+    assert times_multiplier(one, HermitianMatrix(D, rows), "klingen",
+                            (1,)).is_zero()
 
 
 def test_lfun_invariant_under_unipotent_conjugation():
@@ -149,11 +151,12 @@ def test_lfun_invariant_under_unipotent_conjugation():
             for j in range(i):
                 u[i][j] = QuadFieldElem(Fraction(rng.randint(-2, 2)),
                                         Fraction(rng.randint(-2, 2)), 1)
-        ub = [[sum((u[i][k] * beta.entry(k, j) for k in range(r)),
+        ent = quad_rows(beta)
+        ub = [[sum((u[i][k] * ent[k][j] for k in range(r)),
                    QuadFieldElem(Fraction(0), Fraction(0), 1))
                for j in range(r)] for i in range(r)]
         ubu = [[sum((ub[i][k] * u[j][k].conj() for k in range(r)),
                     QuadFieldElem(Fraction(0), Fraction(0), 1))
                 for j in range(r)] for i in range(r)]
-        conj = HermitianMatrix(1, ubu)
+        conj = hermitian_of(1, ubu)
         assert (multiplier_lfun(beta, a) - multiplier_lfun(conj, a)).is_zero()

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import (CycNumber, HermitianMatrix, QuadFieldElem,
-                                  enumerate_hermitian)
+from eiskling.exact_arith import CycNumber, HermitianMatrix, enumerate_hermitian
 from eiskling.characters import DirichletChar, SplitPCharPair
 from eiskling.values import ExactValue
 from eiskling.siegel_fourier import (
@@ -23,8 +22,9 @@ from eiskling.siegel_fourier import (
 )
 from eiskling.errors import EisklingError, UnsupportedBetaError
 
-from oracles import (entry_integral_at, index_support, minor_units_mod_p,
-                     rank_one_coeff_p_oracle, report_text)
+from oracles import (entry_integral_at, hermitian_of, index_support,
+                     minor_units_mod_p, quad_rows, rank_one_coeff_p_oracle,
+                     report_text)
 
 
 def make_pair(p, k1, k2):
@@ -48,8 +48,8 @@ def random_integral_hermitian(rng, n, D, span=6):
         for j in range(i + 1, n):
             a = Fraction(rng.randint(-span, span))
             b = Fraction(rng.randint(-span, span))
-            rows[i][j] = QuadFieldElem(a, b, D)
-            rows[j][i] = QuadFieldElem(a, -b, D)
+            rows[i][j] = (a, b)
+            rows[j][i] = (a, -b)
     return HermitianMatrix(D, rows)
 
 
@@ -257,7 +257,7 @@ def test_index_memo_is_invisible(beta, data):
     a fresh copy of it gives under each, and its integrality and support
     read from the common denominator agree with the entry-by-entry loop."""
     for datum in data.draw(st.lists(datums(beta.n), min_size=2, max_size=5)):
-        fresh = HermitianMatrix(beta.D, beta.entries)
+        fresh = hermitian_of(beta.D, quad_rows(beta))
         assert coefficient_json(beta, datum) == coefficient_json(fresh, datum)
     assert _support(beta) == index_support(beta)
     for q in (2, 3, 5, 7, 13):
