@@ -1,40 +1,39 @@
 """A p-adic family of Eisenstein coefficients and its congruences.
 
-The family is seeded by a pair of tame characters at a split prime p.  Each
-arithmetic point (a weight, a Teichmuller twist, optionally wild roots of
-unity) specializes the seed to an exact character pair, and the normalized
-Fourier coefficients at different points of the same residue class are
-congruent mod p -- the footprint of the underlying bounded measure.
+The family is its SiegelDatum: the datum's pair of tame characters at a
+split prime p is the seed.  Each arithmetic point (a weight, a Teichmuller
+twist, optionally wild roots of unity) specializes the datum to the datum at
+that point, with an exact character pair, and the normalized Fourier
+coefficients at different points of the same residue class are congruent
+mod p -- the footprint of the underlying bounded measure.
 """
 
-from eiskling import (ArithmeticPoint, CharFamilySpec, CycNumber,
-                      DirichletChar, SiegelDatum, check_congruences,
-                      coefficient_family, enumerate_hermitian, specialize)
+from eiskling import (ArithmeticPoint, CycNumber, DirichletChar, SiegelDatum,
+                      SplitPCharPair, check_congruences, coefficient_family,
+                      enumerate_hermitian, specialize)
 
 p = 5
-fam = CharFamilySpec(p=p, r=1,
-                     tau1=DirichletChar.from_exponent(p, 1),
-                     tau2=DirichletChar.from_exponent(p, 2),
-                     at_p1=CycNumber.root_of_unity(4, 1),
-                     at_p2=CycNumber.root_of_unity(4, 3),
-                     a=(0,))
+seed = SplitPCharPair(DirichletChar.from_exponent(p, 1),
+                      DirichletChar.from_exponent(p, 2),
+                      at_p1=CycNumber.root_of_unity(4, 1),
+                      at_p2=CycNumber.root_of_unity(4, 3))
+datum = SiegelDatum(n=2, kappa=6, pair=seed, p=p, D=1,
+                    sigma=(2, p), ell=7, variant="klingen")
+a = (0,)  # the base weight of the definite group U(1, 0)
 
 # Four points in the same residue class: twists m = 0, 4, 8, 12 differ by
 # multiples of p - 1, so the specialized characters agree mod p.
 points = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8, 12)]
 for pt in points:
-    s = specialize(pt, fam)
+    at, weight = specialize(pt, datum, a)
     print(pt.label(), "-> conductors",
-          (s.pair.tau1.conductor(), s.pair.tau2.conductor()),
-          "weight", s.weight)
+          (at.pair.tau1.conductor(), at.pair.tau2.conductor()),
+          "weight", weight)
 
-pair0 = specialize(points[0], fam).pair
-datum = SiegelDatum(n=2, kappa=6, pair=pair0, p=p, D=1,
-                    sigma=(2, p), ell=7, variant="klingen")
 betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
 print("\nindices of trace <= 3 (nondegenerate):", len(betas))
 
-table = coefficient_family(fam, points, betas, datum)
+table = coefficient_family(datum, a, points, betas)
 nonzero = sum(1 for c in table.cells.values()
               if c.report is not None and not c.report.normalized.is_zero())
 print("cells computed:", len(table.cells), "| nonzero:", nonzero)
@@ -48,7 +47,7 @@ print("congruence records:", len(rep["records"]),
 # A deliberate counterexample: m = 1 is in a different residue class, and the
 # congruence detector notices.
 bad = [points[0], ArithmeticPoint(6, 1, flag="X")]
-bad_table = coefficient_family(fam, bad, betas, datum)
+bad_table = coefficient_family(datum, a, bad, betas)
 bad_rep = check_congruences(bad_table, [(0, 1, 1)])
 print("\nm=0 vs m=1:",
       sum(1 for r in bad_rep["records"] if r["status"] == "FAIL"),

@@ -44,7 +44,6 @@ from .bernoulli_kl import (
 )
 from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (
-    SatakeParams,
     klingen_ratio_unramified,
     p_constant_lfun,
     p_constant_klingen,
@@ -66,7 +65,6 @@ from .siegel_fourier import (
 )
 from .interpolation import (
     ArithmeticPoint,
-    CharFamilySpec,
     specialize,
     coefficient_family,
     check_congruences,

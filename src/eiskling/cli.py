@@ -19,48 +19,17 @@ from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .values import ExactValue
 from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
-from .pullback import (SatakeParams, p_constant_klingen, p_constant_lfun,
+from .pullback import (p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
 from .padic import PadicElem, UnramElem, congruent_mod
 from .siegel_fourier import SiegelDatum, assemble_global, index_size
-from .interpolation import (ArithmeticPoint, CharFamilySpec,
-                            coefficient_family, check_congruences)
+from .interpolation import (ArithmeticPoint, coefficient_family,
+                            check_congruences)
 
 SCHEMA = 1
 
 # the exact types the writer takes from their own json_text()
 _EXACT = (HermitianMatrix, ExactValue, CycNumber)
-
-_KEYS = {
-    # key: (parser name, default or None when required by the command)
-    "D": ("int", 1),
-    "p": ("int", None),
-    "r": ("int", 1),
-    "ell": ("int", None),
-    "a": ("int_list", ()),
-    "kappa": ("int", None),
-    "tau1": ("char", None),
-    "tau2": ("char", None),
-    "chi": ("char", DirichletChar.trivial()),
-    "at_p1": ("cyc", CycNumber.one()),
-    "at_p2": ("cyc", CycNumber.one()),
-    "trace_bound": ("int", 2),
-    "dual_scale": ("int", 1),
-    "prec": ("int", 12),
-    "embedding_choice": ("int", 0),
-    "sigma": ("int_list", ()),
-    "variant": ("str", "klingen"),
-    "y_norm": ("fraction", Fraction(1)),
-    "vol_Y": ("fraction", Fraction(1)),
-    "points": ("points", ()),
-    "pairs": ("pairs", ()),
-    "k_min": ("int", 1),
-    "k_max": ("int", 10),
-    "q": ("int", None),
-    "satake": ("cyc_list", ()),
-    "s": ("fraction", None),
-}
-
 
 def parse_char(text):
     """Character specs: 'trivial', 'trivial:m', 'quadratic:q',
@@ -118,35 +87,49 @@ def parse_point(text):
         raise ConfigError("bad point spec %r: %s" % (text, exc))
 
 
-def _parse_value(kind, text):
-    text = text.strip()
-    if kind == "int":
-        return int(text)
-    if kind == "str":
-        return text
-    if kind == "fraction":
-        return Fraction(text)
-    if kind == "int_list":
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    if kind == "char":
-        return parse_char(text)
-    if kind == "cyc":
-        return parse_cyc(text)
-    if kind == "cyc_list":
-        return tuple(parse_cyc(x) for x in text.split(",") if x.strip())
-    if kind == "points":
-        return tuple(parse_point(x) for x in text.split(";") if x.strip())
-    if kind == "pairs":
-        out = []
-        for item in text.split(";"):
-            if not item.strip():
-                continue
-            nums = [int(x) for x in item.split(",")]
-            if len(nums) != 3:
-                raise ConfigError("pair spec needs i,j,k: %r" % item)
-            out.append(tuple(nums))
-        return tuple(out)
-    raise ConfigError("unhandled kind %r" % kind)
+def parse_pair(text):
+    """Congruence pair specs: 'i,j,k' for the points i, j mod p^k."""
+    nums = [int(x) for x in text.split(",")]
+    if len(nums) != 3:
+        raise ConfigError("pair spec needs i,j,k: %r" % text)
+    return tuple(nums)
+
+
+def _list(parse, sep):
+    """The parser of a sep-separated list of parse's specs; empty items
+    are skipped."""
+    return lambda text: tuple(parse(x) for x in text.split(sep) if x.strip())
+
+
+_KEYS = {
+    # key: (parser of its value, default or None when required by the command)
+    "D": (int, 1),
+    "p": (int, None),
+    "r": (int, 1),
+    "ell": (int, None),
+    "a": (_list(int, ","), ()),
+    "kappa": (int, None),
+    "tau1": (parse_char, None),
+    "tau2": (parse_char, None),
+    "chi": (parse_char, DirichletChar.trivial()),
+    "at_p1": (parse_cyc, CycNumber.one()),
+    "at_p2": (parse_cyc, CycNumber.one()),
+    "trace_bound": (int, 2),
+    "dual_scale": (int, 1),
+    "prec": (int, 12),
+    "embedding_choice": (int, 0),
+    "sigma": (_list(int, ","), ()),
+    "variant": (str, "klingen"),
+    "y_norm": (Fraction, Fraction(1)),
+    "vol_Y": (Fraction, Fraction(1)),
+    "points": (_list(parse_point, ";"), ()),
+    "pairs": (_list(parse_pair, ";"), ()),
+    "k_min": (int, 1),
+    "k_max": (int, 10),
+    "q": (int, None),
+    "satake": (_list(parse_cyc, ","), ()),
+    "s": (Fraction, None),
+}
 
 
 def load_config(path):
@@ -172,10 +155,10 @@ def load_config(path):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     raw = {key: value for key, value in raw.items() if value}
     cfg = {}
-    for key, (kind, default) in _KEYS.items():
+    for key, (parse, default) in _KEYS.items():
         if key in raw:
             try:
-                cfg[key] = _parse_value(kind, raw[key])
+                cfg[key] = parse(raw[key])
             except (ConfigError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("key %r: %s" % (key, exc))
         else:
@@ -297,6 +280,15 @@ def _rank(cfg):
     return cfg["r"]
 
 
+def _sigma(cfg):
+    """The places of sigma; each must be a prime."""
+    for q in cfg["sigma"]:
+        if not is_prime(q):
+            raise ConfigError("key 'sigma': entries must be primes, got %d"
+                              % q)
+    return cfg["sigma"]
+
+
 def _build_datum(cfg):
     _require(cfg, "ell")
     ell = cfg["ell"]
@@ -308,7 +300,7 @@ def _build_datum(cfg):
         raise ConfigError("key 'vol_Y': must be positive")
     n = index_size(_rank(cfg), cfg["variant"])
     return SiegelDatum(n=n, kappa=cfg["kappa"], pair=_build_pair(cfg),
-                       p=cfg["p"], D=cfg["D"], sigma=tuple(cfg["sigma"]),
+                       p=cfg["p"], D=cfg["D"], sigma=_sigma(cfg),
                        ell=ell, y_norm=cfg["y_norm"], vol_Y=cfg["vol_Y"],
                        embedding_choice=cfg["embedding_choice"],
                        prec=cfg["prec"], variant=cfg["variant"])
@@ -367,16 +359,14 @@ def cmd_family(cfg, args):
     _require(cfg, "kappa", "tau1", "tau2")
     if not cfg["points"]:
         raise ConfigError("key 'points': at least one arithmetic point needed")
-    fam = CharFamilySpec(p=cfg["p"], r=_rank(cfg), tau1=cfg["tau1"],
-                         tau2=cfg["tau2"], at_p1=cfg["at_p1"],
-                         at_p2=cfg["at_p2"], a=_base_weight(cfg))
+    a = _base_weight(cfg)
     datum = _build_datum(cfg)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
     if not betas:
         # congruences over no index would certify nothing
         raise ConfigError("key 'trace_bound': no nonsingular index has "
                           "trace at most %d" % cfg["trace_bound"])
-    table = coefficient_family(fam, list(cfg["points"]), betas, datum)
+    table = coefficient_family(datum, a, list(cfg["points"]), betas)
     report = {"command": "family", "table": table.to_json()}
     if cfg["pairs"]:
         report["congruences"] = check_congruences(
@@ -391,11 +381,12 @@ def cmd_kl(cfg, args):
     chi = cfg["chi"]
     if cfg["k_min"] < 1:
         raise ConfigError("key 'k_min': must be at least 1")
+    sigma = _sigma(cfg)
     ks = list(range(cfg["k_min"], cfg["k_max"] + 1))
     values = {}
     for k in ks:
         try:
-            values[k] = kl_specialization(chi, k, p, sigma=cfg["sigma"],
+            values[k] = kl_specialization(chi, k, p, sigma=sigma,
                                           prec=cfg["prec"],
                                           choice=cfg["embedding_choice"])
         except EisklingError:
@@ -464,9 +455,9 @@ def cmd_pullback(cfg, args):
                           "differs from p")
     kappa = cfg["kappa"]
     pair = _build_pair(cfg)
-    params = SatakeParams(_satake(cfg))
-    ckl = p_constant_klingen(params, pair, kappa, params.r, p)
-    clf = p_constant_lfun(params, pair, kappa, params.r, p)
+    alphas = _satake(cfg)
+    ckl = p_constant_klingen(alphas, pair, kappa, p)
+    clf = p_constant_lfun(alphas, pair, kappa, p)
     out = {"command": "pullback",
            "p_constant_klingen": ckl,
            "p_constant_lfun": clf,
@@ -475,7 +466,7 @@ def cmd_pullback(cfg, args):
         tv = pair.at_p1
         tvbar = pair.at_p2
         out["unramified_ratio"] = klingen_ratio_unramified(
-            params, (tv, tvbar), q, cfg["s"],
+            alphas, (tv, tvbar), q, cfg["s"],
             variant=cfg["variant"])
     return out
 
@@ -533,7 +524,7 @@ def main(argv=None):
         if args.config:
             cfg = load_config(args.config)
         elif args.command == "selftest":
-            cfg = {k: d for k, (kind, d) in _KEYS.items()}
+            cfg = {k: d for k, (_, d) in _KEYS.items()}
             cfg["_raw"] = {}
         else:
             raise ConfigError("--config is required for %r" % args.command)

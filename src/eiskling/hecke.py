@@ -59,7 +59,7 @@ def up_eigenvalues(chis, w):
     unit = CycNumber.one()
     exp = Fraction(0)
     for chi_val, kap in zip(chis, kappas):
-        unit = unit * _as_cyc(chi_val).inverse()
+        unit = unit * chi_val.inverse()
         exp = exp + kap
         out.append((unit, exp))
     return out
@@ -86,9 +86,3 @@ def _check_distinct(pairs):
         for j in range(i + 1, len(pairs)):
             if pairs[i][1] == pairs[j][1] and pairs[i][0] == pairs[j][0]:
                 raise UniquenessError("eigenvalues %d and %d coincide" % (i, j))
-
-
-def _as_cyc(x):
-    if isinstance(x, CycNumber):
-        return x
-    return CycNumber.from_rational(x)

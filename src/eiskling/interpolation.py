@@ -45,30 +45,6 @@ class ArithmeticPoint:
         return "kappa=%d,m=%d" % (self.kappa_phi, self.m_phi)
 
 
-@dataclass
-class CharFamilySpec:
-    """The finite-order seed of the family: tame characters tau1, tau2 mod p
-    with their values at the two uniformizers above p, the rank r, and the
-    base weight a of the definite group.  The companion character of the
-    doubled group is determined by this data (its conjugate-inverse shifted
-    by (r-1)/2) and is never stored separately."""
-
-    p: int
-    r: int
-    tau1: DirichletChar
-    tau2: DirichletChar
-    at_p1: CycNumber = field(default_factory=CycNumber.one)
-    at_p2: CycNumber = field(default_factory=CycNumber.one)
-    a: tuple = ()
-
-    def __post_init__(self):
-        self.a = tuple(int(x) for x in self.a)
-        if len(self.a) != self.r:
-            raise ValueError("base weight must have length r")
-        if any(self.a[i] < self.a[i + 1] for i in range(self.r - 1)):
-            raise ValueError("base weight must be nonincreasing")
-
-
 def _p_power_order(zeta, p):
     """Order of a root of unity, checked to be a power of p."""
     if zeta == CycNumber.one():
@@ -102,47 +78,39 @@ def wild_char(p, zeta):
     raise ConfigError("no character matches the requested generator value")
 
 
-@dataclass
-class SpecializedPoint:
-    """Exact specialized data at an arithmetic point: the split-p character
-    pair, the finite part of the auxiliary self-dual twist, the specialized
-    weight vector, and the algebraic infinity-type exponents."""
+def specialize(point, datum, a):
+    """The datum at an arithmetic point, and the point's weight.
 
-    pair: SplitPCharPair
-    psi_finite: DirichletChar
-    weight: tuple
-    kappa_phi: int
-    m_phi: int
-
-
-def specialize(point, fam):
-    """Specialize the character family at an arithmetic point.
-
-    The twist m_phi moves the two components by opposite powers of the
-    Teichmuller character (so their product is constant along that
-    direction); zeta1 twists the second component by a wild character (moving
-    the product); zeta2 enters only through the self-dual twist, which at the
-    split prime multiplies the two components by a wild character and its
-    inverse.  The specialized weight is (a_1 + m_phi, ..., a_r + m_phi).
+    The family's seed is datum.pair: tame characters tau1, tau2 mod p with
+    their values at the two uniformizers above p (the companion character of
+    the doubled group is determined by it and never stored); a is the base
+    weight of the definite group.  The twist m_phi moves the two components by
+    opposite powers of the Teichmuller character (so their product is constant
+    along that direction); zeta1 twists the second component by a wild
+    character (moving the product); zeta2 enters only through the self-dual
+    twist, which at the split prime multiplies the two components by a wild
+    character and its inverse.  The specialized weight is
+    (a_1 + m_phi, ..., a_r + m_phi).
     """
-    p = fam.p
+    p = datum.p
+    seed = datum.pair
     omega = DirichletChar.teichmuller_char(p, 1)
     w1 = wild_char(p, point.zeta1)
     w2 = wild_char(p, point.zeta2)
-    tau1 = fam.tau1 * omega ** point.m_phi * w2
-    tau2 = fam.tau2 * omega ** (-point.m_phi) * w1 * w2.conj()
-    pair = SplitPCharPair(tau1, tau2, at_p1=fam.at_p1, at_p2=fam.at_p2)
+    tau1 = seed.tau1 * omega ** point.m_phi * w2
+    tau2 = seed.tau2 * omega ** (-point.m_phi) * w1 * w2.conj()
+    pair = SplitPCharPair(tau1, tau2, at_p1=seed.at_p1, at_p2=seed.at_p2)
     if point.flag == "Xpb":
-        if point.kappa_phi <= fam.r + 1:
+        if point.kappa_phi <= datum.r + 1:
             raise ConductorError("pullback point needs kappa_phi > r + 1")
         if not pair.conductors_all_p(p):
             raise ConductorError(
                 "pullback point needs tau1, tau2, tau1*tau2 of conductor p")
-    weight = tuple(x + point.m_phi for x in fam.a)
+    weight = tuple(x + point.m_phi for x in a)
     if weight and weight[-1] < 0:
         raise ConfigError("specialized weight %s has a negative entry"
                           % (weight,))
-    return SpecializedPoint(pair, w2, weight, point.kappa_phi, point.m_phi)
+    return replace(datum, kappa=point.kappa_phi, pair=pair), weight
 
 
 @dataclass
@@ -163,7 +131,7 @@ class FamilyCell:
 
 @dataclass
 class FamilyTable:
-    fam: CharFamilySpec
+    p: int
     points: list
     betas: list
     cells: dict  # (point_index, beta_index) -> FamilyCell
@@ -195,23 +163,23 @@ def _compute_cell(i, j, beta, datum, weight):
         return FamilyCell(i, j, error="%s: %s" % (type(exc).__name__, exc))
 
 
-def coefficient_family(fam, points, betas, datum_template):
+def coefficient_family(datum, a, points, betas):
     """Compute the full matrix of normalized coefficients: one row per
-    arithmetic point (specialized datum), one column per hermitian index,
-    with the weight multiplier of the point applied.  Rejected points and
-    failed cells become error records; the family continues past them."""
+    arithmetic point (the datum specialized there, base weight a), one
+    column per hermitian index, with the weight multiplier of the point
+    applied.  Rejected points and failed cells become error records; the
+    family continues past them."""
     cells = {}
     point_errors = {}
     for i, pt in enumerate(points):
         try:
-            spec = specialize(pt, fam)
-            datum = replace(datum_template, kappa=pt.kappa_phi, pair=spec.pair)
+            at, weight = specialize(pt, datum, a)
         except EisklingError as exc:
             point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
             continue
         for j, beta in enumerate(betas):
-            cells[(i, j)] = _compute_cell(i, j, beta, datum, spec.weight)
-    return FamilyTable(fam, list(points), list(betas), cells, point_errors)
+            cells[(i, j)] = _compute_cell(i, j, beta, at, weight)
+    return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
 
 
 @dataclass(frozen=True)
@@ -295,7 +263,7 @@ def check_congruences(table, pairs, prec=12, choice=0):
     index beta the two cell values must agree mod p^k after embedding.
     Returns a report with one record per (pair, beta); failures carry the
     full detail string."""
-    p = table.fam.p
+    p = table.p
     read = {i for i1, i2, _ in pairs for i in (i1, i2)}
     forms = {key: padic_cell(cell.report.normalized, p)
              for key, cell in table.cells.items()

@@ -1,7 +1,6 @@
 """Pullback constants: unramified ratios and the p-place constants appearing
 in the Klingen and L-function normalizations."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConductorError, ConfigError, NonIntegralExponentError,
@@ -11,22 +10,6 @@ from .siegel_fourier import index_size
 from .values import ExactValue
 
 
-@dataclass
-class SatakeParams:
-    """Satake parameters chi_1(q), ..., chi_r(q) at a split place, as exact
-    cyclotomic units."""
-
-    alphas: tuple
-
-    def __post_init__(self):
-        self.alphas = tuple(a if isinstance(a, CycNumber)
-                            else CycNumber.from_rational(a) for a in self.alphas)
-
-    @property
-    def r(self):
-        return len(self.alphas)
-
-
 def _one_minus_inv(term, side, q):
     dif = CycNumber.one() - term
     if dif.is_zero():
@@ -34,17 +17,18 @@ def _one_minus_inv(term, side, q):
     return dif
 
 
-def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
+def klingen_ratio_unramified(alphas, tau_data, q, s, variant="klingen"):
     """Exact value of the unramified-section ratio at a split prime q:
     a degree-2r L-factor at s + shift over a product of abelian L-factors at
     2s + n - i, with n = index_size(r, variant) and shift = 1 (klingen) or
     1/2 (lfun).
 
+    alphas: the Satake parameters chi_1(q), ..., chi_r(q), as CycNumbers.
     tau_data = (tv, tvbar): values of the character at the two uniformizers
     over q.  All exponents must be integral for exact materialization.
     """
     s = Fraction(s)
-    r = params.r
+    r = len(alphas)
     tv, tvbar = tau_data
     nden = index_size(r, variant)
     shift = Fraction(1) if variant == "klingen" else Fraction(1, 2)
@@ -53,7 +37,7 @@ def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
         raise NonIntegralExponentError("s + shift = %s is not integral" % e_num)
     qs = Fraction(q) ** (-int(e_num))
     num = CycNumber.one()
-    for a in params.alphas:
+    for a in alphas:
         num = num * _one_minus_inv(tv.conj() * a * qs, "numerator", q)
         num = num * _one_minus_inv(tvbar.conj() * a.inverse() * qs, "numerator", q)
     num = num.inverse()
@@ -69,16 +53,18 @@ def klingen_ratio_unramified(params, tau_data, q, s, variant="klingen"):
     return num * den
 
 
-def p_constant_lfun(params, pair, kappa, r, p):
+def p_constant_lfun(alphas, pair, kappa, p):
     """The p-place constant of the L-function normalization:
     p^(kappa r/2 - r(r+1)/2) g(tau1^-1)^r prod (chi_i tau_1)(p)
-    prod (chi_i^-1 tau_2)(p) taubar^c((p^r,1))."""
+    prod (chi_i^-1 tau_2)(p) taubar^c((p^r,1)), for the Satake parameters
+    alphas = (chi_1(p), ..., chi_r(p))."""
+    r = len(alphas)
     if r < 1:
         raise ConfigError("need r >= 1")
     if not pair.conductors_all_p(p):
         raise ConductorError("tau1, tau2 and tau1*tau2 must all have conductor p")
     unit = CycNumber.one()
-    for a in params.alphas:
+    for a in alphas:
         unit = unit * a * pair.at_p1          # (chi_i tau_1)(p)
         unit = unit * a.inverse() * pair.at_p2  # (chi_i^-1 tau_2)(p)
     unit = unit * pair.at_p2 ** (-r)          # taubar^c at (p^r, 1)
@@ -87,10 +73,11 @@ def p_constant_lfun(params, pair, kappa, r, p):
     return out.with_gauss(pair.tau1.conj().primitive_part(), r)
 
 
-def p_constant_klingen(params, pair, kappa, r, p):
+def p_constant_klingen(alphas, pair, kappa, p):
     """The p-place constant of the Klingen normalization: the lfun constant
     times tau'(p^-1) p^(kappa - r) g(taubar')^-1."""
-    out = p_constant_lfun(params, pair, kappa, r, p)
+    r = len(alphas)
+    out = p_constant_lfun(alphas, pair, kappa, p)
     out = out * ExactValue(pair.at_p_prime().inverse())
     out = out.times_prime_power(p, kappa - r)
     return out.with_gauss(pair.tau_prime().conj().primitive_part(), -1)

@@ -12,13 +12,12 @@ from eiskling.characters import DirichletChar, SplitPCharPair, gauss_sum
 from eiskling.bernoulli_kl import bernoulli_number, kl_specialization
 from eiskling.padic import congruent_mod
 from eiskling.hecke import WeightTuple, kappa_set, up_eigenvalues
-from eiskling.pullback import (SatakeParams, p_constant_klingen,
-                               p_constant_lfun)
+from eiskling.pullback import p_constant_klingen, p_constant_lfun
 from eiskling.values import ExactValue
 from eiskling.qexp_diff import multiplier_klingen, multiplier_lfun
 from eiskling.siegel_fourier import SiegelDatum, coeff_p, _sqrt_md_residue
-from eiskling.interpolation import (ArithmeticPoint, CharFamilySpec,
-                                    check_congruences, coefficient_family)
+from eiskling.interpolation import (ArithmeticPoint, check_congruences,
+                                    coefficient_family)
 from eiskling import cli
 
 from oracles import (QuadFieldElem, bernoulli_akiyama_tanigawa,
@@ -246,12 +245,11 @@ def test_criterion_7_pullback_quotient():
             pair = _pair(p, k1, k2)
             alphas = tuple(CycNumber.root_of_unity(8, 2 * i + 1)
                            for i in range(r))
-            params = SatakeParams(alphas)
             want_base = ExactValue(pair.at_p_prime().inverse()).with_gauss(
                 pair.tau_prime().conj().primitive_part(), -1)
             for kappa in range(r + 2, r + 9):
-                ckl = p_constant_klingen(params, pair, kappa, r, p)
-                clf = p_constant_lfun(params, pair, kappa, r, p)
+                ckl = p_constant_klingen(alphas, pair, kappa, p)
+                clf = p_constant_lfun(alphas, pair, kappa, p)
                 want = want_base.times_prime_power(p, kappa - r)
                 if ckl * clf.inverse() != want:
                     fails += 1
@@ -261,15 +259,11 @@ def test_criterion_7_pullback_quotient():
 
 
 def _criterion_8_family():
-    fam = CharFamilySpec(p=5, r=1, tau1=DirichletChar.from_exponent(5, 1),
-                         tau2=DirichletChar.from_exponent(5, 2),
-                         at_p1=CycNumber.root_of_unity(4, 1),
-                         at_p2=CycNumber.root_of_unity(4, 3), a=(0,))
     points = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8, 12)]
     datum = SiegelDatum(n=2, kappa=6, pair=_pair(5, 1, 2), p=5, D=1,
                         sigma=(2, 5), ell=7, variant="klingen")
     betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
-    table = coefficient_family(fam, points, betas, datum)
+    table = coefficient_family(datum, (0,), points, betas)
     pairs = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
     return table, pairs, betas
 

@@ -320,6 +320,11 @@ def edited(**keys):
      "key 'kappa': invalid literal for int() with base 10: '6,8'"),
     ("coeff", {"at_p2": "0"}, "key 'at_p2': must be nonzero"),
     ("hecke", {"satake": "0"}, "key 'satake': values must be nonzero"),
+] + [
+    (command, {"sigma": sigma},
+     "key 'sigma': entries must be primes, got %d" % bad)
+    for sigma, bad in (("2,4,5", 4), ("0,5", 0), ("-3,5", -3))
+    for command in ("coeff", "family", "kl")
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):

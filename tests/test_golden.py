@@ -4,7 +4,8 @@ Runs the seed-0 inputs of the family-p5 and family-r2 workloads and the kl
 run of every kl-sweep character with a committed digest (bench/workloads.py)
 through the command line and compares the sha256 of each report with
 bench/digests.json.  The commands and configs the benchmark does not run are
-listed in CLI_CASES below, their digests in tests/golden_cli.json;
+listed in CLI_CASES below, their digests in tests/golden_cli.json, next
+to the sha256 of what each demo in demos/ prints;
 `python tests/test_golden.py` (with src on PYTHONPATH) rewrites that file
 from the current code.
 """
@@ -13,6 +14,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -21,6 +24,8 @@ from eiskling.cli import main
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(TESTS), "bench")
+DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 GOLDEN_CLI = os.path.join(TESTS, "golden_cli.json")
 
 
@@ -92,6 +97,10 @@ CLI_CASES = {
 }
 
 
+DEMO_CASES = {"demo " + name: name for name in sorted(os.listdir(DEMOS))
+              if name.endswith(".py")}
+
+
 def report_digest(text, argv):
     """sha256 of the report that main(argv(path)) writes, path being a file
     that holds the config text."""
@@ -108,6 +117,16 @@ def report_digest(text, argv):
 def cli_digest(name):
     command, text = CLI_CASES[name]
     return report_digest(text, lambda path: [command, "--config", path])
+
+
+def demo_digest(name):
+    """sha256 of what the demo prints, run with src on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, os.path.join(DEMOS, name)],
+                         env=env, capture_output=True, check=True).stdout
+    return hashlib.sha256(out).hexdigest()
 
 
 @pytest.mark.parametrize("name", ["family-p5", "family-r2"])
@@ -130,7 +149,7 @@ def _golden_cli():
 
 
 def test_golden_cli_covers_every_case():
-    assert sorted(_golden_cli()) == sorted(CLI_CASES)
+    assert sorted(_golden_cli()) == sorted([*CLI_CASES, *DEMO_CASES])
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
@@ -138,8 +157,15 @@ def test_cli_report_matches_golden(name):
     assert cli_digest(name) == _golden_cli()[name]
 
 
+@pytest.mark.parametrize("name", sorted(DEMO_CASES))
+def test_demo_output_matches_golden(name):
+    assert demo_digest(DEMO_CASES[name]) == _golden_cli()[name]
+
+
 if __name__ == "__main__":
+    golden = {name: cli_digest(name) for name in CLI_CASES}
+    golden.update((name, demo_digest(demo))
+                  for name, demo in DEMO_CASES.items())
     with open(GOLDEN_CLI, "w") as fh:
-        json.dump({name: cli_digest(name) for name in CLI_CASES},
-                  fh, indent=2, sort_keys=True)
+        json.dump(golden, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -5,12 +6,11 @@ import pytest
 
 from eiskling import interpolation
 from eiskling.exact_arith import CycNumber, enumerate_hermitian
-from eiskling.characters import DirichletChar
+from eiskling.characters import DirichletChar, SplitPCharPair
 from eiskling.siegel_fourier import SiegelDatum
 from eiskling.values import ExactValue
 from eiskling.interpolation import (
     ArithmeticPoint,
-    CharFamilySpec,
     FamilyCell,
     FamilyTable,
     _compare_cells,
@@ -22,12 +22,15 @@ from eiskling.interpolation import (
 from eiskling.errors import ConductorError, ConfigError
 
 
-def family(p=5, r=1, a=(0,)):
-    k1, k2 = (1, 2) if p == 5 else (2, 3)
-    return CharFamilySpec(p=p, r=r, tau1=DirichletChar.from_exponent(p, k1),
-                          tau2=DirichletChar.from_exponent(p, k2),
+def family(**fields):
+    """The datum of the rank-one family at p = 5; its pair is the seed."""
+    pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
+                          DirichletChar.from_exponent(5, 2),
                           at_p1=CycNumber.root_of_unity(4, 1),
-                          at_p2=CycNumber.root_of_unity(4, 3), a=a)
+                          at_p2=CycNumber.root_of_unity(4, 3))
+    fields = {"n": 2, "kappa": 6, "pair": pair, "p": 5, "D": 1,
+              "sigma": (2, 5), "ell": 7, "variant": "klingen", **fields}
+    return SiegelDatum(**fields)
 
 
 def test_wild_char():
@@ -42,64 +45,70 @@ def test_wild_char():
 
 
 def test_specialize_twist_directions():
-    fam = family()
-    base = specialize(ArithmeticPoint(6, 0), fam)
-    moved = specialize(ArithmeticPoint(6, 4), fam)
+    datum = family()
+    base, _ = specialize(ArithmeticPoint(6, 0), datum, (0,))
+    moved, weight = specialize(ArithmeticPoint(6, 4), datum, (0,))
     # the m-direction leaves the product character fixed
     assert base.pair.tau_prime().key() == moved.pair.tau_prime().key()
-    assert moved.weight == (4,)
+    assert weight == (4,)
     # zeta1 moves the product by a wild twist
     z = CycNumber.root_of_unity(5)
-    wild1 = specialize(ArithmeticPoint(6, 0, zeta1=z), fam)
+    wild1, _ = specialize(ArithmeticPoint(6, 0, zeta1=z), datum, (0,))
     assert wild1.pair.tau_prime().conductor() == 25
     # zeta2 leaves the product fixed (self-dual direction)
-    wild2 = specialize(ArithmeticPoint(6, 0, zeta2=z), fam)
+    wild2, _ = specialize(ArithmeticPoint(6, 0, zeta2=z), datum, (0,))
     assert (wild2.pair.tau_prime().primitive_part().key()
             == base.pair.tau_prime().primitive_part().key())
     assert wild2.pair.tau1.conductor() == 25
-    assert wild2.psi_finite.conductor() == 25
 
 
 def test_specialize_injective_on_lattice():
-    fam = family()
+    datum = family()
     z = CycNumber.root_of_unity(5)
     pts = [ArithmeticPoint(6, 0), ArithmeticPoint(6, 1),
            ArithmeticPoint(7, 0), ArithmeticPoint(6, 0, zeta1=z),
            ArithmeticPoint(6, 0, zeta2=z)]
     seen = set()
     for pt in pts:
-        s = specialize(pt, fam)
-        key = (s.kappa_phi, s.weight, s.pair.tau1.key(), s.pair.tau2.key(),
-               s.psi_finite.key())
+        at, weight = specialize(pt, datum, (0,))
+        key = (at.kappa, weight, at.pair.tau1.key(), at.pair.tau2.key())
         assert key not in seen
         seen.add(key)
 
 
+def test_specialize_carries_the_datum_over():
+    """The datum at a point differs from the family's only in its weight
+    kappa and its pair."""
+    datum = family(n=1, sigma=(2, 3, 5), ell=13, y_norm=Fraction(7, 3),
+                   vol_Y=Fraction(1, 3), prec=9, embedding_choice=1,
+                   variant="lfun")
+    z = CycNumber.root_of_unity(5)
+    at, weight = specialize(ArithmeticPoint(8, 4, zeta2=z), datum, (1,))
+    assert (at.kappa, weight) == (8, (5,))
+    assert at.pair != datum.pair
+    assert replace(at, kappa=datum.kappa, pair=datum.pair) == datum
+
+
 def test_xpb_validation():
-    fam = family()
-    specialize(ArithmeticPoint(6, 0, flag="Xpb"), fam)  # fine
-    with pytest.raises(ConductorError):
-        specialize(ArithmeticPoint(2, 0, flag="Xpb"), fam)  # kappa too small
+    datum = family()
+    specialize(ArithmeticPoint(6, 0, flag="Xpb"), datum, (0,))  # fine
+    with pytest.raises(ConductorError):  # kappa too small
+        specialize(ArithmeticPoint(2, 0, flag="Xpb"), datum, (0,))
     # m_phi = 3 makes tau2 * omega^-3 trivial: conductor drops to 1
     bad = ArithmeticPoint(6, 2, flag="Xpb")
     with pytest.raises(ConductorError):
-        specialize(bad, fam)
+        specialize(bad, datum, (0,))
 
 
 def test_xpb_conductor_condition_value():
-    fam = family()
     # m = 2: tau2 omega^-2 = omega^0 trivial -> product condition violated
-    s = specialize(ArithmeticPoint(6, 2, flag="X"), fam)
-    assert not s.pair.conductors_all_p(5)
+    at, _ = specialize(ArithmeticPoint(6, 2, flag="X"), family(), (0,))
+    assert not at.pair.conductors_all_p(5)
 
 
-def make_table(pts, fam=None):
-    fam = fam or family()
-    pair0 = specialize(pts[0], fam).pair
-    datum = SiegelDatum(n=2, kappa=pts[0].kappa_phi, pair=pair0, p=fam.p, D=1,
-                        sigma=(2, fam.p), ell=7, variant="klingen")
+def make_table(pts, a=(0,)):
     betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
-    return coefficient_family(fam, pts, betas, datum), betas
+    return coefficient_family(family(), a, pts, betas), betas
 
 
 def test_family_single_point_delegates():
@@ -122,7 +131,7 @@ def test_invalid_points_are_typed_point_errors():
     pts = [ArithmeticPoint(6, 4, flag="Xpb"), ArithmeticPoint(1, 4),
            ArithmeticPoint(6, 4, zeta1=CycNumber.root_of_unity(3)),
            ArithmeticPoint(6, 0)]
-    table, betas = make_table(pts, family(a=(-2,)))
+    table, betas = make_table(pts, a=(-2,))
     assert table.point_errors == {
         1: "ConfigError: need kappa >= n",
         2: "ConfigError: zeta must have p-power order",
@@ -194,7 +203,7 @@ def test_congruence_records_match_pairwise_comparison(monkeypatch):
     cells = {(i, j): FamilyCell(i, j, report=SimpleNamespace(normalized=v))
              for j, column in enumerate(columns) for i, v in enumerate(column)}
     pts = [ArithmeticPoint(6, m) for m in (0, 4, 8)]
-    table = FamilyTable(family(), pts, [None] * len(columns), cells, {})
+    table = FamilyTable(5, pts, [None] * len(columns), cells, {})
     pairs = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 0, 1)]
     records = check_congruences(table, pairs)["records"]
     # twelve cells, half in two of them, each built once; ten are nonzero

@@ -6,7 +6,6 @@ from eiskling.exact_arith import CycNumber
 from eiskling.characters import DirichletChar, SplitPCharPair
 from eiskling.values import ExactValue
 from eiskling.pullback import (
-    SatakeParams,
     klingen_ratio_unramified,
     p_constant_klingen,
     p_constant_lfun,
@@ -34,45 +33,41 @@ def expected_ratio(pair, kappa, r, p):
 def test_quotient_identity(r, p, k1, k2):
     pair = _pair(p, k1, k2)
     alphas = tuple(CycNumber.root_of_unity(8, 2 * i + 1) for i in range(r))
-    params = SatakeParams(alphas)
     for kappa in range(r + 2, r + 9):
-        ckl = p_constant_klingen(params, pair, kappa, r, p)
-        clf = p_constant_lfun(params, pair, kappa, r, p)
+        ckl = p_constant_klingen(alphas, pair, kappa, p)
+        clf = p_constant_lfun(alphas, pair, kappa, p)
         assert ckl * clf.inverse() == expected_ratio(pair, kappa, r, p)
 
 
 def test_p_constant_requires_conductor_p():
     pair = SplitPCharPair(DirichletChar.from_exponent(5, 1),
                           DirichletChar.from_exponent(5, 3))
-    params = SatakeParams((CycNumber.one(),))
     with pytest.raises(ConductorError):
-        p_constant_lfun(params, pair, 6, 1, 5)
+        p_constant_lfun((CycNumber.one(),), pair, 6, 5)
 
 
 def test_p_constant_lfun_shape():
     p = 5
     pair = _pair(p, 1, 2)
-    params = SatakeParams((CycNumber.root_of_unity(4, 1),))
-    v = p_constant_lfun(params, pair, 6, 1, p)
+    v = p_constant_lfun((CycNumber.root_of_unity(4, 1),), pair, 6, p)
     assert v.exps[p] == Fraction(6 * 1, 2) - Fraction(1 * 2, 2)
     (chi, n), = v.gauss.values()
     assert n == 1 and chi.conductor() == 5
 
 
 def test_unramified_ratio_exact_and_poles():
-    params = SatakeParams((CycNumber.root_of_unity(8, 1),
-                           CycNumber.root_of_unity(8, 7)))
+    alphas = (CycNumber.root_of_unity(8, 1), CycNumber.root_of_unity(8, 7))
     tv = CycNumber.root_of_unity(4, 1)
     tvbar = CycNumber.root_of_unity(4, 3)
-    val = klingen_ratio_unramified(params, (tv, tvbar), 3, Fraction(2),
+    val = klingen_ratio_unramified(alphas, (tv, tvbar), 3, Fraction(2),
                                    variant="klingen")
     assert isinstance(val, CycNumber) and not val.is_zero()
     # lfun variant at half-integral s stays exact when s + 1/2 is integral
-    val2 = klingen_ratio_unramified(params, (tv, tvbar), 3, Fraction(3, 2),
+    val2 = klingen_ratio_unramified(alphas, (tv, tvbar), 3, Fraction(3, 2),
                                     variant="lfun")
     assert not val2.is_zero()
     with pytest.raises(NonIntegralExponentError):
-        klingen_ratio_unramified(params, (tv, tvbar), 3, Fraction(1, 2),
+        klingen_ratio_unramified(alphas, (tv, tvbar), 3, Fraction(1, 2),
                                  variant="klingen")
 
 
