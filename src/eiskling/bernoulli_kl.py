@@ -1,44 +1,85 @@
 """Generalized Bernoulli numbers, Dirichlet L-values at nonpositive integers,
-and Kubota-Leopoldt style p-adic specializations."""
+and Kubota-Leopoldt style p-adic specializations.
+
+B_{k,chi} is summed from its definition (Washington, Introduction to
+Cyclotomic Fields, Section 4.1) on integers: f^k B_k(a/f) is an integer
+polynomial in a once the denominators of B_0..B_k are cleared, evaluated by
+Horner's rule.  The Bernoulli numbers come from the tangent numbers (Brent and
+Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers", 2013).
+"""
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import PoleError
-from .exact_arith import CycNumber
+from .exact_arith import CycNumber, euler_phi
 from .padic import embed_cyclotomic
 
+# B_0, B_1, ..., B_n; filled on first use and grown by _grow_bernoulli
+_BERNOULLI = []
 
-@lru_cache(maxsize=None)
+
+def _grow_bernoulli(k):
+    """Refill the table up to at least B_k and to at least twice its length,
+    from the tangent numbers T_1..T_n (Brent-Harvey, Algorithm
+    TangentNumbers): B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
+    n = max(k, 2 * len(_BERNOULLI)) // 2 + 1
+    t = [0, 1] + [0] * (n - 1)
+    for i in range(2, n + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    zero = Fraction(0)
+    table = [Fraction(1), Fraction(-1, 2)]
+    for m in range(1, n + 1):
+        four = 4 ** m
+        num = 2 * m * t[m]
+        table.append(Fraction(num if m % 2 else -num, four * (four - 1)))
+        table.append(zero)
+    _BERNOULLI[:] = table
+
+
 def bernoulli_number(k):
-    """B_k with the B_1 = -1/2 convention, by the defining recurrence."""
-    if k == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(k):
-        acc += comb(k + 1, j) * bernoulli_number(j)
-    return -acc / (k + 1)
-
-
-def bernoulli_poly(k, x):
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j)."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += comb(k, j) * bernoulli_number(j) * x ** (k - j)
-    return acc
+    """B_k with the B_1 = -1/2 convention."""
+    if k < 0:
+        raise ValueError("need k >= 0")
+    if k >= len(_BERNOULLI):
+        _grow_bernoulli(k)
+    return _BERNOULLI[k]
 
 
 def gen_bernoulli(chi, k):
-    """B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), f the modulus."""
+    """B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), f the modulus.
+
+    With den = lcm(den B_0..B_k), P(a) = den f^k B_k(a/f) = sum_j C(k,j)
+    den B_j f^j a^(k-j) is an integer polynomial in a, and B_{k,chi} =
+    sum_a chi(a) P(a) / (f den); the P(a) are summed over each value of chi
+    first.
+    """
     f = chi.modulus
-    acc = CycNumber.zero()
+    bern = [bernoulli_number(j) for j in range(k + 1)]
+    den = lcm(*[b.denominator for b in bern])
+    coeffs = [comb(k, j) * b.numerator * (den // b.denominator) * f ** j
+              for j, b in enumerate(bern)]
+    classes = {}
     for a in range(1, f + 1):
         v = chi(a)
-        if not v.is_zero():
-            acc = acc + v * bernoulli_poly(k, Fraction(a, f))
-    return acc * (Fraction(f) ** (k - 1))
+        if v.is_zero():
+            continue
+        acc = 0
+        for c in coeffs:
+            acc = acc * a + c
+        classes.setdefault((v.level, v.nums, v.den), [v, 0])[1] += acc
+    level = lcm(*[v.level for v, _ in classes.values()])
+    terms = [(v.lift(level), s) for v, s in classes.values()]
+    vden = lcm(*[v.den for v, _ in terms])
+    nums = [0] * euler_phi(level)
+    for v, s in terms:
+        s *= vden // v.den
+        for i, c in enumerate(v.nums):
+            nums[i] += s * c
+    return CycNumber.from_integers(level, nums, vden * f * den)
 
 
 def L_at_nonpositive(chi, k):
@@ -67,8 +108,8 @@ def kl_specialization(chi, k, p, sigma=(), prec=12, choice=0):
     if chik.is_trivial() and k == 1:
         raise PoleError("excluded point: trivial branch at k = 1")
     total = L_at_nonpositive(chik, k)
-    total = total * (CycNumber.one() - chik(p) * Fraction(p) ** (k - 1))
+    total = total * (CycNumber.one() - chik(p) * p ** (k - 1))
     for q in sorted(set(sigma)):
         if q != p:
-            total = total * (CycNumber.one() - chik(q) * Fraction(q) ** (k - 1))
+            total = total * (CycNumber.one() - chik(q) * q ** (k - 1))
     return embed_cyclotomic(total, p, prec, choice=choice)

@@ -381,6 +381,8 @@ def cmd_kl(cfg, args):
     chi = cfg["chi"]
     if cfg["k_min"] < 1:
         raise ConfigError("key 'k_min': must be at least 1")
+    if cfg["k_max"] < cfg["k_min"]:
+        raise ConfigError("key 'k_max': must be at least k_min")
     sigma = _sigma(cfg)
     ks = list(range(cfg["k_min"], cfg["k_max"] + 1))
     values = {}
@@ -435,7 +437,7 @@ def cmd_hecke(cfg, args):
     pair = _build_pair(cfg)
     kappas = kappa_set(w, len(a), 0)
     ups = up_eigenvalues(chis, w)
-    kls = klingen_eigenvalues(chis, pair, kappa, w, cfg["p"])
+    kls = klingen_eigenvalues(chis, pair, kappa, w.a)
     fmt = lambda lst: [{"unit": u, "p_exponent": str(e)}
                        for u, e in lst]
     return {"command": "hecke",

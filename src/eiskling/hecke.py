@@ -65,12 +65,12 @@ def up_eigenvalues(chis, w):
     return out
 
 
-def klingen_eigenvalues(chis, pair, kappa, w, p):
-    """The r + 2 eigenvalues on the induced space: the r partial products,
-    then the two extra ones obtained from the last by the factors
-    tau1(p)^-1 p^(-(r+kappa)/2) and tau1(p)^-1 tau2(p) p^(kappa-r-1)."""
+def klingen_eigenvalues(chis, pair, kappa, a):
+    """The r + 2 eigenvalues on the induced space of base weight a: the r
+    partial products, then the two extra ones obtained from the last by the
+    factors tau1(p)^-1 p^(-(r+kappa)/2) and tau1(p)^-1 tau2(p) p^(kappa-r-1)."""
     r = len(chis)
-    base = up_eigenvalues(chis, WeightTuple(a=w.a, b=()))
+    base = up_eigenvalues(chis, WeightTuple(a=a, b=()))
     u, e = base[-1] if base else (CycNumber.one(), Fraction(0))
     t1 = pair.at_p1
     t2 = pair.at_p2

@@ -1,9 +1,12 @@
 """Independent oracles frozen before the implementation they test.
 
 Each oracle recomputes a quantity by a different route than the package:
-Bernoulli numbers by the Akiyama-Tanigawa scheme, the rank-one p-local
-coefficient by the literal finite shell sum over the big cell, mod-p minor
-units by integer Gaussian elimination after substituting a mod-p square root,
+Bernoulli numbers by the Akiyama-Tanigawa scheme, Bernoulli polynomials and
+generalized Bernoulli numbers by their defining sums in Fraction arithmetic
+(one polynomial per residue, as gen_bernoulli once summed them), the
+rank-one p-local coefficient by the literal finite shell sum over the big
+cell, mod-p minor units by integer Gaussian elimination after substituting a
+mod-p square root,
 semidefiniteness by floating-point eigenvalues, elements a + b*sqrt(-D) of
 the quadratic field as QuadFieldElem, a pair of Fractions, read from an
 index's JSON entries, and determinants over Q(sqrt(-D)) by Laplace expansion
@@ -20,6 +23,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from eiskling.characters import gauss_sum
 from eiskling.errors import NonIntegralExponentError, ResourceBoundError
@@ -28,15 +33,44 @@ from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
 from eiskling.values import ExactValue
 
 
-def bernoulli_akiyama_tanigawa(n):
-    """B_n (B_1 = -1/2 convention) via the Akiyama-Tanigawa triangle."""
+def bernoulli_akiyama_tanigawa_table(n):
+    """[B_0, ..., B_n] (B_1 = -1/2 convention) from one Akiyama-Tanigawa
+    triangle: after row m its first entry is B_m."""
     a = [Fraction(0)] * (n + 1)
+    table = []
     for m in range(n + 1):
         a[m] = Fraction(1, m + 1)
         for j in range(m, 0, -1):
             a[j - 1] = j * (a[j - 1] - a[j])
-    # the triangle produces B_1 = +1/2; flip to the B_1 = -1/2 convention
-    return -a[0] if n == 1 else a[0]
+        # the triangle produces B_1 = +1/2; flip to the B_1 = -1/2 convention
+        table.append(-a[0] if m == 1 else a[0])
+    return table
+
+
+@lru_cache(maxsize=None)
+def bernoulli_akiyama_tanigawa(n):
+    """B_n (B_1 = -1/2 convention) via the Akiyama-Tanigawa triangle."""
+    return bernoulli_akiyama_tanigawa_table(n)[n]
+
+
+def bernoulli_poly(k, x):
+    """B_k(x) = sum_j C(k,j) B_j x^(k-j)."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for j in range(k + 1):
+        acc += comb(k, j) * bernoulli_akiyama_tanigawa(j) * x ** (k - j)
+    return acc
+
+
+def gen_bernoulli_by_definition(chi, k):
+    """B_{k,chi} = f^(k-1) sum_{a=1}^{f} chi(a) B_k(a/f), f the modulus."""
+    f = chi.modulus
+    acc = CycNumber.zero()
+    for a in range(1, f + 1):
+        v = chi(a)
+        if not v.is_zero():
+            acc = acc + v * bernoulli_poly(k, Fraction(a, f))
+    return acc * (Fraction(f) ** (k - 1))
 
 
 def _vp(x, p):

@@ -224,7 +224,7 @@ def test_criterion_6_hecke_telescoping():
     from eiskling.hecke import klingen_eigenvalues
     pair = _pair(5, 1, 2)
     eigs = klingen_eigenvalues([CycNumber.root_of_unity(8, 1)], pair, 6,
-                               WeightTuple(a=(0,)), 5)
+                               (0,))
     u, e = eigs[0]
     ratios_ok = (eigs[1][0] == u * pair.at_p1.inverse()
                  and eigs[1][1] == e - Fraction(7, 2)

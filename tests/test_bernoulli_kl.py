@@ -3,24 +3,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import CycNumber
+from eiskling import bernoulli_kl
+from eiskling.exact_arith import CycNumber, euler_phi
 from eiskling.characters import DirichletChar
 from eiskling.bernoulli_kl import (
     L_at_nonpositive,
     bernoulli_number,
-    bernoulli_poly,
     gen_bernoulli,
     kl_specialization,
 )
 from eiskling.padic import PadicElem, congruent_mod
 from eiskling.errors import PoleError
 
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import (bernoulli_akiyama_tanigawa,
+                     bernoulli_akiyama_tanigawa_table, bernoulli_poly,
+                     gen_bernoulli_by_definition)
 
 
 def test_bernoulli_against_independent_recurrence():
     for k in range(21):
         assert bernoulli_number(k) == bernoulli_akiyama_tanigawa(k)
+
+
+def test_bernoulli_table_grows_on_demand(monkeypatch):
+    # an empty table, read out of order: down, up by one, to both ends
+    monkeypatch.setattr(bernoulli_kl, "_BERNOULLI", [])
+    want = bernoulli_akiyama_tanigawa_table(200)
+    for k in (150, 7, 151, 0, 1, 200):
+        assert bernoulli_number(k) == want[k]
+    assert [bernoulli_number(k) for k in range(201)] == want
 
 
 def test_bernoulli_known_values():
@@ -44,6 +55,28 @@ def test_gen_bernoulli_examples():
         Fraction(1, 6))
     chi3 = DirichletChar.quadratic(3)
     assert gen_bernoulli(chi3, 1) == CycNumber.from_rational(Fraction(-1, 3))
+
+
+GEN_BERNOULLI_CHARS = {
+    **{"exp:%d:%d" % (m, e): DirichletChar.from_exponent(m, e)
+       for m in (3, 5, 7, 9, 11, 13, 25) for e in range(euler_phi(m))},
+    **{"quadratic:%d" % q: DirichletChar.quadratic(q) for q in (3, 5, 7)},
+    **{"trivial:%d" % m: DirichletChar.trivial(m)
+       for m in (3, 5, 7, 9, 11, 13, 25)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_BERNOULLI_CHARS))
+def test_gen_bernoulli_matches_definition(name):
+    chi = GEN_BERNOULLI_CHARS[name]
+    # imprimitive characters (trivial:m, exp:9:3, exp:25:5, ...) and values
+    # at several levels; the same level, numerators and denominator, so the
+    # same normal form and the same report bytes
+    for k in range(1, 31):
+        got = gen_bernoulli(chi, k)
+        want = gen_bernoulli_by_definition(chi, k)
+        assert (got.level, got.nums, got.den) == (want.level, want.nums,
+                                                   want.den)
 
 
 def test_gen_bernoulli_parity_vanishing():

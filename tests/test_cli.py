@@ -325,6 +325,8 @@ def edited(**keys):
      "key 'sigma': entries must be primes, got %d" % bad)
     for sigma, bad in (("2,4,5", 4), ("0,5", 0), ("-3,5", -3))
     for command in ("coeff", "family", "kl")
+] + [
+    ("kl", {"k_min": "5", "k_max": "2"}, "key 'k_max': must be at least k_min"),
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):

@@ -94,6 +94,11 @@ CLI_CASES = {
         points="6:0:Xpb;8:4:Xpb;7:8:Xpb;6:12:Xpb", prec="1",
         pairs="0,1,1;0,2,1;0,3,1;1,2,2;1,3,3;2,3,1")),
     "kl exp:7:1": ("kl", workloads.kl_config("exp:7:1")),
+    # an imprimitive character (conductor 5 at modulus 25), k_min > 1 and a
+    # third Euler factor: the kl path the kl-sweep characters leave out
+    "kl exp:25:5 k=3..40 sigma=2,3,5": ("kl", "p = 5\nsigma = 2,3,5\n"
+                                          "chi = exp:25:5\nk_min = 3\n"
+                                          "k_max = 40\n"),
 }
 
 

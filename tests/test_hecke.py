@@ -80,10 +80,9 @@ def test_klingen_extra_eigenvalues():
                           DirichletChar.from_exponent(5, 2),
                           at_p1=CycNumber.root_of_unity(4, 1),
                           at_p2=CycNumber.root_of_unity(4, 3))
-    w = WeightTuple(a=(0,))
     chis = [CycNumber.root_of_unity(8, 1)]
     kappa = 6
-    eigs = klingen_eigenvalues(chis, pair, kappa, w, 5)
+    eigs = klingen_eigenvalues(chis, pair, kappa, (0,))
     assert len(eigs) == 3
     u, e = eigs[0]
     # ratios to the last U_p eigenvalue
@@ -96,9 +95,8 @@ def test_klingen_extra_eigenvalues():
 def test_klingen_uniqueness_guard():
     pair = SplitPCharPair(DirichletChar.trivial(5), DirichletChar.trivial(5),
                           at_p1=CycNumber.one(), at_p2=CycNumber.one())
-    w = WeightTuple(a=(0,))
     chis = [CycNumber.one()]
     # kappa chosen so two eigenvalue exponents collide: -(r+kappa)/2 == kappa-r-1
     # r=1: -(1+k)/2 == k-2  =>  k = 1
     with pytest.raises(UniquenessError):
-        klingen_eigenvalues(chis, pair, 1, w, 5)
+        klingen_eigenvalues(chis, pair, 1, (0,))
