@@ -194,67 +194,103 @@ def _emit(report, out_path):
     write it after exact values become their to_json() forms, Fractions
     "a/b" strings, dict keys strings and tuples lists, in one pass.
 
+    Each value is written by the writer that its exact type selects from
+    one table: str, int, bool, None, dict, list, tuple, Fraction and the
+    three exact types.  A value of any other type is written as the first
+    of str, the exact types, int, dict, list or tuple, and Fraction that it
+    is an instance of, and anything else goes to json.dumps, which writes
+    floats and raises TypeError for what JSON cannot hold.  Each dict key is
+    escaped once per call.
+
     A HermitianMatrix, ExactValue or CycNumber is written from its own
-    json_text(), built once per object in this call and pasted in at each
-    place the object appears, indented to its depth; the bytes are those
-    json.dumps writes for its to_json() form."""
+    json_text(): the text is built once per object in this call and kept
+    once per object and depth, indented to that depth, and pasted in at
+    each place the object appears; the bytes are those json.dumps writes
+    for its to_json() form."""
     parts = []
     put = parts.append
     escape = json.encoder.encode_basestring_ascii
-    texts = {}  # id(obj) -> (obj, text); holding obj keeps its id from reuse
+    keys = {}  # dict key -> its escaped text followed by ": "
+    layouts = {}  # pad -> layout(pad)
+    texts = {}  # id(obj) -> (obj, {pad: text}); holding obj keeps its id
 
-    def text(obj):
+    def write_exact(obj, pad):
         entry = texts.get(id(obj))
         if entry is None:
-            entry = texts[id(obj)] = (obj, obj.json_text())
-        return entry[1]
+            entry = texts[id(obj)] = (obj, {"": obj.json_text()})
+        by_pad = entry[1]
+        text = by_pad.get(pad)
+        if text is None:
+            text = by_pad[pad] = by_pad[""].replace("\n", "\n" + pad)
+        put(text)
 
-    def write(obj, pad):
-        if isinstance(obj, str):
-            put(escape(obj))
-        elif isinstance(obj, _EXACT):
-            t = text(obj)
-            put(t.replace("\n", "\n" + pad) if pad else t)
-        elif obj is None:
-            put("null")
-        elif obj is True:
-            put("true")
-        elif obj is False:
-            put("false")
-        elif isinstance(obj, int):
-            put(int.__repr__(obj))
-        elif isinstance(obj, dict):
-            if not obj:
-                put("{}")
-                return
+    def write_str(obj, pad):
+        put(escape(obj))
+
+    def write_int(obj, pad):
+        put(int.__repr__(obj))
+
+    def layout(pad):
+        """(inner pad, text before the first item, text between items, end
+        of a dict, end of a list) for a container at pad."""
+        entry = layouts.get(pad)
+        if entry is None:
+            inner = pad + "  "
+            entry = layouts[pad] = (inner, "\n" + inner, ",\n" + inner,
+                                    "\n" + pad + "}", "\n" + pad + "]")
+        return entry
+
+    def write_dict(obj, pad):
+        if not obj:
+            put("{}")
+            return
+        if not obj.keys() <= keys.keys():
             if not all(isinstance(k, str) for k in obj):
                 obj = {str(k): v for k, v in obj.items()}
-            inner = pad + "  "
-            sep = "{\n" + inner
-            for k, v in sorted(obj.items()):
-                put(sep)
-                put(escape(k))
-                put(": ")
-                write(v, inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "}")
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                put("[]")
-                return
-            inner = pad + "  "
-            sep = "[\n" + inner
-            for v in obj:
-                put(sep)
-                write(v, inner)
-                sep = ",\n" + inner
-            put("\n" + pad + "]")
-        elif isinstance(obj, Fraction):
-            put('"%d/%d"' % (obj.numerator, obj.denominator))
-        else:  # floats, or an error for what JSON cannot hold
-            put(json.dumps(obj))
+            for k in obj.keys() - keys.keys():
+                keys[k] = escape(k) + ": "
+        inner, sep, comma, end, _ = layout(pad)
+        put("{")
+        for k, v in sorted(obj.items()):
+            put(sep)
+            put(keys[k])
+            writers.get(type(v), write_other)(v, inner)
+            sep = comma
+        put(end)
 
-    write(report, "")
+    def write_list(obj, pad):
+        if not obj:
+            put("[]")
+            return
+        inner, sep, comma, _, end = layout(pad)
+        put("[")
+        for v in obj:
+            put(sep)
+            writers.get(type(v), write_other)(v, inner)
+            sep = comma
+        put(end)
+
+    def write_fraction(obj, pad):
+        put('"%d/%d"' % (obj.numerator, obj.denominator))
+
+    def write_other(obj, pad):
+        for base, writer in by_base:
+            if isinstance(obj, base):
+                writer(obj, pad)
+                return
+        put(json.dumps(obj))
+
+    writers = {str: write_str, int: write_int,
+               bool: lambda obj, pad: put("true" if obj else "false"),
+               type(None): lambda obj, pad: put("null"),
+               dict: write_dict, list: write_list, tuple: write_list,
+               Fraction: write_fraction}
+    writers.update(dict.fromkeys(_EXACT, write_exact))
+    by_base = [(str, write_str), (_EXACT, write_exact),
+               (int, write_int), (dict, write_dict),
+               ((list, tuple), write_list), (Fraction, write_fraction)]
+
+    writers.get(type(report), write_other)(report, "")
     put("\n")
     out = "".join(parts)
     if out_path:
@@ -340,6 +376,24 @@ def _satake(cfg):
     return chis
 
 
+def _pairs(cfg):
+    """The congruence pairs (i, j, k): two different indices into 'points'
+    and a k >= 1."""
+    last = len(cfg["points"]) - 1
+    for pair in cfg["pairs"]:
+        i, j, k = pair
+        spec = "%d,%d,%d" % pair
+        if not (0 <= i <= last and 0 <= j <= last):
+            raise ConfigError("key 'pairs': %s names a point outside 0..%d"
+                              % (spec, last))
+        if i == j:
+            raise ConfigError("key 'pairs': %s compares a point with itself"
+                              % spec)
+        if k < 1:
+            raise ConfigError("key 'pairs': %s needs k >= 1" % spec)
+    return list(cfg["pairs"])
+
+
 def cmd_coeff(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa")
@@ -359,6 +413,7 @@ def cmd_family(cfg, args):
     _require(cfg, "kappa", "tau1", "tau2")
     if not cfg["points"]:
         raise ConfigError("key 'points': at least one arithmetic point needed")
+    pairs = _pairs(cfg)
     a = _base_weight(cfg)
     datum = _build_datum(cfg)
     betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
@@ -368,9 +423,9 @@ def cmd_family(cfg, args):
                           "trace at most %d" % cfg["trace_bound"])
     table = coefficient_family(datum, a, list(cfg["points"]), betas)
     report = {"command": "family", "table": table.to_json()}
-    if cfg["pairs"]:
+    if pairs:
         report["congruences"] = check_congruences(
-            table, list(cfg["pairs"]), prec=cfg["prec"],
+            table, pairs, prec=cfg["prec"],
             choice=cfg["embedding_choice"])
     return report
 

@@ -477,6 +477,37 @@ def sqrt_minus_d(D):
     return prod
 
 
+def _int_minor(image, D, rows, cols):
+    """The minor on the tuples rows x cols of a matrix of integer pairs
+    (a, b), each standing for a + b*sqrt(-D), as a pair (A, B), with
+    (a, b)(c, d) = (ac - Dbd, ad + bc).  A 1 x 1 block is its entry and a
+    2 x 2 block is written out as a product difference; a larger block is
+    expanded along its first row (Laplace), down to the 2 x 2 blocks."""
+    if len(rows) == 2:
+        top, bottom = image[rows[0]], image[rows[1]]
+        c0, c1 = cols
+        a, b = top[c0]
+        c, d = bottom[c1]
+        e, f = top[c1]
+        g, h = bottom[c0]
+        return (a * c - D * b * d - e * g + D * f * h,
+                a * d + b * c - e * h - f * g)
+    row = image[rows[0]]
+    if len(rows) == 1:
+        return row[cols[0]]
+    rest = rows[1:]
+    A = B = 0
+    for j, c in enumerate(cols):
+        a, b = row[c]
+        if a or b:
+            ma, mb = _int_minor(image, D, rest, cols[:j] + cols[j + 1:])
+            if j & 1:
+                a, b = -a, -b
+            A += a * ma - D * b * mb
+            B += a * mb + b * ma
+    return A, B
+
+
 class HermitianMatrix:
     """Hermitian n x n matrix over Q(sqrt(-D)) with rational diagonal, built
     from rows whose entries are ints, Fractions or pairs (a, b) standing for
@@ -540,28 +571,6 @@ class HermitianMatrix:
             return Fraction(e[0]), Fraction(e[1])
         raise TypeError("bad matrix entry %r" % (e,))
 
-    @staticmethod
-    def _int_minor(image, D, rows, cols):
-        """The minor on rows x cols of a matrix of integer pairs (a, b),
-        each standing for a + b*sqrt(-D), as a pair (A, B): Laplace
-        expansion along the first row, (a, b)(c, d) = (ac - Dbd, ad + bc)."""
-        def expand(rows, cols):
-            row = image[rows[0]]
-            if len(rows) == 1:
-                return row[cols[0]]
-            rest = rows[1:]
-            A = B = 0
-            for j, c in enumerate(cols):
-                a, b = row[c]
-                if a or b:
-                    ma, mb = expand(rest, cols[:j] + cols[j + 1:])
-                    if j & 1:
-                        a, b = -a, -b
-                    A += a * ma - D * b * mb
-                    B += a * mb + b * ma
-            return A, B
-        return expand(tuple(rows), tuple(cols))
-
     def memo(self, key, compute, *args):
         """compute(self, *args), made once per key and kept with the minors.
         The key names the fact (a str first, so it never equals the
@@ -584,7 +593,7 @@ class HermitianMatrix:
             if k == 0 or k != len(key[1]):
                 raise ValueError("a minor needs equal, nonempty row and "
                                  "column sets")
-            m = self._memo[key] = self._int_minor(self._image, self.D, *key)
+            m = self._memo[key] = _int_minor(self._image, self.D, *key)
         return m + (self.den ** len(key[0]),)
 
     def det(self):
@@ -695,7 +704,6 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     screened = [(idx, idx) for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
-    int_minor = HermitianMatrix._int_minor
     for diag in _diagonals(n, trace_bound):
         ranges = [[((a, b), (a, -b))
                    for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D)
@@ -710,7 +718,7 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                 image[i][j], image[j][i] = x, xbar
             minors = {}
             for key in screened:
-                m = minors[key] = int_minor(image, D, *key)
+                m = minors[key] = _int_minor(image, D, *key)
                 if m[0] < 0:
                     break
             else:

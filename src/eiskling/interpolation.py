@@ -153,11 +153,11 @@ def _compute_cell(i, j, beta, datum, weight):
     try:
         report = assemble_global(beta, datum)
         if not report.degenerate:
-            normalized = times_multiplier(report.normalized, beta,
-                                          datum.variant, weight)
-            report = replace(report, normalized=normalized,
-                             notes=report.notes + ["weight multiplier applied: "
-                                                   "a = %s" % (weight,)])
+            # the report is this cell's own, built just above
+            report.normalized = times_multiplier(report.normalized, beta,
+                                                 datum.variant, weight)
+            report.notes.append("weight multiplier applied: a = %s"
+                                % (weight,))
         return FamilyCell(i, j, report=report)
     except EisklingError as exc:  # per-cell error records; the family continues
         return FamilyCell(i, j, error="%s: %s" % (type(exc).__name__, exc))

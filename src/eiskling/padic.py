@@ -9,6 +9,7 @@ every factor.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import InsufficientPrecisionError, UnsupportedEmbeddingError
@@ -319,6 +320,18 @@ def embedding_units(m):
     return [a for a in range(1, max(m, 2)) if gcd(a, m) == 1] or [1]
 
 
+@lru_cache(maxsize=None)
+def _teichmuller_powers(p, m, prec):
+    """The powers 1, w, ..., w^(phi(m)-1) of the Teichmuller lift w of
+    g^((p-1)/m), g the least primitive root mod p, to precision p^prec:
+    the images of the power basis of Q(zeta_m) for m dividing p - 1."""
+    root = teichmuller(pow(primitive_root(p), (p - 1) // m, p), p, prec)
+    powers = [PadicElem.from_fraction(1, p, prec)]
+    for _ in range(euler_phi(m) - 1):
+        powers.append(powers[-1] * root)
+    return tuple(powers)
+
+
 def embed_cyclotomic(x, p, prec, choice=0):
     """Embed a CycNumber into Q_p (PadicElem) or the unramified carrier ring.
 
@@ -344,15 +357,11 @@ def embed_cyclotomic(x, p, prec, choice=0):
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
     if (p - 1) % m == 0:
-        g = primitive_root(p)
-        root = teichmuller(pow(g, (p - 1) // m, p), p, prec)
         acc = PadicElem.zero(p, prec)
-        power = PadicElem.from_fraction(1, p, prec)
-        for c in x.nums:
+        for c, power in zip(x.nums, _teichmuller_powers(p, m, prec)):
             if c:
                 acc = acc + power * PadicElem.from_fraction(
                     Fraction(c, x.den), p, prec)
-            power = power * root
         return acc
     coeffs = [Fraction(c, x.den) for c in x.nums]
     shift = 0

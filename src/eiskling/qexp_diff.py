@@ -69,7 +69,9 @@ def _minor_monomial(beta, a, row_offset):
 
 def times_multiplier(value, beta, variant, a):
     """The ExactValue times the minor monomial of the variant at beta; zero
-    where the monomial vanishes."""
+    where the monomial vanishes, and a zero value as it is."""
+    if value.is_zero():
+        return value
     mul = multiplier_klingen if variant == "klingen" else multiplier_lfun
     m = mul(beta, a)
     if m.is_zero():

@@ -9,8 +9,10 @@ What a coefficient takes from its index beta alone, or from beta and datum
 fields that stay the same from one arithmetic point to the next, is computed
 once per index and kept in the index's memo (HermitianMatrix.memo), keyed by
 every datum field it reads: the prime support, the ell additive character,
-the residues mod p behind coeff_p, and the archimedean rational.  A family
-evaluates each index at every point and reuses them there.
+the residues mod p behind coeff_p, the archimedean rational and positive
+definiteness.  A family evaluates each index at every point and reuses them
+there.  Within one point, coeff_p depends on the index only through its
+residue pair, and the datum keeps one value per pair.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,8 @@ from functools import cached_property
 from math import factorial
 
 from .errors import ConductorError, ConfigError, UnsupportedBetaError
-from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
+from .exact_arith import (CycNumber, HermitianMatrix, factorize,
+                          sqrt_minus_d, valuation)
 from .characters import chi_K
 from .padic import PadicElem, embed_cyclotomic
 from .values import ExactValue
@@ -113,6 +116,12 @@ class SiegelDatum:
     @cached_property
     def p_unit(self):
         return _p_convention_unit(self)
+
+    @cached_property
+    def p_values(self):
+        """coeff_p's value by residue pair (det beta mod p, det X mod p),
+        filled as coeff_p meets the pairs: at most (p - 1)^2 shared values."""
+        return {}
 
     @cached_property
     def p_factor(self):
@@ -254,10 +263,13 @@ def coeff_p(beta, datum):
     residues = beta.memo(("p", p, root, r), _p_residues, p, root, r)
     if residues is None:
         return ExactValue.zero()
-    det_res, x_res = residues
-    unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
-            * datum.p_unit)
-    return ExactValue(unit) * datum.p_factor
+    value = datum.p_values.get(residues)
+    if value is None:
+        det_res, x_res = residues
+        unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
+                * datum.p_unit)
+        value = datum.p_values[residues] = ExactValue(unit) * datum.p_factor
+    return value
 
 
 def _p_residues(beta, p, root, r):
@@ -352,7 +364,8 @@ def assemble_global(beta, datum):
                                  ["singular index: constant-term block, "
                                   "value not computed by this assembler"],
                                  degenerate=True)
-    if not beta.is_positive_definite():
+    if not beta.memo(("positive definite",),
+                     HermitianMatrix.is_positive_definite):
         return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
                                  ["index not positive definite: archimedean "
                                   "coefficient vanishes"], degenerate=False)

@@ -16,7 +16,9 @@ the extended Euclidean algorithm), the JSON text of a report by converting
 it first and handing it to json.dumps, the integrality and prime support
 of an index entry by entry, as assemble_global once found them, and exact
 values with every exponent a Fraction, each product renormalized from
-scratch, as ExactValue once kept them.
+scratch, as ExactValue once kept them, and the split-branch embedding of a
+cyclotomic number into Q_p with the Teichmuller root and its powers made
+afresh on every call, as embed_cyclotomic once made them.
 """
 
 import itertools
@@ -26,10 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from eiskling.characters import gauss_sum
+from eiskling.characters import gauss_sum, primitive_root
 from eiskling.errors import NonIntegralExponentError, ResourceBoundError
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
                                   factorize, sqrt_minus_d, valuation)
+from eiskling.padic import PadicElem, embedding_units, teichmuller
 from eiskling.values import ExactValue
 
 
@@ -178,7 +181,7 @@ def rank_one_coeff_p_oracle(beta, pair, p, s):
     characters, v_p(beta) >= -1); the truncation at 4 keeps two provably-zero
     shells as a safety check.
     """
-    from eiskling.characters import gauss_sum
+    from eiskling.characters import gauss_sum, primitive_root
     tau2 = pair.tau2
     taup = pair.tau_prime()
     at2 = pair.at_p2
@@ -576,3 +579,28 @@ def encode_for_json(obj):
 def report_text(report):
     """The text of a report: its plain JSON data written by json.dumps."""
     return json.dumps(encode_for_json(report), sort_keys=True, indent=2) + "\n"
+
+
+def embed_split_oracle(x, p, prec, choice=0):
+    """embed_cyclotomic for x at a level m dividing p - 1: the Galois twist
+    of the choice, then sum_i c_i w^i with w the Teichmuller lift of
+    g^((p-1)/m), g the least primitive root mod p, and the powers of w
+    multiplied out on every call."""
+    m = x.level
+    assert (p - 1) % m == 0
+    units = embedding_units(m)
+    a = units[choice % len(units)]
+    if a != 1:
+        x = x.galois(a)
+    if x.is_rational():
+        return PadicElem.from_fraction(x.rational(), p, prec)
+    g = primitive_root(p)
+    root = teichmuller(pow(g, (p - 1) // m, p), p, prec)
+    acc = PadicElem.zero(p, prec)
+    power = PadicElem.from_fraction(1, p, prec)
+    for c in x.nums:
+        if c:
+            acc = acc + power * PadicElem.from_fraction(
+                Fraction(c, x.den), p, prec)
+        power = power * root
+    return acc

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import io
 import json
 import os
@@ -114,6 +115,18 @@ def test_family_partial_point_failure(tmp_path):
     doc = json.loads(out.read_text())
     assert "1" in doc["table"]["point_errors"]
     assert all(c["point"] == 0 for c in doc["table"]["cells"])
+
+
+def test_pair_on_a_rejected_point_is_skipped(tmp_path):
+    path = write(tmp_path, FAMILY_CFG.replace("points = 6:0:Xpb;6:4:Xpb",
+                                              "points = 6:0:Xpb;6:2:Xpb"))
+    out = tmp_path / "o.json"
+    assert main(["family", "--config", path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "1" in doc["table"]["point_errors"]
+    records = doc["congruences"]["records"]
+    assert records and all(r["status"] == "SKIPPED" for r in records)
+    assert doc["congruences"]["all_pass"] is False
 
 
 def test_enumerate_and_coeff(tmp_path):
@@ -327,6 +340,14 @@ def edited(**keys):
     for command in ("coeff", "family", "kl")
 ] + [
     ("kl", {"k_min": "5", "k_max": "2"}, "key 'k_max': must be at least k_min"),
+] + [
+    ("family", {"pairs": pairs}, "key 'pairs': %s" % why)
+    for pairs, why in (("0,9,1", "0,9,1 names a point outside 0..1"),
+                       ("-1,0,1", "-1,0,1 names a point outside 0..1"),
+                       ("0,1,1;1,2,1", "1,2,1 names a point outside 0..1"),
+                       ("0,0,1", "0,0,1 compares a point with itself"),
+                       ("0,1,0", "0,1,0 needs k >= 1"),
+                       ("1,0,-1", "1,0,-1 needs k >= 1"))
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):
@@ -453,6 +474,31 @@ def test_writer_matches_old_encoding(obj):
     written as converting the report first and calling json.dumps wrote
     them, also where one object appears at several depths."""
     assert emitted(obj) == report_text(obj)
+
+
+class Tag(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+@pytest.mark.parametrize("obj, text", [
+    # int keys sort as their strings, which differs from their number order
+    ({9: "a", 10: "b", -1: "c"},
+     '{\n  "-1": "c",\n  "10": "b",\n  "9": "a"\n}\n'),
+    ([True, 1, False, 0, None, {"t": True, "f": False, "n": -2}], None),
+    # subclasses go through the isinstance fallback
+    ({"tag": Tag("x\"\n\u00e9"), Tag("key"): [Level.LOW, Level.HIGH]}, None),
+    (Tag("alone"), None),
+    (Level.HIGH, None),
+])
+def test_writer_fixed_cases(obj, text):
+    if text is None:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert emitted(obj) == text == report_text(obj)
 
 
 def test_writer_rejects_what_json_cannot_hold():

@@ -308,6 +308,32 @@ def test_hermitian_minors_match_laplace_oracle(beta, data):
     assert beta.is_positive_semidefinite() == psd_by_principal_minors(beta)
 
 
+FIXED_ROWS = {
+    3: [[Fraction(5, 2), (1, Fraction(1, 3)), (-2, 1)],
+        [(1, Fraction(-1, 3)), 4, (Fraction(1, 2), -2)],
+        [(-2, -1), (Fraction(1, 2), 2), 7]],
+    4: [[3, (1, 1), (0, 2), (-1, Fraction(1, 2))],
+        [(1, -1), Fraction(7, 3), (2, -1), (0, 1)],
+        [(0, -2), (2, 1), 5, (Fraction(-3, 2), 1)],
+        [(-1, Fraction(-1, 2)), (0, -1), (Fraction(-3, 2), -1), 6]],
+}
+
+
+@pytest.mark.parametrize("D", [3, 7])
+@pytest.mark.parametrize("n", [3, 4])
+def test_non_principal_minors_match_laplace_oracle(n, D):
+    """Every block with rows != cols, in increasing and in reversed order,
+    as the p-residues and the Klingen multiplier read them."""
+    beta = HermitianMatrix(D, FIXED_ROWS[n])
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                if rows != cols:
+                    for r in (rows, rows[::-1]):
+                        assert _minor(beta, r, cols) == quad_minor(beta, r,
+                                                                   cols)
+
+
 @given(hermitian_matrices(max_n=3))
 @settings(max_examples=40, deadline=None)
 def test_minor_cache_is_invisible(beta):

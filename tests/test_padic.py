@@ -3,18 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import CycNumber
+from eiskling.exact_arith import CycNumber, euler_phi
 from eiskling.padic import (
     PadicElem,
     UnramElem,
     congruent_mod,
     embed_cyclotomic,
+    embedding_units,
     teichmuller,
 )
 from eiskling.errors import (
     InsufficientPrecisionError,
     UnsupportedEmbeddingError,
 )
+
+from oracles import embed_split_oracle
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=21)
 
@@ -108,3 +111,23 @@ def test_congruent_mod_mixed_types():
     a = PadicElem.from_fraction(0, 5, 8)
     diff = u * PadicElem.from_fraction(25, 5, 8)
     assert congruent_mod(diff, a, 2)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_split_embedding_matches_per_call_oracle(p):
+    """Every level m dividing p - 1, every choice, and the precisions 1, 2,
+    12 and 1 again in one process, which a cache of the Teichmuller powers
+    keyed without the precision would fail."""
+    for m in [m for m in range(1, p) if (p - 1) % m == 0]:
+        phi = euler_phi(m)
+        xs = [CycNumber.root_of_unity(m, k) for k in range(m)]
+        xs.append(CycNumber(m, [Fraction(3 * i + 1, 2 * i + 7) * (-1) ** i
+                                for i in range(phi)]))
+        xs.append(CycNumber(m, [Fraction(p, 4)] + [Fraction(1, p)] * (phi - 1)))
+        for prec in (1, 2, 12, 1):
+            for choice in range(len(embedding_units(m))):
+                for x in xs:
+                    got = embed_cyclotomic(x, p, prec, choice=choice)
+                    want = embed_split_oracle(x, p, prec, choice=choice)
+                    assert (got.val, got.unit, got.prec) == (
+                        want.val, want.unit, want.prec)
