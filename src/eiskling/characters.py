@@ -148,8 +148,8 @@ class DirichletChar:
         return DirichletChar(m, vals)
 
     def __pow__(self, k):
-        if k == 0:
-            return DirichletChar.trivial(self.modulus)
+        """chi^k, each value raised to k at its own level: chi^0 holds the
+        same table as chi^order, so equal powers are stored alike."""
         if k < 0:
             k %= self.order()
         return DirichletChar(self.modulus,

@@ -547,8 +547,10 @@ class HermitianMatrix:
     def _adopt(self, D, den, image, minors):
         """The core of both constructors: image / den, image a tuple of rows
         of integer pairs, brought to lowest terms with the minors known so
-        far, {(rows, cols): (A, B)}."""
-        g = gcd(den, *(x for row in image for e in row for x in e))
+        far, {(rows, cols): (A, B)}.  An image over 1 is already in lowest
+        terms."""
+        g = 1 if den == 1 else gcd(den, *(x for row in image for e in row
+                                          for x in e))
         if g > 1:
             den //= g
             image = tuple(tuple((a // g, b // g) for a, b in row)
@@ -597,6 +599,10 @@ class HermitianMatrix:
         return m + (self.den ** len(key[0]),)
 
     def det(self):
+        """The determinant as a Fraction, made once and kept in the memo."""
+        return self.memo(("det",), HermitianMatrix._det)
+
+    def _det(self):
         if not self.n:
             return Fraction(1)
         A, _, d = self.int_minor(range(self.n), range(self.n))
@@ -686,6 +692,39 @@ def count_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     return total
 
 
+def _quadratic(image, D, idx):
+    """(K, c, A, B) for the principal minor on idx, at least three indices
+    whose last two i < j hold 0 at (i, j) and (j, i) in image.  With
+    x = a + b*sqrt(-D) at (i, j) and its conjugate at (j, i), the minor is
+    K - c*N(x) + 2*Re((A + B*sqrt(-D)) x) = K - c*(a^2 + D*b^2)
+    + 2*(a*A - D*b*B): K is the minor at x = 0, c the principal minor on
+    idx without i and j, and A + B*sqrt(-D) the (i, j) cofactor at x = 0,
+    the minor on rows idx without i and columns idx without j, with the
+    sign (-1)^((k-2) + (k-1)) = -1 of positions k-2 and k-1 in a k x k
+    block."""
+    rest = idx[:-2]
+    K = _int_minor(image, D, idx, idx)[0]
+    c = _int_minor(image, D, rest, rest)[0]
+    A, B = _int_minor(image, D, rest + idx[-1:], idx[:-1])
+    return K, c, -A, -B
+
+
+def _last_entry_minors(minors, quadratics, D, x):
+    """The screened minors of the candidate whose last entry is x = (a, b):
+    a copy of minors, those that do not hold the last pair, with the value
+    of each quadratic (idx, (K, c, A, B)) at x added as (m, 0); None when
+    one of those values is negative."""
+    a, b = x
+    norm = a * a + D * b * b
+    out = dict(minors)
+    for idx, (K, c, A, B) in quadratics:
+        m = K - c * norm + 2 * (a * A - D * b * B)
+        if m < 0:
+            return None
+        out[idx, idx] = (m, 0)
+    return out
+
+
 def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     """Yield positive semidefinite hermitian matrices with bounded integer trace.
 
@@ -694,34 +733,57 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     constrained by the 2x2 minor bound, which makes every principal minor of
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
     integer image dual_scale * beta, and a candidate that passes is built
-    from that image, keeping them in its minor memo.  The cap
-    counts every candidate examined (count_hermitian gives that number in
-    advance).  Deterministic order.
+    from that image, keeping them in its minor memo.
+
+    The entry of the last pair (n-2, n-1) runs fastest, under a prefix that
+    fixes every other entry.  Per prefix, each screened minor that does not
+    hold both n-2 and n-1 is expanded once, and a negative one rejects the
+    prefix; each one that holds both is a quadratic in the last entry
+    (completing the square, as in Fincke-Pohst enumeration: Cohen, A Course
+    in Computational Algebraic Number Theory, 2.7.3), whose coefficients are
+    expanded once, so a candidate is tested with integer products alone.
+    The cap counts every candidate examined, those of a rejected prefix
+    included, in the order of the candidates (count_hermitian gives that
+    number in advance).  Deterministic order.
     """
     s = dual_scale
     s2 = s * s
     examined = 0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    screened = [(idx, idx) for size in range(3, n + 1)
+    screened = [idx for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
+    moving = [idx for idx in screened if idx[-2:] == (n - 2, n - 1)]
+    fixed = [idx for idx in screened if idx[-2:] != (n - 2, n - 1)]
     for diag in _diagonals(n, trace_bound):
         ranges = [[((a, b), (a, -b))
                    for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D)
                    for b in range(-bmax, bmax + 1)] for (i, j) in pairs]
         image = [[(s * diag[i], 0) if i == j else None for j in range(n)]
                  for i in range(n)]
-        for combo in itertools.product(*ranges):
-            examined += 1
-            if examined > cap:
-                raise ResourceBoundError("enumeration cap %d exceeded" % cap)
-            for (i, j), (x, xbar) in zip(pairs, combo):
+        # n = 1 has no pair: its one candidate per diagonal sets no entry
+        last = ranges.pop() if ranges else [((0, 0), (0, 0))]
+        for prefix in itertools.product(*ranges):
+            for (i, j), (x, xbar) in zip(pairs, prefix):
                 image[i][j], image[j][i] = x, xbar
+            room = cap - examined
+            examined += len(last)
             minors = {}
-            for key in screened:
-                m = minors[key] = _int_minor(image, D, *key)
+            for idx in fixed:
+                m = minors[idx, idx] = _int_minor(image, D, idx, idx)
                 if m[0] < 0:
                     break
             else:
-                beta = object.__new__(HermitianMatrix)
-                beta._adopt(D, s, tuple(map(tuple, image)), minors)
-                yield beta
+                if pairs:
+                    image[n - 2][n - 1] = image[n - 1][n - 2] = (0, 0)
+                quadratics = [(idx, _quadratic(image, D, idx))
+                              for idx in moving]
+                for x, xbar in itertools.islice(last, room):
+                    if pairs:
+                        image[n - 2][n - 1], image[n - 1][n - 2] = x, xbar
+                    known = _last_entry_minors(minors, quadratics, D, x)
+                    if known is not None:
+                        beta = object.__new__(HermitianMatrix)
+                        beta._adopt(D, s, tuple(map(tuple, image)), known)
+                        yield beta
+            if examined > cap:
+                raise ResourceBoundError("enumeration cap %d exceeded" % cap)

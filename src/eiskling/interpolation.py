@@ -18,7 +18,7 @@ from .characters import DirichletChar, SplitPCharPair
 from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
 from .qexp_diff import times_multiplier
-from .siegel_fourier import assemble_global
+from .siegel_fourier import CoefficientReport, assemble_global
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,29 @@ class FamilyTable:
         }
 
 
-def _compute_cell(i, j, beta, datum, weight):
+def _row_entry(beta, datum):
+    """assemble_global(beta, datum), or the text of the package error it
+    raised."""
     try:
-        report = assemble_global(beta, datum)
-        if not report.degenerate:
-            # the report is this cell's own, built just above
-            report.normalized = times_multiplier(report.normalized, beta,
-                                                 datum.variant, weight)
-            report.notes.append("weight multiplier applied: a = %s"
-                                % (weight,))
-        return FamilyCell(i, j, report=report)
+        return assemble_global(beta, datum)
     except EisklingError as exc:  # per-cell error records; the family continues
-        return FamilyCell(i, j, error="%s: %s" % (type(exc).__name__, exc))
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _point_cell(i, j, entry, weight):
+    """The cell of point i at index j from the row entry of the point's
+    datum: an error or a degenerate report as it is, any other report as a
+    new one with the weight multiplier applied, sharing the row's beta and
+    locals."""
+    if isinstance(entry, str):
+        return FamilyCell(i, j, error=entry)
+    if entry.degenerate:
+        return FamilyCell(i, j, report=entry)
+    normalized = times_multiplier(entry.normalized, entry.beta,
+                                  entry.variant, weight)
+    notes = entry.notes + ["weight multiplier applied: a = %s" % (weight,)]
+    return FamilyCell(i, j, report=CoefficientReport(
+        entry.beta, entry.variant, entry.locals, normalized, notes))
 
 
 def coefficient_family(datum, a, points, betas):
@@ -168,17 +179,27 @@ def coefficient_family(datum, a, points, betas):
     arithmetic point (the datum specialized there, base weight a), one
     column per hermitian index, with the weight multiplier of the point
     applied.  Rejected points and failed cells become error records; the
-    family continues past them."""
+    family continues past them.
+
+    Points whose specialized datums are equal (with zeta = 1, those of one
+    residue class of m_phi mod p - 1 and one kappa_phi) differ only in the
+    weight: assemble_global runs once per distinct datum and index, and
+    each point applies its own multiplier to that row."""
     cells = {}
     point_errors = {}
+    rows = []  # (specialized datum, its row entry per index)
     for i, pt in enumerate(points):
         try:
             at, weight = specialize(pt, datum, a)
         except EisklingError as exc:
             point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
             continue
-        for j, beta in enumerate(betas):
-            cells[(i, j)] = _compute_cell(i, j, beta, at, weight)
+        row = next((entries for seen, entries in rows if seen == at), None)
+        if row is None:
+            row = [_row_entry(beta, at) for beta in betas]
+            rows.append((at, row))
+        for j, entry in enumerate(row):
+            cells[(i, j)] = _point_cell(i, j, entry, weight)
     return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
 
 

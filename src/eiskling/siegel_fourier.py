@@ -10,9 +10,10 @@ fields that stay the same from one arithmetic point to the next, is computed
 once per index and kept in the index's memo (HermitianMatrix.memo), keyed by
 every datum field it reads: the prime support, the ell additive character,
 the residues mod p behind coeff_p, the archimedean rational and positive
-definiteness.  A family evaluates each index at every point and reuses them
-there.  Within one point, coeff_p depends on the index only through its
-residue pair, and the datum keeps one value per pair.
+definiteness.  A family assembles each index once per distinct specialized
+datum, not once per point (interpolation.coefficient_family), and reuses
+them for every datum.  Within one datum, coeff_p depends on the index only
+through its residue pair, and the datum keeps one value per pair.
 """
 
 from dataclasses import dataclass

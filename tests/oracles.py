@@ -18,7 +18,9 @@ of an index entry by entry, as assemble_global once found them, and exact
 values with every exponent a Fraction, each product renormalized from
 scratch, as ExactValue once kept them, and the split-branch embedding of a
 cyclotomic number into Q_p with the Teichmuller root and its powers made
-afresh on every call, as embed_cyclotomic once made them.
+afresh on every call, as embed_cyclotomic once made them, and a coefficient
+family with every index assembled afresh at every point, as
+coefficient_family once built it.
 """
 
 import itertools
@@ -29,10 +31,14 @@ from functools import lru_cache
 from math import comb
 
 from eiskling.characters import gauss_sum, primitive_root
-from eiskling.errors import NonIntegralExponentError, ResourceBoundError
+from eiskling.errors import (EisklingError, NonIntegralExponentError,
+                             ResourceBoundError)
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
                                   factorize, sqrt_minus_d, valuation)
+from eiskling.interpolation import FamilyCell, FamilyTable, specialize
 from eiskling.padic import PadicElem, embedding_units, teichmuller
+from eiskling.qexp_diff import times_multiplier
+from eiskling.siegel_fourier import assemble_global
 from eiskling.values import ExactValue
 
 
@@ -604,3 +610,30 @@ def embed_split_oracle(x, p, prec, choice=0):
                 Fraction(c, x.den), p, prec)
         power = power * root
     return acc
+
+
+def coefficient_family_per_point(datum, a, points, betas):
+    """coefficient_family with assemble_global run at every point and index:
+    each cell's report is its own, and the weight multiplier of the point
+    is applied to it in place."""
+    cells = {}
+    point_errors = {}
+    for i, pt in enumerate(points):
+        try:
+            at, weight = specialize(pt, datum, a)
+        except EisklingError as exc:
+            point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
+            continue
+        for j, beta in enumerate(betas):
+            try:
+                report = assemble_global(beta, at)
+                if not report.degenerate:
+                    report.normalized = times_multiplier(
+                        report.normalized, beta, at.variant, weight)
+                    report.notes.append("weight multiplier applied: a = %s"
+                                        % (weight,))
+                cells[(i, j)] = FamilyCell(i, j, report=report)
+            except EisklingError as exc:
+                cells[(i, j)] = FamilyCell(
+                    i, j, error="%s: %s" % (type(exc).__name__, exc))
+    return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)

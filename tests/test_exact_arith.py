@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from eiskling import exact_arith
 from eiskling.exact_arith import (
     CycNumber,
     HermitianMatrix,
@@ -371,7 +372,7 @@ def _drain(gen):
     return out, False
 
 
-@given(st.integers(1, 3), st.sampled_from([1, 2, 3]),
+@given(st.integers(1, 4), st.sampled_from([1, 2, 3]),
        st.sampled_from([1, 2, 3]), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
 def test_enumeration_matches_oracle(n, D, scale, trace):
@@ -388,12 +389,35 @@ def test_enumeration_matches_oracle(n, D, scale, trace):
         assert beta.to_json() == ref.to_json()
 
 
-@given(st.integers(2, 3), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+@given(st.integers(2, 4), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
        st.integers(1, 300))
 @settings(max_examples=25, deadline=None)
 def test_enumeration_cap_matches_oracle(n, D, scale, cap):
     got = _drain(enumerate_hermitian(n, D, 3, scale, cap=cap))
     assert got == _drain(enumerate_hermitian_oracle(n, D, 3, scale, cap=cap))
+
+
+def test_enumeration_expands_three_minors_per_prefix(monkeypatch):
+    """A prefix fixes every entry but the last pair's.  For n = 3 the one
+    screened minor is a quadratic in the last entry, and the enumerator
+    expands its three coefficients once per prefix, not a minor per
+    candidate: at most three calls of _int_minor from outside itself."""
+    minor = exact_arith._int_minor
+    depth = [0]
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return minor(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(exact_arith, "_int_minor", counted)
+    assert len(list(enumerate_hermitian(3, 1, 5))) == 1584
+    prefixes = {(diag, combo[:-1])
+                for diag, combo in hermitian_candidates_oracle(3, 1, 5)}
+    assert 0 < calls[0] <= 3 * len(prefixes)
 
 
 @given(st.integers(1, 3), st.sampled_from([1, 3]), st.sampled_from([1, 2]),

@@ -93,6 +93,12 @@ CLI_CASES = {
     "family kappa=6,8,7,6 prec=1": ("family", readme_config(
         points="6:0:Xpb;8:4:Xpb;7:8:Xpb;6:12:Xpb", prec="1",
         pairs="0,1,1;0,2,1;0,3,1;1,2,2;1,3,3;2,3,1")),
+    # two specialized datums interleaved (m = 0, 4 and m = 1, 5): each
+    # point's cells come from the row of the first point with its datum
+    "family m=0,1,4,5": ("family", readme_config(
+        points="6:0:Xpb;6:1:X;6:4:Xpb;6:5:X", pairs="0,2,1;1,3,1;0,1,1")),
+    # 4 x 4 indices: screened minors with and without the last pair
+    "enumerate r=3": ("enumerate", readme_config(r="3", trace_bound="3")),
     "kl exp:7:1": ("kl", workloads.kl_config("exp:7:1")),
     # an imprimitive character (conductor 5 at modulus 25), k_min > 1 and a
     # third Euler factor: the kl path the kl-sweep characters leave out

@@ -20,6 +20,7 @@ from eiskling.interpolation import (
     wild_char,
 )
 from eiskling.errors import ConductorError, ConfigError
+from oracles import coefficient_family_per_point, report_text
 
 
 def family(**fields):
@@ -150,6 +151,59 @@ def test_family_does_not_swallow_bugs(monkeypatch, target):
     monkeypatch.setattr(interpolation, target, broken)
     with pytest.raises(TypeError, match=target):
         make_table([ArithmeticPoint(6, 0, flag="Xpb")])
+
+
+def test_family_assembles_once_per_distinct_datum(monkeypatch):
+    """Points m = 0, 4 and m = 1, 5 interleave two specialized datums and
+    the kappa = 8 point is a third: assemble_global runs once per datum and
+    index, and every cell is the one the per-point loop builds, each with
+    its own report and notes."""
+    pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 1),
+           ArithmeticPoint(6, 4, flag="Xpb"), ArithmeticPoint(6, 5),
+           ArithmeticPoint(8, 4, flag="Xpb")]
+    betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
+    want = coefficient_family_per_point(family(), (2,), pts, betas)
+    calls = []
+    assemble = interpolation.assemble_global
+
+    def spy(beta, datum):
+        calls.append((beta, datum.kappa, datum.pair.tau1.key()))
+        return assemble(beta, datum)
+    monkeypatch.setattr(interpolation, "assemble_global", spy)
+    got = coefficient_family(family(), (2,), pts, betas)
+    assert len(calls) == len(set(calls)) == 3 * len(betas)
+    assert sorted(got.cells) == sorted(want.cells)
+    assert not got.point_errors and not want.point_errors
+    for key, cell in got.cells.items():
+        assert report_text(cell.to_json()) == report_text(
+            want.cells[key].to_json())
+        assert cell.report.normalized == want.cells[key].report.normalized
+    notes = [id(cell.report.notes) for cell in got.cells.values()]
+    assert len(set(notes)) == len(notes) == 5 * len(betas)
+
+
+def test_family_cells_do_not_depend_on_the_shared_row():
+    """At p = 7 a character of order 3 is stored at level 3 and its
+    product with omega^6 at level 6; omega^0 holds the table of omega^6, so
+    the point m = 6 reads the same whether its row was assembled for it or
+    for the point m = 0 before it."""
+    pair = SplitPCharPair(DirichletChar.from_exponent(7, 2),
+                          DirichletChar.from_exponent(7, 2),
+                          at_p1=CycNumber.root_of_unity(6, 1),
+                          at_p2=CycNumber.root_of_unity(6, 5))
+    datum = SiegelDatum(n=2, kappa=6, pair=pair, p=7, D=3, sigma=(3, 7),
+                        ell=5)
+    betas = [b for b in enumerate_hermitian(2, 3, 3) if b.det() != 0]
+    alone = coefficient_family(datum, (0,), [ArithmeticPoint(6, 6)], betas)
+    shared = coefficient_family(
+        datum, (0,), [ArithmeticPoint(6, 0), ArithmeticPoint(6, 6)], betas)
+    assert sum(cell.report is not None for cell in alone.cells.values()) > 1
+    for j in range(len(betas)):
+        got, want = shared.cells[1, j], alone.cells[0, j]
+        assert got.error == want.error
+        if want.report is not None:
+            assert (report_text(got.report.to_json())
+                    == report_text(want.report.to_json()))
 
 
 def test_congruence_identical_points_pass_all():
