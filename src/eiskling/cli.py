@@ -416,7 +416,9 @@ def cmd_family(cfg, args):
     pairs = _pairs(cfg)
     a = _base_weight(cfg)
     datum = _build_datum(cfg)
-    betas = [b for b in _betas(cfg, datum.n) if b.det() != 0]
+    # the full minor, which the enumerator has already expanded for n >= 3
+    full = range(datum.n)
+    betas = [b for b in _betas(cfg, datum.n) if b.int_minor(full, full)[0]]
     if not betas:
         # congruences over no index would certify nothing
         raise ConfigError("key 'trace_bound': no nonsingular index has "

@@ -205,7 +205,8 @@ def coefficient_family(datum, a, points, betas):
 
 @dataclass(frozen=True)
 class PadicCell:
-    """The p-adic reading of a nonzero cell value, made once per cell: val,
+    """The p-adic reading of a nonzero cell value, made once per value
+    object (cells with equal invariants share one): val,
     its valuation at p (ExactValue.p_valuation); nu, the exponent of p;
     gauss_key, its Gauss content; and unit, the part away from p and the
     Gauss symbols materialized as a CycNumber, or error, the text of the
@@ -219,7 +220,8 @@ class PadicCell:
 
 
 def padic_cell(value, p):
-    """The PadicCell of an exact value at p, or None when it is zero."""
+    """The PadicCell of an exact value at p, or None when it is zero.
+    check_congruences calls it once per distinct value object."""
     if value.is_zero():
         return None
     unit = error = None
@@ -283,18 +285,34 @@ def check_congruences(table, pairs, prec=12, choice=0):
     pairs: list of (point_index, point_index, k).  For every pair and every
     index beta the two cell values must agree mod p^k after embedding.
     Returns a report with one record per (pair, beta); failures carry the
-    full detail string."""
+    full detail string.
+
+    Cells share value objects (one per row of equal local invariants, and
+    across points where the weight multiplier is one), so the PadicCell is
+    built once per distinct value object and the verdict computed once per
+    distinct (form, form, k); the table keeps the values alive, so their ids
+    stay distinct while this runs."""
     p = table.p
     read = {i for i1, i2, _ in pairs for i in (i1, i2)}
-    forms = {key: padic_cell(cell.report.normalized, p)
-             for key, cell in table.cells.items()
-             if key[0] in read and cell.error is None}
+    by_value = {}  # id(normalized) -> PadicCell or None
+    forms = {}
+    for key, cell in table.cells.items():
+        if key[0] in read and cell.error is None:
+            value = cell.report.normalized
+            if id(value) not in by_value:
+                by_value[id(value)] = padic_cell(value, p)
+            forms[key] = by_value[id(value)]
+    verdicts = {}  # (id(form), id(form), k) -> (status, detail)
     records = []
     for (i1, i2, k) in pairs:
         for j in range(len(table.betas)):
             if (i1, j) in forms and (i2, j) in forms:
-                status, detail = _compare_cells(forms[i1, j], forms[i2, j],
-                                                k, p, prec, choice)
+                c1, c2 = forms[i1, j], forms[i2, j]
+                case = (id(c1), id(c2), k)
+                if case not in verdicts:
+                    verdicts[case] = _compare_cells(c1, c2, k, p, prec,
+                                                    choice)
+                status, detail = verdicts[case]
             else:
                 status, detail = "SKIPPED", "cell error or missing"
             records.append({"pair": (i1, i2), "beta": j, "k": k,

@@ -5,15 +5,17 @@ All values are exact: cyclotomic units times formal prime powers and Gauss
 symbols (ExactValue).  Transcendental archimedean factors cancel against the
 global normalization and never appear.
 
-What a coefficient takes from its index beta alone, or from beta and datum
-fields that stay the same from one arithmetic point to the next, is computed
-once per index and kept in the index's memo (HermitianMatrix.memo), keyed by
-every datum field it reads: the prime support, the ell additive character,
-the residues mod p behind coeff_p, the archimedean rational and positive
-definiteness.  A family assembles each index once per distinct specialized
-datum, not once per point (interpolation.coefficient_family), and reuses
-them for every datum.  Within one datum, coeff_p depends on the index only
-through its residue pair, and the datum keeps one value per pair.
+Every local factor sees a nonsingular, positive definite index beta only
+through a few local invariants: det beta, the common denominator of its
+entries, the sum of the diagonal entries the ell factor reads and the
+residues mod p behind coeff_p.  assemble_global computes the local factors,
+their product and the notes once per distinct tuple of these invariants and
+datum, keeps them in the datum (SiegelDatum.coefficients), and gives each
+index its own report around them.  Positive definiteness and the residues
+mod p are facts of the index alone and are kept in its memo
+(HermitianMatrix.memo), so the other datums of a family reuse them.  A
+family assembles each index once per distinct specialized datum, not once
+per point (interpolation.coefficient_family).
 """
 
 from dataclasses import dataclass
@@ -48,8 +50,11 @@ class SiegelDatum:
     r >= 1 is the rank of the definite group.
 
     Everything fixed by the arithmetic point (tau', its Gauss character, the
-    ell and p constants) is computed once per datum and cached, so a datum
-    must not be mutated after its first use; derive new ones with replace().
+    ell and p constants) is computed once per datum and cached, and so are
+    coeff_p's values by residue pair (p_values) and assemble_global's
+    values by local invariants of the index (coefficients); a datum must
+    not be mutated after its first use; derive new ones with replace(),
+    which starts with empty memos.
     """
 
     n: int
@@ -122,6 +127,14 @@ class SiegelDatum:
     def p_values(self):
         """coeff_p's value by residue pair (det beta mod p, det X mod p),
         filled as coeff_p meets the pairs: at most (p - 1)^2 shared values."""
+        return {}
+
+    @cached_property
+    def coefficients(self):
+        """(locals, normalized, notes) of assemble_global by the local
+        invariants of the index (_invariants), filled as assemble_global
+        meets them: every index with equal invariants shares one value of
+        each local factor and of their product.  Errors are not kept."""
         return {}
 
     @cached_property
@@ -215,22 +228,18 @@ def coeff_aux_ell(beta, datum):
 
     where d(beta) is the sum of the last r diagonal entries (all n of them
     for the lfun variant)."""
-    ell, y_norm, r, n = datum.ell, datum.y_norm, datum.r, datum.n
-    char = beta.memo(("ell", ell, y_norm, r, n), _ell_character,
-                     ell, y_norm, r, n)
-    if char is None:
+    if not _integral_at(beta, datum.ell):
         return ExactValue.zero()
-    return datum.aux_scalar * char
+    tr = Fraction(_ell_trace(beta, datum), beta.den)
+    return datum.aux_scalar * ExactValue(additive_char(tr / datum.y_norm,
+                                                       datum.ell))
 
 
-def _ell_character(beta, ell, y_norm, r, n):
-    """e_ell(d(beta) / (y ybar)) as an ExactValue, or None when beta is not
-    integral at ell."""
-    if not _integral_at(beta, ell):
-        return None
-    tr = Fraction(sum(beta.int_minor((i,), (i,))[0] for i in range(n - r, n)),
-                  beta.den)
-    return ExactValue(additive_char(tr / y_norm, ell))
+def _ell_trace(beta, datum):
+    """den * d(beta): the sum of the last r diagonal entries of the integer
+    image, the one entry sum coeff_aux_ell reads."""
+    return sum(beta.int_minor((i,), (i,))[0]
+               for i in range(datum.n - datum.r, datum.n))
 
 
 def _sqrt_md_residue(datum):
@@ -260,8 +269,7 @@ def coeff_p(beta, datum):
     """
     if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
-    p, root, r = datum.p, datum.sqrt_md_mod_p, datum.r
-    residues = beta.memo(("p", p, root, r), _p_residues, p, root, r)
+    residues = _residues(beta, datum)
     if residues is None:
         return ExactValue.zero()
     value = datum.p_values.get(residues)
@@ -271,6 +279,12 @@ def coeff_p(beta, datum):
                 * datum.p_unit)
         value = datum.p_values[residues] = ExactValue(unit) * datum.p_factor
     return value
+
+
+def _residues(beta, datum):
+    """_p_residues at the datum's p, root and r, kept in the index's memo."""
+    p, root, r = datum.p, datum.sqrt_md_mod_p, datum.r
+    return beta.memo(("p", p, root, r), _p_residues, p, root, r)
 
 
 def _p_residues(beta, p, root, r):
@@ -311,18 +325,13 @@ def coeff_arch_normalized(beta, datum):
     (-2)^(-n) det(beta)^(kappa-n) / (kappa-1)!  for the klingen variant,
     (-2)^(-n) det(beta)^(kappa-n)               for the lfun variant;
     zero unless det beta > 0.  The datum guarantees kappa >= n."""
-    kappa, variant, n = datum.kappa, datum.variant, datum.n
-    return beta.memo(("arch", kappa, variant, n), _arch_rational,
-                     kappa, variant, n)
-
-
-def _arch_rational(beta, kappa, variant, n):
     det = beta.det()
     if det <= 0:
         return ExactValue.zero()
-    val = Fraction((-1) ** n, 2 ** n) * det ** (kappa - n)
-    if variant == "klingen":
-        val /= factorial(kappa - 1)
+    n = datum.n
+    val = Fraction((-1) ** n, 2 ** n) * det ** (datum.kappa - n)
+    if datum.variant == "klingen":
+        val /= factorial(datum.kappa - 1)
     return ExactValue.from_rational(val)
 
 
@@ -348,17 +357,61 @@ class CoefficientReport:
         }
 
 
+def _invariants(beta, det, datum):
+    """The key of SiegelDatum.coefficients: every fact of a nonsingular,
+    positive definite index that the good-prime check, coeff_aux_ell,
+    coeff_p and coeff_arch_normalized read.  These are det beta and den
+    (the prime support, integrality at ell and the archimedean rational),
+    den * d(beta) (the ell character) and the residues mod p (None where
+    coeff_p raises for the datum's conductors)."""
+    residues = _residues(beta, datum) if datum.conductors_ok else None
+    return det, beta.den, _ell_trace(beta, datum), residues
+
+
+def _assemble(beta, datum):
+    """(locals, normalized, notes) of assemble_global at a nonsingular,
+    positive definite beta."""
+    good = [q for q in _support(beta)
+            if q not in datum.sigma and q not in (datum.ell, datum.p)]
+    if good:
+        # every q in good divides det beta or an entry denominator, so the
+        # check at the smallest raises; a q-primitive coefficient would
+        # cancel its L-factor to 1
+        coeff_unramified(beta, good[0], datum)
+    notes = ["good primes checked for primitivity: none"]
+    for q in sorted(datum.sigma):
+        if q != datum.p:
+            notes.append("place %d in sigma: section normalized to 1 "
+                         "(its L-factors are omitted from the prefactor)" % q)
+    locs = {"unramified": ExactValue.one(),
+            "ell_prefactor": datum.ell_prefactor,
+            "ell": coeff_aux_ell(beta, datum),
+            "p": coeff_p(beta, datum),
+            "arch": coeff_arch_normalized(beta, datum)}
+    if datum.variant == "lfun":
+        notes.append("lfun variant: a residual factor (pi/2)^r is part of "
+                     "the period and omitted from the algebraic value")
+    total = ExactValue.one()
+    for v in locs.values():
+        total = total * v
+    return locs, total, notes
+
+
 def assemble_global(beta, datum):
     """Assemble the normalized global coefficient at beta as the product of
     the local coefficients, after checking primitivity away from sigma and
     the auxiliary prime.
+
+    The local factors, their product and the notes are computed once per
+    datum and distinct local invariants of the index (_invariants) and kept
+    in SiegelDatum.coefficients; each index gets its own report with its own
+    beta and notes list around the shared values.
 
     Raises UnsupportedBetaError for indices outside the implemented
     (primitive) range; returns a degenerate placeholder report for singular
     indices."""
     if beta.n != datum.n:
         raise ValueError("beta size does not match the datum")
-    notes = []
     det = beta.det()
     if det == 0:
         return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
@@ -370,27 +423,9 @@ def assemble_global(beta, datum):
         return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
                                  ["index not positive definite: archimedean "
                                   "coefficient vanishes"], degenerate=False)
-    good = [q for q in beta.memo(("support",), _support)
-            if q not in datum.sigma and q not in (datum.ell, datum.p)]
-    if good:
-        # every q in good divides det beta or an entry denominator, so the
-        # check at the smallest raises; a q-primitive coefficient would
-        # cancel its L-factor to 1
-        coeff_unramified(beta, good[0], datum)
-    locs = {"unramified": ExactValue.one()}
-    notes.append("good primes checked for primitivity: none")
-    for q in sorted(datum.sigma):
-        if q != datum.p:
-            notes.append("place %d in sigma: section normalized to 1 "
-                         "(its L-factors are omitted from the prefactor)" % q)
-    locs["ell_prefactor"] = datum.ell_prefactor
-    locs["ell"] = coeff_aux_ell(beta, datum)
-    locs["p"] = coeff_p(beta, datum)
-    locs["arch"] = coeff_arch_normalized(beta, datum)
-    if datum.variant == "lfun":
-        notes.append("lfun variant: a residual factor (pi/2)^r is part of "
-                     "the period and omitted from the algebraic value")
-    total = ExactValue.one()
-    for v in locs.values():
-        total = total * v
-    return CoefficientReport(beta, datum.variant, locs, total, notes)
+    key = _invariants(beta, det, datum)
+    entry = datum.coefficients.get(key)
+    if entry is None:
+        entry = datum.coefficients[key] = _assemble(beta, datum)
+    locs, total, notes = entry
+    return CoefficientReport(beta, datum.variant, locs, total, list(notes))

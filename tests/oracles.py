@@ -25,7 +25,7 @@ coefficient_family once built it.
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -613,7 +613,8 @@ def embed_split_oracle(x, p, prec, choice=0):
 
 
 def coefficient_family_per_point(datum, a, points, betas):
-    """coefficient_family with assemble_global run at every point and index:
+    """coefficient_family with assemble_global run at every point and index,
+    each on a fresh copy of the point's datum, so no datum memo is shared:
     each cell's report is its own, and the weight multiplier of the point
     is applied to it in place."""
     cells = {}
@@ -626,7 +627,7 @@ def coefficient_family_per_point(datum, a, points, betas):
             continue
         for j, beta in enumerate(betas):
             try:
-                report = assemble_global(beta, at)
+                report = assemble_global(beta, replace(at))
                 if not report.degenerate:
                     report.normalized = times_multiplier(
                         report.normalized, beta, at.variant, weight)

@@ -70,6 +70,10 @@ def readme_config(**edits):
 
 CLI_CASES = {
     "coeff": ("coeff", README_CFG),
+    # entries in (1/7)O_K: indices not integral at ell (a zero ell factor),
+    # good-prime errors at many primes and plain rows, several indices per
+    # local invariant
+    "coeff r=1 dual_scale=7": ("coeff", readme_config(dual_scale="7")),
     "enumerate": ("enumerate", README_CFG),
     "hecke r=1": ("hecke", README_CFG),
     "hecke r=2 a=1,0": ("hecke", readme_config(r="2", a="1,0")),

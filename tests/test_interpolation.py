@@ -206,6 +206,44 @@ def test_family_cells_do_not_depend_on_the_shared_row():
                     == report_text(want.report.to_json()))
 
 
+def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
+    """With a = 0 the cells of equal local invariants, at every point of one
+    specialized datum, share one value object: _compare_cells runs once per
+    distinct (form, form, k), far fewer times than there are records, and
+    every record is what comparing freshly built forms of its two cells
+    gives."""
+    pts = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8)] + [
+        ArithmeticPoint(8, 12, flag="Xpb")]
+    table, betas = make_table(pts)
+    pairs = [(0, 1, 1), (1, 0, 1), (0, 2, 2), (1, 2, 1), (0, 3, 1),
+             (3, 2, 1)]
+    compare = interpolation._compare_cells
+    calls = []
+
+    def spy(c1, c2, k, *rest):
+        calls.append((c1, c2, k))
+        return compare(c1, c2, k, *rest)
+    monkeypatch.setattr(interpolation, "_compare_cells", spy)
+    records = check_congruences(table, pairs)["records"]
+    keys = [(id(c1), id(c2), k) for c1, c2, k in calls]
+    assert len(keys) == len(set(keys))
+    compared = [r for r in records if r["status"] != "SKIPPED"]
+    assert 0 < len(calls) < len(compared)
+    build = interpolation.padic_cell
+    expected = []
+    for i1, i2, k in pairs:
+        for j in range(len(betas)):
+            c1, c2 = table.cells[i1, j], table.cells[i2, j]
+            if c1.error is None and c2.error is None:
+                expected.append(compare(build(c1.report.normalized, 5),
+                                        build(c2.report.normalized, 5),
+                                        k, 5, 12, 0))
+            else:
+                expected.append(("SKIPPED", "cell error or missing"))
+    assert [(r["status"], r["detail"]) for r in records] == expected
+    assert {status for status, _ in expected} == {"PASS", "FAIL"}
+
+
 def test_congruence_identical_points_pass_all():
     pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 0, flag="Xpb")]
     table, betas = make_table(pts)
@@ -231,8 +269,8 @@ def test_congruence_detects_failure():
 
 
 def test_congruence_records_match_pairwise_comparison(monkeypatch):
-    """Each cell's p-adic form is built once and its valuation read once,
-    however many pairs the cell is in; every record, the INCOMPARABLE detail
+    """Each distinct value object's p-adic form is built once and its
+    valuation read once, however many cells and pairs hold it; every record, the INCOMPARABLE detail
     of a non-integral exponent and the vanishing partner of such a cell
     included, is what comparing its two cells alone gives."""
     build = interpolation.padic_cell
@@ -260,8 +298,9 @@ def test_congruence_records_match_pairwise_comparison(monkeypatch):
     table = FamilyTable(5, pts, [None] * len(columns), cells, {})
     pairs = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 0, 1)]
     records = check_congruences(table, pairs)["records"]
-    # twelve cells, half in two of them, each built once; ten are nonzero
-    assert len(builds) == 12
+    # twelve cells, half in two of them; one build per distinct value
+    # object: ExactValue.zero() and half each fill two cells
+    assert len(builds) == len({id(v) for c in columns for v in c}) == 10
     assert sorted(map(id, valuations)) == sorted(
         id(v) for v in builds if not v.is_zero())
     expected = [_compare_cells(build(columns[j][i1], 5),

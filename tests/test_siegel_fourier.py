@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from eiskling.siegel_fourier import (
     _support,
 )
 from eiskling.errors import EisklingError, UnsupportedBetaError
+from eiskling import cli
 
 from oracles import (entry_integral_at, hermitian_of, index_support,
                      minor_units_mod_p, quad_rows, rank_one_coeff_p_oracle,
@@ -262,3 +264,70 @@ def test_index_memo_is_invisible(beta, data):
     assert _support(beta) == index_support(beta)
     for q in (2, 3, 5, 7, 13):
         assert _integral_at(beta, q) == entry_integral_at(beta, q)
+
+
+README_KEYS = {"p": "5", "D": "1", "r": "1", "ell": "7", "sigma": "2,5",
+               "kappa": "6", "tau1": "exp:5:1", "tau2": "exp:5:2",
+               "at_p1": "zeta:4:1", "at_p2": "zeta:4:3", "trace_bound": "3",
+               "variant": "klingen"}
+
+# each reaches a different part of the key: indices in (1/s)O_K, the ell
+# trace with y_norm away from 1, n = 3, n = 1 and another field and prime
+KEYED_CONFIGS = {
+    "readme": {},
+    "r=2 trace 5": {"r": "2", "trace_bound": "5"},
+    "lfun": {"variant": "lfun"},
+    "dual_scale=2": {"dual_scale": "2"},
+    "dual_scale=3": {"dual_scale": "3"},
+    "dual_scale=7": {"dual_scale": "7"},
+    "y_norm=7/3": {"y_norm": "7/3"},
+    "D=3 p=7": {"p": "7", "D": "3", "ell": "5", "sigma": "3,7",
+                "tau1": "exp:7:1", "tau2": "exp:7:2", "at_p1": "zeta:6:1",
+                "at_p2": "zeta:6:5", "trace_bound": "4"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_CONFIGS))
+def test_keyed_assembly_matches_fresh_assembly(name, tmp_path):
+    """Every index of a config, assembled in turn under one datum (its
+    coefficients memo shared by all of them), gives the report text or
+    error string that a fresh copy of the index gives under a fresh copy
+    of the datum, with no memo shared."""
+    path = tmp_path / "run.cfg"
+    path.write_text("".join("%s = %s\n" % item for item in
+                            {**README_KEYS, **KEYED_CONFIGS[name]}.items()))
+    cfg = cli.load_config(str(path))
+    datum = cli._build_datum(cfg)
+    betas = cli._betas(cfg, datum.n)
+    keyed = [coefficient_json(beta, datum) for beta in betas]
+    fresh = [coefficient_json(hermitian_of(beta.D, quad_rows(beta)),
+                              replace(datum)) for beta in betas]
+    assert keyed == fresh
+    assert len(datum.coefficients) < len(betas)
+
+
+def test_keyed_assembly_tells_denominators_apart():
+    """Over Q(sqrt(-2)), where ell = 3 splits, an integral index and one
+    with entries in (1/3)O_K share det 1, the image diagonal sum 2 and
+    their residues mod 11, and differ in the ell factor: zero off the
+    lattice at ell.  In either order, each gets its own value."""
+    pair = SplitPCharPair(DirichletChar.from_exponent(11, 1),
+                          DirichletChar.from_exponent(11, 2),
+                          at_p1=CycNumber.root_of_unity(4, 1),
+                          at_p2=CycNumber.root_of_unity(4, 3))
+    datum = SiegelDatum(n=2, kappa=6, pair=pair, p=11, D=2, sigma=(2, 11),
+                        ell=3)
+    integral = HermitianMatrix(2, [[1, -1], [-1, 2]])
+    third = HermitianMatrix(2, [[3, -1], [-1, Fraction(2, 3)]])
+    assert integral.det() == third.det() == 1
+    assert (integral.den, third.den) == (1, 3)
+    for order in ([integral, third], [third, integral]):
+        shared = replace(datum)
+        reports = [assemble_global(beta, shared) for beta in order]
+        assert len(shared.coefficients) == 2
+        for beta, report in zip(order, reports):
+            assert (report_text(report.to_json())
+                    == report_text(assemble_global(beta,
+                                                   replace(datum)).to_json()))
+            assert report.locals["ell"].is_zero() == (beta is third)
+            assert not report.locals["p"].is_zero()
