@@ -74,11 +74,20 @@ CLI_CASES = {
     # good-prime errors at many primes and plain rows, several indices per
     # local invariant
     "coeff r=1 dual_scale=7": ("coeff", readme_config(dual_scale="7")),
+    # 3 x 3 indices, singular ones among them, sharing few local invariants
+    "coeff r=2 trace 5": ("coeff", readme_config(r="2", trace_bound="5")),
+    "coeff lfun": ("coeff", readme_config(variant="lfun")),
+    # tau1*tau2 is trivial: every positive definite index whose good-prime
+    # check passes ends in a ConductorError at p
+    "coeff tau2=exp:5:3": ("coeff", readme_config(tau2="exp:5:3")),
     "enumerate": ("enumerate", README_CFG),
     "hecke r=1": ("hecke", README_CFG),
     "hecke r=2 a=1,0": ("hecke", readme_config(r="2", a="1,0")),
     "pullback satake q s": ("pullback", readme_config(
         satake="zeta:8:1", q="13", s="2")),
+    # shift 1/2: s + 1/2 and 2s + n - i integral with s half-integral
+    "pullback lfun s=3/2": ("pullback", readme_config(
+        satake="zeta:8:1", q="13", s="3/2", variant="lfun")),
     "family lfun": ("family", readme_config(variant="lfun")),
     "family D=3 p=7 r=2": ("family", readme_config(
         p="7", D="3", r="2", ell="5", sigma="3,7", tau1="exp:7:1",
