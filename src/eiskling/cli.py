@@ -22,7 +22,8 @@ from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
 from .padic import PadicElem, UnramElem, congruent_mod
-from .siegel_fourier import SiegelDatum, assemble_global, index_size
+from .siegel_fourier import (SiegelDatum, assemble_classes, index_classes,
+                             index_size)
 from .interpolation import (ArithmeticPoint, coefficient_family,
                             check_congruences)
 
@@ -398,13 +399,16 @@ def cmd_coeff(cfg, args):
     _validate_common(cfg)
     _require(cfg, "kappa")
     datum = _build_datum(cfg)
+    betas = _betas(cfg, datum.n)
+    reps, of = index_classes(betas, datum)
+    entries = assemble_classes(reps, datum)
     reports = []
-    for beta in _betas(cfg, datum.n):
-        try:
-            reports.append(assemble_global(beta, datum).to_json())
-        except EisklingError as exc:
-            reports.append({"beta": beta,
-                            "error": "%s: %s" % (type(exc).__name__, exc)})
+    for beta, c in zip(betas, of):
+        entry = entries[c]
+        if isinstance(entry, str):
+            reports.append({"beta": beta, "error": entry})
+        else:
+            reports.append({**entry.to_json(), "beta": beta})
     return {"command": "coeff", "reports": reports}
 
 

@@ -518,9 +518,9 @@ class HermitianMatrix:
     (a + b*sqrt(-D)) / den, so equal matrices have equal images.  Each minor
     is expanded on the image once and kept in a per-instance memo as the
     pair (A, B) of (A + B*sqrt(-D)) / den^k, whose sign is that of A on a
-    principal block; memo() keeps other facts derived from the matrix there
-    too.  The memo does not enter equality or hashing; a matrix must not be
-    mutated after construction.
+    principal block; det() keeps the determinant there too.  The memo does
+    not enter equality or hashing; a matrix must not be mutated after
+    construction.
     """
 
     __slots__ = ("D", "n", "den", "_image", "_memo")
@@ -573,17 +573,6 @@ class HermitianMatrix:
             return Fraction(e[0]), Fraction(e[1])
         raise TypeError("bad matrix entry %r" % (e,))
 
-    def memo(self, key, compute, *args):
-        """compute(self, *args), made once per key and kept with the minors.
-        The key names the fact (a str first, so it never equals the
-        (rows, cols) key of a minor) and holds every argument that compute
-        reads besides the matrix.  An error compute raises is not kept."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute(self, *args)
-            return value
-
     def int_minor(self, rows, cols):
         """The determinant of the rows x cols block as integers (A, B, d):
         it is (A + B*sqrt(-D)) / d with d = den^k for a k x k block, not
@@ -599,14 +588,16 @@ class HermitianMatrix:
         return m + (self.den ** len(key[0]),)
 
     def det(self):
-        """The determinant as a Fraction, made once and kept in the memo."""
-        return self.memo(("det",), HermitianMatrix._det)
-
-    def _det(self):
-        if not self.n:
-            return Fraction(1)
-        A, _, d = self.int_minor(range(self.n), range(self.n))
-        return Fraction(A, d)
+        """The determinant as a Fraction, made once and kept in the memo
+        under the key "det", which no (rows, cols) key of a minor equals."""
+        det = self._memo.get("det")
+        if det is None:
+            det = Fraction(1)
+            if self.n:
+                A, _, d = self.int_minor(range(self.n), range(self.n))
+                det = Fraction(A, d)
+            self._memo["det"] = det
+        return det
 
     def trace(self):
         return Fraction(sum(self._image[i][i][0] for i in range(self.n)),

@@ -18,7 +18,8 @@ from .characters import DirichletChar, SplitPCharPair
 from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
 from .qexp_diff import times_multiplier
-from .siegel_fourier import CoefficientReport, assemble_global
+from .siegel_fourier import (CoefficientReport, assemble_classes,
+                             index_classes)
 
 
 @dataclass(frozen=True)
@@ -149,29 +150,21 @@ class FamilyTable:
         }
 
 
-def _row_entry(beta, datum):
-    """assemble_global(beta, datum), or the text of the package error it
-    raised."""
-    try:
-        return assemble_global(beta, datum)
-    except EisklingError as exc:  # per-cell error records; the family continues
-        return "%s: %s" % (type(exc).__name__, exc)
-
-
-def _point_cell(i, j, entry, weight):
-    """The cell of point i at index j from the row entry of the point's
-    datum: an error or a degenerate report as it is, any other report as a
-    new one with the weight multiplier applied, sharing the row's beta and
+def _point_cell(i, j, beta, entry, weight):
+    """The cell of point i at index j, beta, from the entry of beta's
+    invariant class at the point's datum: an error or a degenerate report
+    (a singular index is its own class) as it is, any other report as a new
+    one at beta with the weight multiplier applied, sharing the class's
     locals."""
     if isinstance(entry, str):
         return FamilyCell(i, j, error=entry)
     if entry.degenerate:
         return FamilyCell(i, j, report=entry)
-    normalized = times_multiplier(entry.normalized, entry.beta,
-                                  entry.variant, weight)
+    normalized = times_multiplier(entry.normalized, beta, entry.variant,
+                                  weight)
     notes = entry.notes + ["weight multiplier applied: a = %s" % (weight,)]
     return FamilyCell(i, j, report=CoefficientReport(
-        entry.beta, entry.variant, entry.locals, normalized, notes))
+        beta, entry.variant, entry.locals, normalized, notes))
 
 
 def coefficient_family(datum, a, points, betas):
@@ -181,13 +174,15 @@ def coefficient_family(datum, a, points, betas):
     applied.  Rejected points and failed cells become error records; the
     family continues past them.
 
-    Points whose specialized datums are equal (with zeta = 1, those of one
-    residue class of m_phi mod p - 1 and one kappa_phi) differ only in the
-    weight: assemble_global runs once per distinct datum and index, and
-    each point applies its own multiplier to that row."""
+    The indices are grouped into invariant classes once; no specialization
+    changes the classes.  Points whose specialized datums are equal (with
+    zeta = 1, those of one residue class of m_phi mod p - 1 and one
+    kappa_phi) differ only in the weight: each class is assembled once per
+    distinct datum, and each point applies its own multiplier per index."""
     cells = {}
     point_errors = {}
-    rows = []  # (specialized datum, its row entry per index)
+    reps, of = index_classes(betas, datum)
+    rows = []  # (specialized datum, its entry per class)
     for i, pt in enumerate(points):
         try:
             at, weight = specialize(pt, datum, a)
@@ -196,10 +191,10 @@ def coefficient_family(datum, a, points, betas):
             continue
         row = next((entries for seen, entries in rows if seen == at), None)
         if row is None:
-            row = [_row_entry(beta, at) for beta in betas]
+            row = assemble_classes(reps, at)
             rows.append((at, row))
-        for j, entry in enumerate(row):
-            cells[(i, j)] = _point_cell(i, j, entry, weight)
+        for j, beta in enumerate(betas):
+            cells[(i, j)] = _point_cell(i, j, beta, row[of[j]], weight)
     return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
 
 
@@ -287,8 +282,8 @@ def check_congruences(table, pairs, prec=12, choice=0):
     Returns a report with one record per (pair, beta); failures carry the
     full detail string.
 
-    Cells share value objects (one per row of equal local invariants, and
-    across points where the weight multiplier is one), so the PadicCell is
+    Cells share value objects (one per invariant class and distinct datum,
+    and across points where the weight multiplier is one), so the PadicCell is
     built once per distinct value object and the verdict computed once per
     distinct (form, form, k); the table keeps the values alive, so their ids
     stay distinct while this runs."""

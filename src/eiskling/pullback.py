@@ -6,15 +6,15 @@ from fractions import Fraction
 from .errors import (ConductorError, ConfigError, NonIntegralExponentError,
                      PoleError)
 from .exact_arith import CycNumber
-from .siegel_fourier import index_size
+from .siegel_fourier import abelian_lfactors, index_size
 from .values import ExactValue
 
 
-def _one_minus_inv(term, side, q):
-    dif = CycNumber.one() - term
-    if dif.is_zero():
+def _no_pole(factors, side, q):
+    """The product of L-factors, inverted, checked to be nonzero."""
+    if factors.is_zero():
         raise PoleError("%s pole in unramified ratio at q=%d" % (side, q))
-    return dif
+    return factors
 
 
 def klingen_ratio_unramified(alphas, tau_data, q, s, variant="klingen"):
@@ -36,21 +36,17 @@ def klingen_ratio_unramified(alphas, tau_data, q, s, variant="klingen"):
     if e_num.denominator != 1:
         raise NonIntegralExponentError("s + shift = %s is not integral" % e_num)
     qs = Fraction(q) ** (-int(e_num))
-    num = CycNumber.one()
+    one = CycNumber.one()
+    num = one
     for a in alphas:
-        num = num * _one_minus_inv(tv.conj() * a * qs, "numerator", q)
-        num = num * _one_minus_inv(tvbar.conj() * a.inverse() * qs, "numerator", q)
-    num = num.inverse()
-    tpbar = (tv * tvbar).conj()
-    den = CycNumber.one()
-    for i in range(nden):
-        # chi_K(q) = 1 at a split prime, so the twists all agree
-        e_den = 2 * s + nden - i  # klingen: 2s+r+1-i; lfun: 2s+r-i
-        if Fraction(e_den).denominator != 1:
-            raise NonIntegralExponentError("denominator exponent %s" % e_den)
-        term = tpbar * (Fraction(q) ** (-int(e_den)))
-        den = den * _one_minus_inv(term, "denominator", q)
-    return num * den
+        num = (num * (one - tv.conj() * a * qs)
+               * (one - tvbar.conj() * a.inverse() * qs))
+    # the abelian L-factors at 2s + nden - i, with chi_K(q) = 1 at a split
+    # prime; 2s is integral since s + shift is
+    den = abelian_lfactors((tv * tvbar).conj(), 1, q, int(2 * s) + nden,
+                           nden)
+    return (_no_pole(num, "numerator", q).inverse()
+            * _no_pole(den, "denominator", q))
 
 
 def p_constant_lfun(alphas, pair, kappa, p):

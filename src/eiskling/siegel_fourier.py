@@ -8,14 +8,11 @@ global normalization and never appear.
 Every local factor sees a nonsingular, positive definite index beta only
 through a few local invariants: det beta, the common denominator of its
 entries, the sum of the diagonal entries the ell factor reads and the
-residues mod p behind coeff_p.  assemble_global computes the local factors,
-their product and the notes once per distinct tuple of these invariants and
-datum, keeps them in the datum (SiegelDatum.coefficients), and gives each
-index its own report around them.  Positive definiteness and the residues
-mod p are facts of the index alone and are kept in its memo
-(HermitianMatrix.memo), so the other datums of a family reuse them.  A
-family assembles each index once per distinct specialized datum, not once
-per point (interpolation.coefficient_family).
+residues mod p behind coeff_p.  index_classes groups indices into
+invariant classes, the indices with equal invariants, and assemble_classes
+assembles one representative of each class; assemble_global itself keeps
+no cache.  None of the invariants depends on the points of a family, so a
+family groups its indices once (interpolation.coefficient_family).
 """
 
 from dataclasses import dataclass
@@ -23,9 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .errors import ConductorError, ConfigError, UnsupportedBetaError
-from .exact_arith import (CycNumber, HermitianMatrix, factorize,
-                          sqrt_minus_d, valuation)
+from .errors import (ConductorError, ConfigError, EisklingError,
+                     UnsupportedBetaError)
+from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
 from .characters import chi_K
 from .padic import PadicElem, embed_cyclotomic
 from .values import ExactValue
@@ -50,11 +47,8 @@ class SiegelDatum:
     r >= 1 is the rank of the definite group.
 
     Everything fixed by the arithmetic point (tau', its Gauss character, the
-    ell and p constants) is computed once per datum and cached, and so are
-    coeff_p's values by residue pair (p_values) and assemble_global's
-    values by local invariants of the index (coefficients); a datum must
-    not be mutated after its first use; derive new ones with replace(),
-    which starts with empty memos.
+    ell and p constants) is computed once per datum and cached; a datum
+    must not be mutated after its first use; derive new ones with replace().
     """
 
     n: int
@@ -124,20 +118,6 @@ class SiegelDatum:
         return _p_convention_unit(self)
 
     @cached_property
-    def p_values(self):
-        """coeff_p's value by residue pair (det beta mod p, det X mod p),
-        filled as coeff_p meets the pairs: at most (p - 1)^2 shared values."""
-        return {}
-
-    @cached_property
-    def coefficients(self):
-        """(locals, normalized, notes) of assemble_global by the local
-        invariants of the index (_invariants), filled as assemble_global
-        meets them: every index with equal invariants shares one value of
-        each local factor and of their product.  Errors are not kept."""
-        return {}
-
-    @cached_property
     def p_factor(self):
         """g(tau')^n c_n(taubar', -s): the beta-independent part of coeff_p
         apart from the unit."""
@@ -184,15 +164,14 @@ def additive_char(x, q):
     return CycNumber.root_of_unity(qk, j)
 
 
-def _abelian_lfactors(datum, q):
-    """prod_{i=0}^{n-1} (1 - taubar' chi_K^i (q) q^{-(kappa-i)}) as a
-    CycNumber: the abelian L-factors at q, inverted."""
-    tpb = datum.tau_prime_bar
-    ck = chi_K(datum.D, q)
+def abelian_lfactors(tpb, ck, q, kappa, n):
+    """prod_{i=0}^{n-1} (1 - tpb ck^i q^{-(kappa-i)}) as a CycNumber: the
+    abelian L-factors at q, inverted, for the character value tpb at q and
+    ck = chi_K(q)."""
     acc = CycNumber.one()
     sign = 1
-    for i in range(datum.n):
-        acc = acc * (CycNumber.one() - tpb(q) * sign * Fraction(q) ** (-(datum.kappa - i)))
+    for i in range(n):
+        acc = acc * (CycNumber.one() - tpb * sign * Fraction(q) ** (i - kappa))
         sign *= ck
     return acc
 
@@ -211,14 +190,18 @@ def coeff_unramified(beta, q, datum):
     det = beta.det()
     if det == 0 or valuation(det, q) != 0:
         raise UnsupportedBetaError("beta not primitive at %d" % q)
-    return ExactValue(_abelian_lfactors(datum, q))
+    return ExactValue(abelian_lfactors(datum.tau_prime_bar(q), ck, q,
+                                       datum.kappa, datum.n))
 
 
 def prefactor_ell_lfactors(datum):
     """The abelian L-factors of the global normalization at the auxiliary
     prime (which lies outside sigma and is not cancelled locally):
     prod_{i=0}^{n-1} (1 - taubar' chi_K^i (ell) ell^{-(kappa-i)})^{-1}."""
-    return ExactValue(_abelian_lfactors(datum, datum.ell).inverse())
+    ell = datum.ell
+    return ExactValue(abelian_lfactors(
+        datum.tau_prime_bar(ell), chi_K(datum.D, ell), ell, datum.kappa,
+        datum.n).inverse())
 
 
 def coeff_aux_ell(beta, datum):
@@ -269,28 +252,21 @@ def coeff_p(beta, datum):
     """
     if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
-    residues = _residues(beta, datum)
+    residues = _residues_mod_p(beta, datum)
     if residues is None:
         return ExactValue.zero()
-    value = datum.p_values.get(residues)
-    if value is None:
-        det_res, x_res = residues
-        unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
-                * datum.p_unit)
-        value = datum.p_values[residues] = ExactValue(unit) * datum.p_factor
-    return value
+    det_res, x_res = residues
+    unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
+            * datum.p_unit)
+    return ExactValue(unit) * datum.p_factor
 
 
-def _residues(beta, datum):
-    """_p_residues at the datum's p, root and r, kept in the index's memo."""
+def _residues_mod_p(beta, datum):
+    """(det beta mod p, det X mod p) for coeff_p, read with the datum's
+    square root of -D mod p; None where the coefficient vanishes: beta not
+    integral at p, det beta not a unit at p, or a leading minor of X not a
+    unit at p."""
     p, root, r = datum.p, datum.sqrt_md_mod_p, datum.r
-    return beta.memo(("p", p, root, r), _p_residues, p, root, r)
-
-
-def _p_residues(beta, p, root, r):
-    """(det beta mod p, det X mod p) for coeff_p, with root a square root of
-    -D mod p; None where the coefficient vanishes: beta not integral at p,
-    det beta not a unit at p, or a leading minor of X not a unit at p."""
     if not _integral_at(beta, p):
         return None
     # p does not divide den, so each minor (A + B sqrt(-D)) / d has the
@@ -357,20 +333,66 @@ class CoefficientReport:
         }
 
 
-def _invariants(beta, det, datum):
-    """The key of SiegelDatum.coefficients: every fact of a nonsingular,
-    positive definite index that the good-prime check, coeff_aux_ell,
-    coeff_p and coeff_arch_normalized read.  These are det beta and den
-    (the prime support, integrality at ell and the archimedean rational),
-    den * d(beta) (the ell character) and the residues mod p (None where
-    coeff_p raises for the datum's conductors)."""
-    residues = _residues(beta, datum) if datum.conductors_ok else None
-    return det, beta.den, _ell_trace(beta, datum), residues
+def _invariants(beta, datum):
+    """The key of beta's invariant class: every fact of the index that
+    assemble_global reads, at this datum and at every datum specialize
+    derives from it.  A singular or non-positive-definite index is its own
+    key.  Any other index is keyed by det beta and den (the prime support,
+    integrality at ell and the archimedean rational), den * d(beta) (the ell
+    character) and the residues mod p, which read only p, D, prec,
+    embedding_choice and r of the datum."""
+    det = beta.det()
+    if det == 0 or not beta.is_positive_definite():
+        return beta
+    return (det, beta.den, _ell_trace(beta, datum),
+            _residues_mod_p(beta, datum))
 
 
-def _assemble(beta, datum):
-    """(locals, normalized, notes) of assemble_global at a nonsingular,
-    positive definite beta."""
+def index_classes(betas, datum):
+    """Group the indices into invariant classes, those with equal
+    _invariants: (reps, of), where reps holds the first index of each class
+    and of[j] is the class number of betas[j]."""
+    reps, of, number = [], [], {}
+    for beta in betas:
+        key = _invariants(beta, datum)
+        if key not in number:
+            number[key] = len(reps)
+            reps.append(beta)
+        of.append(number[key])
+    return reps, of
+
+
+def assemble_classes(reps, datum):
+    """For each class representative, the report of assemble_global at the
+    datum, or the text "Type: message" of the package error it raised."""
+    entries = []
+    for beta in reps:
+        try:
+            entries.append(assemble_global(beta, datum))
+        except EisklingError as exc:  # an error record; the others continue
+            entries.append("%s: %s" % (type(exc).__name__, exc))
+    return entries
+
+
+def assemble_global(beta, datum):
+    """Assemble the normalized global coefficient at beta as the product of
+    the local coefficients, after checking primitivity away from sigma and
+    the auxiliary prime.
+
+    Raises UnsupportedBetaError for indices outside the implemented
+    (primitive) range; returns a degenerate placeholder report for singular
+    indices."""
+    if beta.n != datum.n:
+        raise ValueError("beta size does not match the datum")
+    if beta.det() == 0:
+        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
+                                 ["singular index: constant-term block, "
+                                  "value not computed by this assembler"],
+                                 degenerate=True)
+    if not beta.is_positive_definite():
+        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
+                                 ["index not positive definite: archimedean "
+                                  "coefficient vanishes"], degenerate=False)
     good = [q for q in _support(beta)
             if q not in datum.sigma and q not in (datum.ell, datum.p)]
     if good:
@@ -394,38 +416,4 @@ def _assemble(beta, datum):
     total = ExactValue.one()
     for v in locs.values():
         total = total * v
-    return locs, total, notes
-
-
-def assemble_global(beta, datum):
-    """Assemble the normalized global coefficient at beta as the product of
-    the local coefficients, after checking primitivity away from sigma and
-    the auxiliary prime.
-
-    The local factors, their product and the notes are computed once per
-    datum and distinct local invariants of the index (_invariants) and kept
-    in SiegelDatum.coefficients; each index gets its own report with its own
-    beta and notes list around the shared values.
-
-    Raises UnsupportedBetaError for indices outside the implemented
-    (primitive) range; returns a degenerate placeholder report for singular
-    indices."""
-    if beta.n != datum.n:
-        raise ValueError("beta size does not match the datum")
-    det = beta.det()
-    if det == 0:
-        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
-                                 ["singular index: constant-term block, "
-                                  "value not computed by this assembler"],
-                                 degenerate=True)
-    if not beta.memo(("positive definite",),
-                     HermitianMatrix.is_positive_definite):
-        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
-                                 ["index not positive definite: archimedean "
-                                  "coefficient vanishes"], degenerate=False)
-    key = _invariants(beta, det, datum)
-    entry = datum.coefficients.get(key)
-    if entry is None:
-        entry = datum.coefficients[key] = _assemble(beta, datum)
-    locs, total, notes = entry
-    return CoefficientReport(beta, datum.variant, locs, total, list(notes))
+    return CoefficientReport(beta, datum.variant, locs, total, notes)

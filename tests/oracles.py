@@ -614,9 +614,9 @@ def embed_split_oracle(x, p, prec, choice=0):
 
 def coefficient_family_per_point(datum, a, points, betas):
     """coefficient_family with assemble_global run at every point and index,
-    each on a fresh copy of the point's datum, so no datum memo is shared:
-    each cell's report is its own, and the weight multiplier of the point
-    is applied to it in place."""
+    each on a fresh copy of the point's datum, with no invariant classes and
+    no datum shared between cells: each cell's report is its own, and the
+    weight multiplier of the point is applied to it in place."""
     cells = {}
     point_errors = {}
     for i, pt in enumerate(points):

@@ -11,11 +11,13 @@ from eiskling.values import ExactValue
 from eiskling.siegel_fourier import (
     SiegelDatum,
     additive_char,
+    assemble_classes,
     assemble_global,
     coeff_arch_normalized,
     coeff_aux_ell,
     coeff_p,
     coeff_unramified,
+    index_classes,
     prefactor_ell_lfactors,
     _integral_at,
     _sqrt_md_residue,
@@ -289,28 +291,34 @@ KEYED_CONFIGS = {
 
 @pytest.mark.parametrize("name", sorted(KEYED_CONFIGS))
 def test_keyed_assembly_matches_fresh_assembly(name, tmp_path):
-    """Every index of a config, assembled in turn under one datum (its
-    coefficients memo shared by all of them), gives the report text or
-    error string that a fresh copy of the index gives under a fresh copy
-    of the datum, with no memo shared."""
+    """Every index of a config, read from the entry of its invariant class
+    as cmd_coeff reads it, gives the report text or error string that a
+    fresh copy of the index gives under a fresh copy of the datum; and
+    fewer classes than indices have their local factors computed."""
     path = tmp_path / "run.cfg"
     path.write_text("".join("%s = %s\n" % item for item in
                             {**README_KEYS, **KEYED_CONFIGS[name]}.items()))
     cfg = cli.load_config(str(path))
     datum = cli._build_datum(cfg)
     betas = cli._betas(cfg, datum.n)
-    keyed = [coefficient_json(beta, datum) for beta in betas]
+    reps, of = index_classes(betas, datum)
+    entries = assemble_classes(reps, datum)
+    keyed = [entries[c] if isinstance(entries[c], str)
+             else report_text({**entries[c].to_json(), "beta": beta})
+             for beta, c in zip(betas, of)]
     fresh = [coefficient_json(hermitian_of(beta.D, quad_rows(beta)),
                               replace(datum)) for beta in betas]
     assert keyed == fresh
-    assert len(datum.coefficients) < len(betas)
+    computed = [e for e in entries if not isinstance(e, str) and e.locals]
+    assert len(computed) < len(betas)
 
 
 def test_keyed_assembly_tells_denominators_apart():
     """Over Q(sqrt(-2)), where ell = 3 splits, an integral index and one
     with entries in (1/3)O_K share det 1, the image diagonal sum 2 and
     their residues mod 11, and differ in the ell factor: zero off the
-    lattice at ell.  In either order, each gets its own value."""
+    lattice at ell.  In either order, they fall into different classes and
+    each gets its own value."""
     pair = SplitPCharPair(DirichletChar.from_exponent(11, 1),
                           DirichletChar.from_exponent(11, 2),
                           at_p1=CycNumber.root_of_unity(4, 1),
@@ -322,10 +330,9 @@ def test_keyed_assembly_tells_denominators_apart():
     assert integral.det() == third.det() == 1
     assert (integral.den, third.den) == (1, 3)
     for order in ([integral, third], [third, integral]):
-        shared = replace(datum)
-        reports = [assemble_global(beta, shared) for beta in order]
-        assert len(shared.coefficients) == 2
-        for beta, report in zip(order, reports):
+        reps, of = index_classes(order, datum)
+        assert reps == order and of == [0, 1]
+        for beta, report in zip(order, assemble_classes(reps, datum)):
             assert (report_text(report.to_json())
                     == report_text(assemble_global(beta,
                                                    replace(datum)).to_json()))
