@@ -163,6 +163,9 @@ def load_config(path):
                 cfg[key] = parse(raw[key])
             except (ConfigError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("key %r: %s" % (key, exc))
+            except EisklingError as exc:
+                raise ConfigError("key %r: %s: %s"
+                                  % (key, type(exc).__name__, exc))
         else:
             cfg[key] = default
     cfg["_raw"] = raw
@@ -299,8 +302,11 @@ def _emit(report, out_path):
     put("\n")
     out = "".join(parts)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(out)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ConfigError("cannot write report %s: %s" % (out_path, exc))
     else:
         sys.stdout.write(out)
 
@@ -424,9 +430,7 @@ def cmd_family(cfg, args):
     pairs = _pairs(cfg)
     a = _base_weight(cfg)
     datum = _build_datum(cfg)
-    # the full minor, which the enumerator has already expanded for n >= 3
-    full = range(datum.n)
-    betas = [b for b in _betas(cfg, datum.n) if b.int_minor(full, full)[0]]
+    betas = [b for b in _betas(cfg, datum.n) if b.det()]
     if not betas:
         # congruences over no index would certify nothing
         raise ConfigError("key 'trace_bound': no nonsingular index has "
@@ -585,7 +589,6 @@ def build_parser():
                     help="accepted for compatibility and ignored: cells are "
                          "computed serially")
     ap.add_argument("--prec", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -605,6 +608,11 @@ def main(argv=None):
         if cfg["prec"] < 1:
             raise ConfigError("key 'prec': must be at least 1")
         report = _COMMANDS[args.command](cfg, args)
+        report["schema"] = SCHEMA
+        report["config_hash"] = config_hash(cfg)
+        # schema 1 pins a "seed" key, though nothing here is random
+        report["seed"] = 0
+        _emit(report, args.out)
     except EisklingError as exc:
         # a ConfigError names the key; the package's other errors mean the
         # config asks for what the formulas do not cover
@@ -612,10 +620,6 @@ def main(argv=None):
             exc = "%s: %s" % (type(exc).__name__, exc)
         sys.stderr.write("config error: %s\n" % exc)
         return 2
-    report["schema"] = SCHEMA
-    report["config_hash"] = config_hash(cfg)
-    report["seed"] = args.seed
-    _emit(report, args.out)
     if args.command == "selftest" and not report.get("ok"):
         return 1
     return 0

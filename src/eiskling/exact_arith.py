@@ -8,12 +8,13 @@ stored by FLINT/Antic (nf_elem; Cohen, A Course in Computational Algebraic
 Number Theory, section 4).  An element a + b*sqrt(-D) of the quadratic field
 is an integer pair (a, b) over a denominator; it enters a cyclotomic field
 only through sqrt_minus_d.  A Hermitian matrix is stored as its integer
-image alone: the lowest common denominator den of its entry parts and each
-entry as the integer pair (a*den, b*den).  Its minors are expanded on that
-image over Z[sqrt(-D)], kept as integers and read as (A, B, den^k) through
-HermitianMatrix.int_minor.  The bounded-trace enumerator screens candidates
-on integers and hands each one it yields its image and those minors, with
-no Fraction in between.
+image and its determinant: the lowest common denominator den of its entry
+parts, each entry as the integer pair (a*den, b*den), and det as a Fraction
+made once.  Its minors are expanded on that image over Z[sqrt(-D)] on every
+call and read as integers (A, B, den^k) through HermitianMatrix.int_minor.
+The bounded-trace enumerator screens candidates on integers and hands each
+one it yields its image and, for n >= 3, the full principal minor its
+screen computed, with no Fraction in between.
 """
 
 from fractions import Fraction
@@ -509,17 +510,15 @@ class HermitianMatrix:
     from rows whose entries are ints, Fractions or pairs (a, b) standing for
     a + b*sqrt(-D).
 
-    Stored as its integer image alone: den, the lowest common denominator
-    of the entry parts, and image[i][j] = (a, b) for the entry
-    (a + b*sqrt(-D)) / den, so equal matrices have equal images.  Each minor
-    is expanded on the image once and kept in a per-instance memo as the
-    pair (A, B) of (A + B*sqrt(-D)) / den^k, whose sign is that of A on a
-    principal block; det() keeps the determinant there too.  The memo does
-    not enter equality or hashing; a matrix must not be mutated after
-    construction.
+    A plain value: den, the lowest common denominator of the entry parts,
+    image[i][j] = (a, b) for the entry (a + b*sqrt(-D)) / den, so equal
+    matrices have equal images, and the determinant as a Fraction, made at
+    construction.  Each minor is expanded on the image when asked for, as
+    the pair (A, B) of (A + B*sqrt(-D)) / den^k, whose sign is that of A on
+    a principal block.  A matrix must not be mutated after construction.
     """
 
-    __slots__ = ("D", "n", "den", "_image", "_memo")
+    __slots__ = ("D", "n", "den", "_image", "_det")
 
     def __init__(self, D, rows):
         parts = tuple(tuple(self._entry_parts(e) for e in row)
@@ -538,27 +537,30 @@ class HermitianMatrix:
                 a, b = image[i][j]
                 if image[j][i] != (a, -b):
                     raise ValueError("matrix must be hermitian")
-        self._adopt(D, den, image, {})
+        self._adopt(D, den, image)
 
-    def _adopt(self, D, den, image, minors):
+    def _adopt(self, D, den, image, det=None):
         """The core of both constructors: image / den, image a tuple of rows
-        of integer pairs, brought to lowest terms with the minors known so
-        far, {(rows, cols): (A, B)}.  An image over 1 is already in lowest
-        terms."""
+        of integer pairs, brought to lowest terms.  det is the full
+        principal minor of image when the caller has it, and is expanded
+        otherwise.  An image over 1 is already in lowest terms."""
+        n = len(image)
+        if det is None:
+            full = tuple(range(n))
+            det = _int_minor(image, D, full, full)[0] if n else 1
         g = 1 if den == 1 else gcd(den, *(x for row in image for e in row
                                           for x in e))
         if g > 1:
             den //= g
             image = tuple(tuple((a // g, b // g) for a, b in row)
                           for row in image)
-            # a k x k minor is homogeneous of degree k in the entries
-            minors = {key: (A // g ** len(key[0]), B // g ** len(key[0]))
-                      for key, (A, B) in minors.items()}
+            # an n x n minor is homogeneous of degree n in the entries
+            det //= g ** n
         self.D = D
-        self.n = len(image)
+        self.n = n
         self.den = den
         self._image = image
-        self._memo = minors
+        self._det = Fraction(det, den ** n)
 
     @staticmethod
     def _entry_parts(e):
@@ -572,45 +574,21 @@ class HermitianMatrix:
     def int_minor(self, rows, cols):
         """The determinant of the rows x cols block as integers (A, B, d):
         it is (A + B*sqrt(-D)) / d with d = den^k for a k x k block, not
-        reduced.  Expanded once per block."""
-        key = (tuple(rows), tuple(cols))
-        m = self._memo.get(key)
-        if m is None:
-            k = len(key[0])
-            if k == 0 or k != len(key[1]):
-                raise ValueError("a minor needs equal, nonempty row and "
-                                 "column sets")
-            m = self._memo[key] = _int_minor(self._image, self.D, *key)
-        return m + (self.den ** len(key[0]),)
+        reduced."""
+        rows, cols = tuple(rows), tuple(cols)
+        k = len(rows)
+        if k == 0 or k != len(cols):
+            raise ValueError("a minor needs equal, nonempty row and column "
+                             "sets")
+        return _int_minor(self._image, self.D, rows, cols) + (self.den ** k,)
 
     def det(self):
-        """The determinant as a Fraction, made once and kept in the memo
-        under the key "det", which no (rows, cols) key of a minor equals."""
-        det = self._memo.get("det")
-        if det is None:
-            det = Fraction(1)
-            if self.n:
-                A, _, d = self.int_minor(range(self.n), range(self.n))
-                det = Fraction(A, d)
-            self._memo["det"] = det
-        return det
-
-    def trace(self):
-        return Fraction(sum(self._image[i][i][0] for i in range(self.n)),
-                        self.den)
+        """The determinant as a Fraction, made at construction."""
+        return self._det
 
     def is_positive_definite(self):
-        return all(self.int_minor(range(k), range(k))[0] > 0
-                   for k in range(1, self.n + 1))
-
-    def is_positive_semidefinite(self):
-        for size in range(1, self.n + 1):
-            for idx in itertools.combinations(range(self.n), size):
-                A, B, _ = self.int_minor(idx, idx)
-                assert B == 0
-                if A < 0:
-                    return False
-        return True
+        return self._det > 0 and all(self.int_minor(range(k), range(k))[0] > 0
+                                     for k in range(1, self.n))
 
     def __eq__(self, other):
         return (isinstance(other, HermitianMatrix) and self.D == other.D
@@ -686,22 +664,6 @@ def _quadratic(image, D, idx):
     return K, c, -A, -B
 
 
-def _last_entry_minors(minors, quadratics, D, x):
-    """The screened minors of the candidate whose last entry is x = (a, b):
-    a copy of minors, those that do not hold the last pair, with the value
-    of each quadratic (idx, (K, c, A, B)) at x added as (m, 0); None when
-    one of those values is negative."""
-    a, b = x
-    norm = a * a + D * b * b
-    out = dict(minors)
-    for idx, (K, c, A, B) in quadratics:
-        m = K - c * norm + 2 * (a * A - D * b * B)
-        if m < 0:
-            return None
-        out[idx, idx] = (m, 0)
-    return out
-
-
 def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     """Yield positive semidefinite hermitian matrices with bounded integer trace.
 
@@ -710,7 +672,8 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     constrained by the 2x2 minor bound, which makes every principal minor of
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
     integer image dual_scale * beta, and a candidate that passes is built
-    from that image, keeping them in its minor memo.
+    from that image, with the full minor (the last one screened) as its
+    determinant.
 
     The entry of the last pair (n-2, n-1) runs fastest, under a prefix that
     fixes every other entry.  Per prefix, each screened minor that does not
@@ -744,23 +707,25 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                 image[i][j], image[j][i] = x, xbar
             room = cap - examined
             examined += len(last)
-            minors = {}
-            for idx in fixed:
-                m = minors[idx, idx] = _int_minor(image, D, idx, idx)
-                if m[0] < 0:
-                    break
-            else:
+            if all(_int_minor(image, D, idx, idx)[0] >= 0 for idx in fixed):
                 if pairs:
                     image[n - 2][n - 1] = image[n - 1][n - 2] = (0, 0)
-                quadratics = [(idx, _quadratic(image, D, idx))
-                              for idx in moving]
+                quadratics = [_quadratic(image, D, idx) for idx in moving]
                 for x, xbar in itertools.islice(last, room):
                     if pairs:
                         image[n - 2][n - 1], image[n - 1][n - 2] = x, xbar
-                    known = _last_entry_minors(minors, quadratics, D, x)
-                    if known is not None:
+                    a, b = x
+                    norm = a * a + D * b * b
+                    # the value of each quadratic at x; the last one, on
+                    # every index, is the full minor (None for n <= 2)
+                    m = None
+                    for K, c, A, B in quadratics:
+                        m = K - c * norm + 2 * (a * A - D * b * B)
+                        if m < 0:
+                            break
+                    else:
                         beta = object.__new__(HermitianMatrix)
-                        beta._adopt(D, s, tuple(map(tuple, image)), known)
+                        beta._adopt(D, s, tuple(map(tuple, image)), m)
                         yield beta
             if examined > cap:
                 raise ResourceBoundError("enumeration cap %d exceeded" % cap)

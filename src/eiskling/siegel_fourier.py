@@ -271,10 +271,10 @@ def _residues_mod_p(beta, datum):
         return None
     # p does not divide den, so each minor (A + B sqrt(-D)) / d has the
     # residue (A + B root) / d mod p
-    A, _, d = beta.int_minor(range(beta.n), range(beta.n))
-    if A == 0:
+    det = beta.det()
+    if det == 0:
         raise UnsupportedBetaError("coeff_p needs det beta != 0")
-    det_res = A * pow(d, -1, p) % p
+    det_res = det.numerator * pow(det.denominator, -1, p) % p
     if det_res == 0:
         return None  # taubar'(det beta) = 0
     rows = range(r)

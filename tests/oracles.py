@@ -20,7 +20,9 @@ scratch, as ExactValue once kept them, and the split-branch embedding of a
 cyclotomic number into Q_p with the Teichmuller root and its powers made
 afresh on every call, as embed_cyclotomic once made them, and a coefficient
 family with every index assembled afresh at every point, as
-coefficient_family once built it.
+coefficient_family once built it, and the verdict of each congruence
+record on a unit difference from the report JSON alone, with its own
+primitive root and Hensel lift and nothing from eiskling.padic.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from eiskling.characters import gauss_sum, primitive_root
 from eiskling.errors import (EisklingError, NonIntegralExponentError,
@@ -638,3 +640,103 @@ def coefficient_family_per_point(datum, a, points, betas):
                 cells[(i, j)] = FamilyCell(
                     i, j, error="%s: %s" % (type(exc).__name__, exc))
     return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
+
+
+def _least_primitive_root(p):
+    """The least g whose powers run through the units mod the odd prime p."""
+    primes = [q for q in range(2, p) if (p - 1) % q == 0
+              and all(q % d for d in range(2, q))]
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+
+
+def _hensel_root(poly, r, p, K):
+    """The root mod p^K of the integer polynomial poly (low degree first)
+    that lifts its simple root r mod p, by Newton steps."""
+    mod = p ** K
+
+    def at(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % mod
+        return acc
+    deriv = [i * c for i, c in enumerate(poly)][1:]
+    while at(poly, r):
+        r = (r - at(poly, r) * pow(at(deriv, r), -1, mod)) % mod
+    return r
+
+
+def _unit_part(value, p, nu0):
+    """(level, coefficients) of a cell value's unit times its prime powers
+    away from p times p^(nu - nu0), read from its JSON form."""
+    exps = {int(q): Fraction(e) for q, e in value["exponents"].items()}
+    exps[p] = exps.get(p, 0) - nu0
+    scale = Fraction(1)
+    for q, e in exps.items():
+        assert e.denominator == 1, "non-integral exponent"
+        scale *= Fraction(q) ** int(e)
+    unit = value["unit"]
+    return unit["level"], [Fraction(c) * scale for c in unit["coeffs"]]
+
+
+def unit_difference_check(report, p, choice=0):
+    """Recompute each record of a family report whose detail is "unit
+    difference has valuation >= T" or "< T" from the cells' JSON alone.
+
+    With nu_i the exponent of p of cell i and the Gauss shift sum t*n/2 over
+    its Gauss symbols of modulus p^t (both cells carry the same ones), the
+    target is T = k - shift - min(nu_1, nu_2), and the unit parts u_i are
+    each cell's unit times its other prime powers times p^(nu_i - min), on
+    the power basis of Q(zeta_L), L the lcm of their levels.  Where L
+    divides p - 1 (split), v(u_1 - u_2) is read at the root of Phi_L mod a
+    power of p that Hensel-lifts g^((p-1)/L * a), g the least primitive root
+    and a the choice-th unit mod L in increasing order; otherwise
+    (unramified) it is the least valuation of a coefficient.  Returns the
+    number of records checked of each kind and the records whose T or
+    verdict the recomputation does not give."""
+    head = "unit difference has valuation "
+    cells = {(c["point"], c["beta"]): c for c in report["table"]["cells"]}
+    kinds = {"split": 0, "unramified": 0}
+    wrong = []
+    for rec in report["congruences"]["records"]:
+        if not rec["detail"].startswith(head):
+            continue
+        sign, T = rec["detail"][len(head):].split()
+        v1, v2 = (cells[i, rec["beta"]]["report"]["normalized"]
+                  for i in rec["pair"])
+        assert v1["gauss"] == v2["gauss"], "different Gauss symbols"
+        shift = Fraction(0)
+        for g in v1["gauss"]:
+            t = _vp(g["modulus"], p)
+            if t and g["modulus"] == p ** t:
+                shift += Fraction(g["power"] * t, 2)
+        nus = [Fraction(v["exponents"].get(str(p), "0")) for v in (v1, v2)]
+        nu0 = min(nus)
+        target = rec["k"] - shift - nu0
+        (L1, c1), (L2, c2) = (_unit_part(v, p, nu0) for v in (v1, v2))
+        L = lcm(L1, L2)
+        diff = [x - y for x, y in zip(cyc_lift(L1, c1, L),
+                                      cyc_lift(L2, c2, L))]
+        if L % p == 0:
+            wrong.append((rec, "level %d is ramified at p" % L))
+            continue
+        den = lcm(*(c.denominator for c in diff))
+        if (p - 1) % L:
+            kinds["unramified"] += 1
+            val = min(_vp(c, p) for c in diff if c)
+        else:
+            kinds["split"] += 1
+            units = [a for a in range(1, L + 1) if gcd(a, L) == 1]
+            a = units[choice % len(units)]
+            # digits enough to tell v >= target apart from v < target
+            K = max(int(target), 0) + _vp(den, p) + 2
+            root = _hensel_root(cyclotomic_poly(L), pow(
+                _least_primitive_root(p), (p - 1) // L * a, p), p, K)
+            total = sum(int(c * den) * pow(root, j, p ** K)
+                        for j, c in enumerate(diff)) % p ** K
+            val = (_vp(total, p) if total else K) - _vp(den, p)
+        holds = val >= target
+        if (Fraction(T) != target or (sign == ">=") != holds
+                or (rec["status"] == "PASS") != holds):
+            wrong.append((rec, "target %s, valuation %s" % (target, val)))
+    return kinds, wrong

@@ -351,8 +351,11 @@ def edited(**keys):
 ] + [
     ("pullback", {"q": "13"}, "key 's': must be set with 'q'"),
     ("pullback", {"s": "2"}, "key 'q': must be set with 's'"),
-    ("coeff", {"at_p1": "zeta:100000:1"},
-     "ResourceBoundError: cyclotomic level 100000 exceeds the cap 2000"),
+    ("coeff", {"at_p1": "zeta:100000:1"}, "key 'at_p1': ResourceBoundError: "
+     "cyclotomic level 100000 exceeds the cap 2000"),
+    # a key the command never reads is still parsed, and named
+    ("coeff", {"chi": "exp:2003:1"}, "key 'chi': ResourceBoundError: "
+     "cyclotomic level 2002 exceeds the cap 2000"),
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):
@@ -363,6 +366,27 @@ def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
     assert main([command, "--config", path, "--out", "/dev/null"]
                 + flags) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("where, reason", [
+    (("missing", "x.json"), "No such file or directory"),
+    ((), "Is a directory"),
+])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, where, reason):
+    out = str(tmp_path.joinpath(*where))
+    assert main(["selftest", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write report %s: " % out)
+    assert reason in err and err.count("\n") == 1
+
+
+def test_seed_flag_is_rejected_and_reports_keep_seed_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert main(["selftest"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
 def test_kl_character_defaults_to_trivial(tmp_path):

@@ -220,7 +220,7 @@ def test_positive_definite_examples():
     bad = _mat(1, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert good.is_positive_definite()
     assert not bad.is_positive_definite()
-    assert not bad.is_positive_semidefinite()
+    assert not psd_by_principal_minors(bad)
 
 
 def test_enumeration_is_psd_and_deterministic():
@@ -229,8 +229,8 @@ def test_enumeration_is_psd_and_deterministic():
     assert run1 == run2
     assert len(run1) > 0
     for b in run1:
-        assert b.is_positive_semidefinite()
-        assert b.trace() <= 2
+        assert psd_by_principal_minors(b)
+        assert sum(row[i].a for i, row in enumerate(quad_rows(b))) <= 2
         assert psd_by_eigenvalues(b)
 
 
@@ -241,7 +241,7 @@ def test_enumeration_dual_scale():
                      for row in quad_rows(b) for e in row)]
     assert halves, "dual lattice entries with denominator 2 expected"
     for b in seen:
-        assert b.is_positive_semidefinite()
+        assert psd_by_principal_minors(b)
 
 
 def test_enumeration_cap():
@@ -306,7 +306,6 @@ def test_hermitian_minors_match_laplace_oracle(beta, data):
         assert _minor(beta, range(j), range(j)) == quad_minor(beta, range(j),
                                                               range(j))
     assert beta.det() == quad_minor(beta, range(n), range(n)).a
-    assert beta.is_positive_semidefinite() == psd_by_principal_minors(beta)
 
 
 FIXED_ROWS = {
@@ -343,22 +342,20 @@ def test_minor_cache_is_invisible(beta):
     first = beta.int_minor(everything, everything)
     assert beta.int_minor(range(beta.n), range(beta.n)) == first
     assert beta.int_minor(everything, everything) == first
-    beta.is_positive_semidefinite()
     assert twin == beta and hash(twin) == hash(beta)
     assert twin.int_minor(everything, everything) == first
 
 
 @pytest.mark.parametrize("n, D, trace, scale", [(3, 1, 3, 1), (3, 3, 3, 2),
                                                  (3, 1, 2, 3), (4, 1, 3, 1)])
-def test_enumeration_hands_screened_minors_to_the_memo(n, D, trace, scale):
-    """Every principal minor of size >= 3 that the enumerator's screen
-    computed is in the yielded matrix's memo, with the value that the
-    Laplace oracle gives."""
-    for beta in enumerate_hermitian(n, D, trace, scale):
-        for size in range(3, n + 1):
-            for idx in itertools.combinations(range(n), size):
-                assert (idx, idx) in beta._memo
-                assert _minor(beta, idx, idx) == quad_minor(beta, idx, idx)
+def test_enumeration_hands_over_the_determinant(n, D, trace, scale):
+    """The full minor that the enumerator's screen computed last is each
+    yielded matrix's determinant, with the value that the Laplace oracle
+    gives."""
+    betas = list(enumerate_hermitian(n, D, trace, scale))
+    assert betas
+    for beta in betas:
+        assert beta.det() == quad_minor(beta, range(n), range(n)).a
 
 
 def _drain(gen):

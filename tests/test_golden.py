@@ -22,6 +22,8 @@ import pytest
 
 from eiskling.cli import main
 
+from oracles import unit_difference_check
+
 TESTS = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(TESTS), "bench")
 DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
@@ -125,9 +127,9 @@ DEMO_CASES = {"demo " + name: name for name in sorted(os.listdir(DEMOS))
               if name.endswith(".py")}
 
 
-def report_digest(text, argv):
-    """sha256 of the report that main(argv(path)) writes, path being a file
-    that holds the config text."""
+def report_bytes(text, argv):
+    """The report that main(argv(path)) writes, path being a file that holds
+    the config text."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         out = os.path.join(tmp, "out.json")
@@ -135,7 +137,11 @@ def report_digest(text, argv):
             fh.write(text)
         assert main(argv(cfg) + ["--out", out]) == 0
         with open(out, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            return fh.read()
+
+
+def report_digest(text, argv):
+    return hashlib.sha256(report_bytes(text, argv)).hexdigest()
 
 
 def cli_digest(name):
@@ -184,6 +190,40 @@ def test_cli_report_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(DEMO_CASES))
 def test_demo_output_matches_golden(name):
     assert demo_digest(DEMO_CASES[name]) == _golden_cli()[name]
+
+
+# every golden family case, and one more input for the check alone: the
+# second embedding changes sqrt(-D) mod p and so the cell values, and four
+# pairs of unit parts that agree under the first differ under it
+UNIT_DIFFERENCE_CASES = {
+    name: text for name, (command, text) in CLI_CASES.items()
+    if command == "family"}
+UNIT_DIFFERENCE_CASES["family m=0,1,4,5 choice=1"] = (
+    CLI_CASES["family m=0,1,4,5"][1] + "embedding_choice = 1\n")
+# the records whose detail is "unit difference has valuation ..." per case,
+# by the embedding the check reads them in; the other cases have none
+UNIT_DIFFERENCE_KINDS = {
+    "family kappa=6,8,7,6 y_norm=7/3 choice=1 dual_scale=2": {
+        "unramified": 52},
+    "family kappa=6,8,7,6 prec=1": {"split": 24},
+    "family m=0,1,4,5": {"split": 4},
+    "family m=0,1,4,5 choice=1": {"split": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_DIFFERENCE_CASES))
+def test_unit_difference_verdicts_match_independent_check(name):
+    """Each verdict on a unit difference, and its target, is what
+    oracles.unit_difference_check recomputes from the report's JSON."""
+    text = UNIT_DIFFERENCE_CASES[name]
+    report = json.loads(report_bytes(
+        text, lambda path: ["family", "--config", path]))
+    keys = dict(line.split(" = ", 1) for line in text.splitlines())
+    kinds, wrong = unit_difference_check(
+        report, int(keys["p"]), int(keys.get("embedding_choice", 0)))
+    assert wrong == []
+    assert kinds == {"split": 0, "unramified": 0,
+                     **UNIT_DIFFERENCE_KINDS.get(name, {})}
 
 
 if __name__ == "__main__":
