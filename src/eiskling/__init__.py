@@ -31,7 +31,6 @@ from .characters import (
     DirichletChar,
     SplitPCharPair,
     gauss_sum,
-    euler_factor,
     chi_K,
     kronecker_symbol,
 )

@@ -1,47 +1,12 @@
-"""Dirichlet characters with exact cyclotomic values, Gauss sums, quadratic
-symbols and Euler factors."""
+"""Dirichlet characters with exact cyclotomic values, Gauss sums and the
+quadratic character of Q(sqrt(-D))."""
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ConductorError, NonIntegralExponentError, PoleError
+from .errors import ConductorError
 from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
-                          legendre, reduce_powers)
-
-
-def kronecker_symbol(a, n):
-    """The Kronecker symbol (a/n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # strip factors of 2 from n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a/n) for odd n > 0
-    result = sign
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+                          kronecker_symbol, reduce_powers)
 
 
 def chi_K(D, q):
@@ -91,7 +56,7 @@ class DirichletChar:
         """The Legendre character modulo an odd prime q."""
         if q == 2 or not is_prime(q):
             raise ValueError("need an odd prime")
-        return cls(q, {a: CycNumber.from_rational(legendre(a, q))
+        return cls(q, {a: CycNumber.from_rational(kronecker_symbol(a, q))
                        for a in range(1, q)})
 
     @classmethod
@@ -258,23 +223,6 @@ def gauss_sum(chi):
             if c:
                 dense[(i * step + a * level // m) % level] += c * scale
     return CycNumber.from_integers(level, reduce_powers(level, dense), den)
-
-
-def euler_factor(chi, q, s):
-    """(1 - chi(q) q^{-s})^{-1} as an exact CycNumber; s must be an integer.
-
-    Raises PoleError when the factor is infinite (chi(q) q^{-s} = 1).
-    """
-    s = Fraction(s)
-    if s.denominator != 1:
-        raise NonIntegralExponentError("euler_factor needs an integral s, got %s" % s)
-    s = int(s)
-    term = chi(q) * Fraction(q) ** (-s)
-    one = CycNumber.one()
-    dif = one - term
-    if dif.is_zero():
-        raise PoleError("Euler factor at q=%d, s=%d is a pole" % (q, s))
-    return dif.inverse()
 
 
 @dataclass

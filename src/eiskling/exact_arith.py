@@ -26,22 +26,6 @@ import itertools
 from .errors import ResourceBoundError
 
 
-@lru_cache(maxsize=None)
-def euler_phi(n):
-    result = n
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            result -= result // q
-        q += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def factorize(n):
     """Prime factorization of a positive integer as a dict prime -> exponent."""
     if n <= 0:
@@ -56,6 +40,48 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n):
+    result = n
+    for q in factorize(n):
+        result -= result // q
+    return result
+
+
+def kronecker_symbol(a, n):
+    """The Kronecker symbol (a/n)."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            sign = -1
+    # strip factors of 2 from n
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if t:
+        if a % 2 == 0:
+            return 0
+        if t % 2 and a % 8 in (3, 5):
+            sign = -sign
+    a %= n
+    # Jacobi symbol (a/n) for odd n > 0
+    result = sign
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def is_prime(n):
@@ -376,17 +402,31 @@ class CycNumber:
     __hash__ = None
 
     def descend(self, m):
-        """Rewrite at level m dividing the current level, or return None."""
-        if self.level % m:
+        """Rewrite at level m, or return None when the element is not in
+        Q(zeta_m).  m must divide the level n and be coprime to q = n/m.
+
+        With A = q^-1 mod m, zeta_n = zeta_m^A zeta_q^B for a unit B mod q.
+        The average over Gal(Q(zeta_n)/Q(zeta_m)) fixes zeta_m and sends
+        zeta_q^(B i) to the Ramanujan sum c_q(i)/phi(q) = mu(d)/phi(d),
+        d = q/gcd(i, q), so it is one vector at level m.  The average is the
+        element itself exactly when the element descends."""
+        n = self.level
+        if n % m:
             raise ValueError("target level must divide the current level")
-        if m == self.level:
+        q = n // m
+        if gcd(m, q) != 1:
+            raise ValueError("target level must be coprime to its cofactor")
+        if q == 1:
             return self
-        basis = [CycNumber.root_of_unity(m, j).lift(self.level).nums
-                 for j in range(euler_phi(m))]
-        sol = _solve_linear(basis, self.nums)
-        if sol is None:
-            return None
-        return CycNumber(m, [c / self.den for c in sol])
+        a = pow(q, -1, m)
+        weights = _ramanujan_weights(q)
+        dense = [0] * m
+        for i, c in enumerate(self.nums):
+            if c:
+                dense[a * i % m] += c * weights[i % q]
+        y = CycNumber.from_integers(m, reduce_powers(m, dense),
+                                    self.den * euler_phi(q))
+        return y if y.lift(n) == self else None
 
     def complex_value(self, k=1):
         """Numerical value under zeta_level -> exp(2*pi*i*k/level)."""
@@ -408,45 +448,18 @@ class CycNumber:
             self.level, list(self.nums), self.den)
 
 
-def _solve_linear(columns, target):
-    """Solve sum_j y_j columns[j] = target over Fractions, or return None."""
-    rows = len(target)
-    ncols = len(columns)
-    mat = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = mat[i][ncols]
-    for i in range(rows):
-        lhs = sum(sol[j] * columns[j][i] for j in range(ncols))
-        if lhs != target[i]:
-            return None
-    return sol
-
-
-def legendre(a, q):
-    """The Legendre symbol (a/q) for an odd prime q, by Euler's criterion."""
-    a %= q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
+@lru_cache(maxsize=None)
+def _ramanujan_weights(q):
+    """The integers c_q(j) = mu(d) phi(q)/phi(d), d = q/gcd(j, q), for
+    j = 0..q-1: the sums of zeta_q^(a j) over the units a mod q."""
+    phi = euler_phi(q)
+    out = []
+    for j in range(q):
+        d = q // gcd(j, q)
+        fac = factorize(d)
+        mu = 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+        out.append(mu * phi // euler_phi(d))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -463,7 +476,7 @@ def sqrt_minus_d(D):
         else:
             t = CycNumber.zero(q)
             for a in range(1, q):
-                s = legendre(a, q)
+                s = kronecker_symbol(a, q)
                 t = t + s * CycNumber.root_of_unity(q, a)
             if q % 4 == 3:
                 n_three += 1

@@ -1,11 +1,18 @@
 """p-adic numbers with precision tracking, Teichmuller lifts, and embeddings
 of cyclotomic numbers into Q_p or an unramified carrier ring.
 
-PadicElem stores p^val * unit to absolute precision p^prec.  UnramElem models
-elements of Z_p[x]/(Phi_B(x), p^prec) for B coprime to p; this ring is a
-product of unramified discrete valuation rings, so "all coefficients divisible
-by p^k" is a sound (possibly conservative) certificate for valuation >= k in
-every factor.
+PadicElem stores p^val * unit to absolute precision p^prec, with val < prec;
+a value divisible by p^prec is zero to precision.  UnramElem models elements
+of Z_p[x]/(Phi_B(x), p^prec) for B coprime to p; this ring is a product of
+unramified discrete valuation rings, so "all coefficients divisible by p^k" is
+a sound (possibly conservative) certificate for valuation >= k in every
+factor.
+
+embed_cyclotomic works on integers: it descends an element to the prime-to-p
+part m of its level (CycNumber.descend), reads its coefficients once as
+p^shift * (u_i mod p^prec), and either keeps them as an UnramElem or, for m
+dividing p - 1, evaluates sum_i u_i w^i by Horner's rule at the integer
+Teichmuller lift w of a primitive m-th root of unity mod p.
 """
 
 from fractions import Fraction
@@ -27,14 +34,13 @@ class PadicElem:
         self.prec = prec
         if unit % p == 0 and unit != 0:
             raise ValueError("unit part must be a p-unit")
-        if unit == 0:
+        # a value divisible by p^prec is zero to precision
+        if unit == 0 or val >= prec:
             self.val = prec
             self.unit = 0
         else:
             self.val = val
-            self.unit = unit % p ** max(prec - val, 1)
-            if self.unit == 0:
-                self.val = prec
+            self.unit = unit % p ** (prec - val)
 
     @classmethod
     def zero(cls, p, prec):
@@ -166,16 +172,11 @@ class PadicElem:
 
 def teichmuller(a, p, prec):
     """The Teichmuller lift of the p-unit a, to absolute precision p^prec."""
-    if isinstance(a, PadicElem):
-        if a.val != 0:
-            raise ValueError("teichmuller needs a p-unit")
-        x = a.unit % p ** prec
-    else:
-        a = Fraction(a)
-        if valuation(a, p) != 0:
-            raise ValueError("teichmuller needs a p-unit")
-        x = a.numerator * pow(a.denominator, -1, p ** prec) % p ** prec
+    a = Fraction(a)
+    if valuation(a, p) != 0:
+        raise ValueError("teichmuller needs a p-unit")
     mod = p ** prec
+    x = a.numerator * pow(a.denominator, -1, mod) % mod
     for _ in range(prec + 1):
         nxt = pow(x, p, mod)
         if nxt == x:
@@ -321,15 +322,10 @@ def embedding_units(m):
 
 
 @lru_cache(maxsize=None)
-def _teichmuller_powers(p, m, prec):
-    """The powers 1, w, ..., w^(phi(m)-1) of the Teichmuller lift w of
-    g^((p-1)/m), g the least primitive root mod p, to precision p^prec:
-    the images of the power basis of Q(zeta_m) for m dividing p - 1."""
-    root = teichmuller(pow(primitive_root(p), (p - 1) // m, p), p, prec)
-    powers = [PadicElem.from_fraction(1, p, prec)]
-    for _ in range(euler_phi(m) - 1):
-        powers.append(powers[-1] * root)
-    return tuple(powers)
+def _teichmuller_root(p, m, prec):
+    """The integer Teichmuller lift mod p^prec of g^((p-1)/m), g the least
+    primitive root mod p: the image of zeta_m for m dividing p - 1."""
+    return teichmuller(pow(primitive_root(p), (p - 1) // m, p), p, prec).unit
 
 
 def embed_cyclotomic(x, p, prec, choice=0):
@@ -339,6 +335,11 @@ def embed_cyclotomic(x, p, prec, choice=0):
     to the prime-to-p part of its level), otherwise the embedding would be
     ramified and an UnsupportedEmbeddingError is raised.  `choice` selects the
     embedding by composing with a Galois twist of the prime-to-p level.
+
+    A non-rational element is read once as p^shift * (u_i mod p^prec) on the
+    power basis, shift = min(0, min_i v(c_i/den)) = -v(den), since the
+    numerators of a reduced element share no prime with den.  For m dividing
+    p - 1 the image is sum_i u_i w^i, w the Teichmuller root of unity.
     """
     n = x.level
     m = n
@@ -356,25 +357,24 @@ def embed_cyclotomic(x, p, prec, choice=0):
         x = x.galois(a)
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
-    if (p - 1) % m == 0:
-        acc = PadicElem.zero(p, prec)
-        for c, power in zip(x.nums, _teichmuller_powers(p, m, prec)):
-            if c:
-                acc = acc + power * PadicElem.from_fraction(
-                    Fraction(c, x.den), p, prec)
-        return acc
-    coeffs = [Fraction(c, x.den) for c in x.nums]
-    shift = 0
-    for c in coeffs:
-        if c:
-            shift = min(shift, valuation(c, p))
     mod = p ** prec
-    units = []
-    for c in coeffs:
-        c = c / Fraction(p) ** shift
-        den = c.denominator
-        units.append(c.numerator * pow(den, -1, mod) % mod if c else 0)
-    return UnramElem(p, m, tuple(units), prec, shift)
+    den = x.den
+    shift = 0
+    while den % p == 0:
+        den //= p
+        shift -= 1
+    inv = pow(den, -1, mod)
+    u = [c * inv % mod for c in x.nums]
+    if (p - 1) % m:
+        return UnramElem(p, m, u, prec, shift)
+    w = _teichmuller_root(p, m, prec)
+    s = 0
+    for c in reversed(u):
+        s = (s * w + c) % mod
+    if s == 0:
+        return PadicElem.zero(p, prec + shift)
+    v = valuation(s, p)
+    return PadicElem(p, shift + v, s // p ** v, prec + shift)
 
 
 def valuation_at_least(x, k):

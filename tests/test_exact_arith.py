@@ -171,11 +171,27 @@ def test_sqrt_minus_d(D):
     assert v.complex_value().imag > 0
 
 
-def test_descend_lift_roundtrip():
-    x = CycNumber.root_of_unity(5) + 1
-    y = x.lift(15)
-    assert y.descend(5) == x
-    assert y.descend(3) is None
+@pytest.mark.parametrize("n,m", [
+    (n, m) for n in (6, 10, 15, 20, 30, 45, 250)
+    for m in range(1, n + 1) if n % m == 0 and gcd(m, n // m) == 1])
+def test_descend_lift_roundtrip(n, m):
+    """descend inverts lift on sampled elements of Q(zeta_m), finds no
+    level-m form of zeta_n when Q(zeta_m) is a proper subfield (for n twice
+    an odd m the fields are equal, and zeta_n = -zeta_m^((m+1)/2)), and
+    rejects an m that shares a prime with its cofactor."""
+    for k in range(3):
+        y = CycNumber(m, [Fraction((-1) ** (i + k) * (3 * i + k + 1), i % 4 + 1)
+                          for i in range(euler_phi(m))])
+        assert y.lift(n).descend(m) == y
+    z = CycNumber.root_of_unity(n)
+    if euler_phi(m) < euler_phi(n):
+        assert z.descend(m) is None
+    else:
+        assert z.descend(m).lift(n) == z
+    for bad in range(1, n + 1):
+        if n % bad == 0 and gcd(bad, n // bad) != 1:
+            with pytest.raises(ValueError):
+                z.descend(bad)
 
 
 def _mat(D, rows):

@@ -11,6 +11,7 @@ from eiskling.padic import (
     embed_cyclotomic,
     embedding_units,
     teichmuller,
+    valuation_at_least,
 )
 from eiskling.errors import (
     InsufficientPrecisionError,
@@ -124,6 +125,10 @@ def test_split_embedding_matches_per_call_oracle(p):
         xs.append(CycNumber(m, [Fraction(3 * i + 1, 2 * i + 7) * (-1) ** i
                                 for i in range(phi)]))
         xs.append(CycNumber(m, [Fraction(p, 4)] + [Fraction(1, p)] * (phi - 1)))
+        # coefficient valuations from -2 up to 13, past every precision
+        xs.append(CycNumber(m, [p ** (i + 1) for i in range(phi)]))
+        xs.append(CycNumber(m, [Fraction(7, p ** 2)] + [p ** 13] * (phi - 1)))
+        xs.append(CycNumber(m, [p ** 13] + [Fraction(-2, 3 * p)] * (phi - 1)))
         for prec in (1, 2, 12, 1):
             for choice in range(len(embedding_units(m))):
                 for x in xs:
@@ -131,3 +136,28 @@ def test_split_embedding_matches_per_call_oracle(p):
                     want = embed_split_oracle(x, p, prec, choice=choice)
                     assert (got.val, got.unit, got.prec) == (
                         want.val, want.unit, want.prec)
+
+
+def test_padic_elem_keeps_no_digit_beyond_precision():
+    """A value divisible by p^prec is zero to precision: 5^6 at precision 4
+    must not survive a sum as the claim valuation 6."""
+    x = PadicElem.from_fraction(1 + 2 * 5 ** 4, 5, 4)
+    y = PadicElem.from_fraction(-1, 5, 4)
+    z = PadicElem.from_fraction(5 ** 6, 5, 4)
+    assert z.is_zero()
+    total = (x + y) + z
+    assert total.is_zero() and total.prec == 4
+    with pytest.raises(InsufficientPrecisionError):
+        valuation_at_least(total, 5)
+
+
+def test_split_embedding_claims_no_valuation_beyond_precision():
+    """w - zeta_12 + 13^7 zeta_12^3 at p = 13 and precision 4, w the
+    Teichmuller root: its image is 13^7 w^3 + O(13^4), zero to precision,
+    so valuation >= 6 cannot be decided."""
+    w = teichmuller(2, 13, 4).unit
+    x = CycNumber(12, [w, -1, 0, 13 ** 7])
+    img = embed_cyclotomic(x, 13, 4)
+    assert img.is_zero() and img.prec == 4
+    with pytest.raises(InsufficientPrecisionError):
+        valuation_at_least(img, 6)
