@@ -1,7 +1,13 @@
-"""Dirichlet characters with exact cyclotomic values, Gauss sums and the
-quadratic character of Q(sqrt(-D))."""
+"""Dirichlet characters, Gauss sums and the quadratic character of
+Q(sqrt(-D)).
+
+A character is its exponent table: chi(a) = zeta_n^e(a), n = lcm(2, L) for
+the cyclotomic level L of its values.  Order, key, powers, products and the
+conductor are integer arithmetic on the exponents; each value is built once,
+at construction."""
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConductorError
@@ -32,46 +38,64 @@ def primitive_root(q):
     raise ValueError("no primitive root found")
 
 
-class DirichletChar:
-    """A Dirichlet character stored as a full value table on (Z/m)^*."""
+@lru_cache(maxsize=None)
+def _root(level, e):
+    """zeta_n^e at level L, n = lcm(2, L): for odd L it is
+    (-1)^e zeta_L^(e(L+1)/2), as zeta_2L = -zeta_L^((L+1)/2)."""
+    if level % 2 == 0:
+        return CycNumber.root_of_unity(level, e)
+    x = CycNumber.root_of_unity(level, e * (level + 1) // 2)
+    return -x if e % 2 else x
 
-    def __init__(self, modulus, values):
+
+def _units(m):
+    """The keys of a table mod m: the units, or 0 alone for m = 1."""
+    return [a for a in range(1, m) if gcd(a, m) == 1] if m > 1 else [0]
+
+
+class DirichletChar:
+    """A Dirichlet character as its exponent table: chi(a) = zeta_n^exps[a]
+    on the units a mod modulus (the key 0 alone for modulus 1), where
+    n = lcm(2, level) and level is the cyclotomic level of its values.  The
+    values are built at construction, so a level above the cap fails there."""
+
+    def __init__(self, modulus, level, exps):
         self.modulus = modulus
-        self.values = dict(values)
+        self.level = level
+        self.n = lcm(2, level)
+        self.exps = {a: e % self.n for a, e in exps.items()}
+        self.values = {a: _root(level, e) for a, e in self.exps.items()}
         self._conductor = None
-        self._key = None
 
     @classmethod
     def trivial(cls, modulus=1):
         if modulus < 1:
             raise ValueError("the modulus must be positive")
-        one = CycNumber.one()
-        if modulus == 1:
-            return cls(1, {0: one})
-        return cls(modulus, {a: one for a in range(1, modulus)
-                             if gcd(a, modulus) == 1})
+        return cls(modulus, 1, dict.fromkeys(_units(modulus), 0))
 
     @classmethod
     def quadratic(cls, q):
         """The Legendre character modulo an odd prime q."""
         if q == 2 or not is_prime(q):
             raise ValueError("need an odd prime")
-        return cls(q, {a: CycNumber.from_rational(kronecker_symbol(a, q))
-                       for a in range(1, q)})
+        return cls(q, 1, {a: int(kronecker_symbol(a, q) == -1)
+                          for a in range(1, q)})
 
     @classmethod
     def from_exponent(cls, modulus, k):
         """Character on (Z/p^t)^* sending the fixed smallest primitive root g
-        to zeta_phi^k, where phi = phi(modulus)."""
+        to zeta_phi^k, where phi = phi(modulus), with values at the level of
+        its order."""
         phi = euler_phi(modulus)
         g = primitive_root(modulus)
-        order = phi // gcd(phi, k % phi) if k % phi else 1
-        vals = {}
+        level = phi // gcd(phi, k)
+        n = lcm(2, level)
+        exps = {}
         x = 1
         for j in range(phi):
-            vals[x] = CycNumber.root_of_unity(order, (j * k) % phi * order // phi)
+            exps[x] = j * k * n // phi
             x = x * g % modulus
-        return cls(modulus, vals)
+        return cls(modulus, level, exps)
 
     @classmethod
     def teichmuller_char(cls, p, k=1):
@@ -80,63 +104,44 @@ class DirichletChar:
 
     def __call__(self, n):
         n = int(n) % self.modulus if self.modulus > 1 else 0
-        if self.modulus == 1:
-            return CycNumber.one()
-        if gcd(n, self.modulus) != 1:
-            return CycNumber.zero()
-        return self.values[n]
+        return self.values[n] if n in self.values else CycNumber.zero()
 
     def is_trivial(self):
-        return all(v == 1 for v in self.values.values())
+        return not any(self.exps.values())
 
     def parity(self):
         """chi(-1) as +1 or -1."""
-        v = self(-1)
-        return int(v.rational())
+        return int(self(-1).rational())
 
     def order(self):
-        k = 1
-        cur = self
-        while not cur.is_trivial():
-            cur = cur * self
-            k += 1
-        return k
+        return self.n // gcd(self.n, *self.exps.values())
 
     def __mul__(self, other):
+        """The product at modulus lcm(m1, m2) and level lcm(L1, L2)."""
         m = lcm(self.modulus, other.modulus)
-        vals = {}
-        for a in range(1, max(m, 2)):
-            if gcd(a, m) == 1:
-                vals[a] = self(a) * other(a)
-        if m == 1:
-            vals = {0: CycNumber.one()}
-        return DirichletChar(m, vals)
+        level = lcm(self.level, other.level)
+        n = lcm(2, level)
+        s, t = n // self.n, n // other.n
+        return DirichletChar(m, level, {
+            a: self.exps[a % self.modulus] * s
+            + other.exps[a % other.modulus] * t for a in _units(m)})
 
     def __pow__(self, k):
-        """chi^k, each value raised to k at its own level: chi^0 holds the
-        same table as chi^order, so equal powers are stored alike."""
-        if k < 0:
-            k %= self.order()
-        return DirichletChar(self.modulus,
-                             {a: v ** k for a, v in self.values.items()})
+        """chi^k at the level of chi: chi^0 holds the same table as
+        chi^order, so equal powers are stored alike."""
+        return DirichletChar(self.modulus, self.level,
+                             {a: e * k for a, e in self.exps.items()})
 
     def conj(self):
-        return DirichletChar(self.modulus, {a: v.conj() for a, v in self.values.items()})
+        return self ** -1
 
     def conductor(self):
+        """The least divisor d of the modulus with chi(a) = 1 whenever
+        a = 1 mod d."""
         if self._conductor is None:
-            m = self.modulus
-            best = m
-            for d in sorted(_divisors(m)):
-                ok = True
-                for a in self.values:
-                    if a % d == 1 % d and self.values[a] != 1:
-                        ok = False
-                        break
-                if ok:
-                    best = d
-                    break
-            self._conductor = max(best, 1)
+            self._conductor = next(
+                d for d in _divisors(self.modulus)
+                if not any(e for a, e in self.exps.items() if a % d == 1 % d))
         return self._conductor
 
     def primitive_part(self):
@@ -144,37 +149,19 @@ class DirichletChar:
         f = self.conductor()
         if f == self.modulus:
             return self
-        vals = {}
-        for a in range(1, max(f, 2)):
-            if gcd(a, f) == 1:
-                b = _lift_unit(a, f, self.modulus)
-                vals[a] = self.values[b]
         if f == 1:
-            vals = {0: CycNumber.one()}
-        return DirichletChar(f, vals)
+            return DirichletChar.trivial()
+        return DirichletChar(f, self.level, {
+            a: self.exps[_lift_unit(a, f, self.modulus)] for a in _units(f)})
 
     def key(self):
-        """Hashable fingerprint used to identify equal characters.  Values
-        are encoded as discrete logarithms against a fixed root of unity of
-        the character order, so the fingerprint does not depend on the
-        cyclotomic level the values happen to be stored at."""
-        if self._key is not None:
-            return self._key
+        """Hashable fingerprint used to identify equal characters: each
+        value as its exponent against zeta_order, so the fingerprint does not
+        depend on the level the values are stored at."""
         order = self.order()
-        z = CycNumber.root_of_unity(order) if order > 1 else CycNumber.one()
-        items = []
-        for a in sorted(self.values):
-            v = self.values[a]
-            cur = CycNumber.one()
-            for k in range(order):
-                if v == cur:
-                    items.append((a, k))
-                    break
-                cur = cur * z
-            else:
-                raise ValueError("character value is not a root of unity")
-        self._key = (self.modulus, order, tuple(items))
-        return self._key
+        step = self.n // order
+        return (self.modulus, order,
+                tuple((a, self.exps[a] // step) for a in sorted(self.exps)))
 
     def __eq__(self, other):
         return isinstance(other, DirichletChar) and self.key() == other.key()
@@ -210,19 +197,17 @@ def gauss_sum(chi):
         raise ConductorError("gauss_sum needs a primitive character")
     if m == 1:
         return CycNumber.one()
-    values = [(a, chi(a)) for a in range(1, m) if gcd(a, m) == 1]
-    level = lcm(m, *(v.level for _, v in values))
-    den = lcm(*(v.den for _, v in values))
-    # chi(a) zeta_m^a is the vector of chi(a) lifted to the common level and
-    # shifted by a * level / m; sum the shifted vectors, then reduce once
+    # chi(a) zeta_m^a is the vector of chi(a), whose values are integral at
+    # level L, lifted to lcm(m, L) and shifted by a * level / m; sum the
+    # shifted vectors, then reduce once
+    level = lcm(m, chi.level)
+    step = level // chi.level
     dense = [0] * level
-    for a, v in values:
-        step = level // v.level
-        scale = den // v.den
+    for a, v in chi.values.items():
         for i, c in enumerate(v.nums):
             if c:
-                dense[(i * step + a * level // m) % level] += c * scale
-    return CycNumber.from_integers(level, reduce_powers(level, dense), den)
+                dense[(i * step + a * level // m) % level] += c
+    return CycNumber.from_integers(level, reduce_powers(level, dense))
 
 
 @dataclass

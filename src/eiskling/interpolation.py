@@ -9,12 +9,13 @@ series.
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import (ConductorError, ConfigError, EisklingError,
                      InsufficientPrecisionError, NonIntegralExponentError,
                      UnsupportedEmbeddingError)
 from .exact_arith import CycNumber
-from .characters import DirichletChar, SplitPCharPair
+from .characters import DirichletChar, SplitPCharPair, _divisors
 from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
 from .qexp_diff import times_multiplier
@@ -47,16 +48,13 @@ class ArithmeticPoint:
 
 
 def _p_power_order(zeta, p):
-    """Order of a root of unity, checked to be a power of p."""
-    if zeta == CycNumber.one():
-        return 1
-    order = 1
-    z = zeta
-    while not z == CycNumber.one():
-        z = z * zeta
-        order += 1
-        if order > 10 ** 4:
-            raise ConfigError("not a root of unity of small order")
+    """Order of a root of unity, checked to be a power of p: the least
+    divisor d of lcm(2, level) with zeta^d = 1, as every root of unity in
+    Q(zeta_level) has an order dividing lcm(2, level)."""
+    order = next((d for d in _divisors(lcm(2, zeta.level)) if zeta ** d == 1),
+                 None)
+    if order is None:
+        raise ConfigError("not a root of unity of small order")
     n = order
     while n % p == 0:
         n //= p

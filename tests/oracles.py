@@ -22,7 +22,9 @@ afresh on every call, as embed_cyclotomic once made them, and a coefficient
 family with every index assembled afresh at every point, as
 coefficient_family once built it, and the verdict of each congruence
 record on a unit difference from the report JSON alone, with its own
-primitive root and Hensel lift and nothing from eiskling.padic.
+primitive root and Hensel lift and nothing from eiskling.padic, and a
+Dirichlet character as a table of CycNumber values whose order, key and
+conductor are found by search, as DirichletChar once kept it.
 """
 
 import itertools
@@ -740,3 +742,125 @@ def unit_difference_check(report, p, choice=0):
                 or (rec["status"] == "PASS") != holds):
             wrong.append((rec, "target %s, valuation %s" % (target, val)))
     return kinds, wrong
+
+
+class ValueTableChar:
+    """A Dirichlet character as a table of CycNumber values on (Z/m)^*, as
+    DirichletChar once stored it: the order by multiplying the character by
+    itself until the product is trivial, the key by a discrete-log search
+    against a root of unity of that order, and the conductor by a scan of
+    the divisors of the modulus."""
+
+    def __init__(self, modulus, values):
+        self.modulus = modulus
+        self.values = dict(values)
+        self._order = None
+
+    @classmethod
+    def trivial(cls, modulus=1):
+        one = CycNumber.one()
+        if modulus == 1:
+            return cls(1, {0: one})
+        return cls(modulus, {a: one for a in range(1, modulus)
+                             if gcd(a, modulus) == 1})
+
+    @classmethod
+    def quadratic(cls, q):
+        """The Legendre character mod q, by Euler's criterion."""
+        return cls(q, {a: CycNumber.from_rational(
+            1 if pow(a, (q - 1) // 2, q) == 1 else -1) for a in range(1, q)})
+
+    @classmethod
+    def from_exponent(cls, modulus, k):
+        phi = sum(1 for a in range(1, modulus) if gcd(a, modulus) == 1)
+        g = primitive_root(modulus)
+        order = phi // gcd(phi, k % phi) if k % phi else 1
+        vals = {}
+        x = 1
+        for j in range(phi):
+            vals[x] = CycNumber.root_of_unity(order,
+                                              (j * k) % phi * order // phi)
+            x = x * g % modulus
+        return cls(modulus, vals)
+
+    def __call__(self, n):
+        if self.modulus == 1:
+            return CycNumber.one()
+        n = int(n) % self.modulus
+        if gcd(n, self.modulus) != 1:
+            return CycNumber.zero()
+        return self.values[n]
+
+    def is_trivial(self):
+        return all(v == 1 for v in self.values.values())
+
+    def parity(self):
+        return int(self(-1).rational())
+
+    def order(self):
+        if self._order is None:
+            k, cur = 1, self
+            while not cur.is_trivial():
+                cur = cur * self
+                k += 1
+            self._order = k
+        return self._order
+
+    def __mul__(self, other):
+        m = lcm(self.modulus, other.modulus)
+        if m == 1:
+            return ValueTableChar(1, {0: CycNumber.one()})
+        return ValueTableChar(m, {a: self(a) * other(a) for a in range(1, m)
+                                  if gcd(a, m) == 1})
+
+    def __pow__(self, k):
+        if k < 0:
+            k %= self.order()
+        return ValueTableChar(self.modulus,
+                              {a: v ** k for a, v in self.values.items()})
+
+    def conj(self):
+        return ValueTableChar(self.modulus,
+                              {a: v.conj() for a, v in self.values.items()})
+
+    def conductor(self):
+        m = self.modulus
+        for d in range(1, m + 1):
+            if m % d == 0 and all(v == 1 for a, v in self.values.items()
+                                  if a % d == 1 % d):
+                return d
+
+    def primitive_part(self):
+        f = self.conductor()
+        if f == self.modulus:
+            return self
+        if f == 1:
+            return ValueTableChar(1, {0: CycNumber.one()})
+        vals = {}
+        for a in range(1, f):
+            if gcd(a, f) == 1:
+                b = next(b for b in range(a, self.modulus, f)
+                         if gcd(b, self.modulus) == 1)
+                vals[a] = self.values[b]
+        return ValueTableChar(f, vals)
+
+    def key(self):
+        order = self.order()
+        z = CycNumber.root_of_unity(order)
+        items = []
+        for a in sorted(self.values):
+            cur = CycNumber.one()
+            for k in range(order):
+                if self.values[a] == cur:
+                    items.append((a, k))
+                    break
+                cur = cur * z
+        return (self.modulus, order, tuple(items))
+
+    def gauss_sum(self):
+        """sum_a chi(a) zeta_m^a by its definition, in CycNumber sums."""
+        m = self.modulus
+        acc = CycNumber.zero()
+        for a, v in sorted(self.values.items()):
+            acc = acc + v * CycNumber.root_of_unity(m, a)
+        return acc

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from eiskling.characters import (
     kronecker_symbol,
 )
 from eiskling.errors import ConductorError
+
+from oracles import ValueTableChar
 
 
 def test_kronecker_basics():
@@ -97,3 +101,83 @@ def test_gauss_sum_twisted_translation(spec):
         for a in range(1, p):
             acc = acc + chi(a) * CycNumber.root_of_unity(p, (a * b) % p)
         assert acc == chi.conj()(b) * g
+
+
+# from_exponent at prime powers up to 125, with characters of odd order
+# (values -zeta_L^j at odd level L in products with signs) and of even
+# order, the trivial characters of moduli 1, 4, 10 and quadratic ones
+REFERENCE_CHARS = (
+    [(m, k) for m, ks in [(3, (0, 1)), (5, (0, 1, 2, 3)), (7, (1, 2)),
+                          (9, (1, 2, 3)), (11, (1, 2)), (13, (1, 4, 6)),
+                          (25, (1, 4, 5)), (27, (2, 9)), (49, (6, 7)),
+                          (125, (4, 25))]
+     for k in ks]
+    + [("trivial", m) for m in (1, 4, 10)]
+    + [("quadratic", q) for q in (3, 5, 7, 13)])
+
+
+def _modulus(spec):
+    return spec[0] if isinstance(spec[0], int) else spec[1]
+
+
+def _build(cls, spec):
+    kind, arg = spec
+    if kind == "trivial":
+        return cls.trivial(arg)
+    if kind == "quadratic":
+        return cls.quadratic(arg)
+    return cls.from_exponent(kind, arg)
+
+
+def _shape(x):
+    return (x.level, x.nums, x.den)
+
+
+def _record(chi):
+    """Everything a character reports about itself, values as stored."""
+    return (chi.key(), chi.order(), chi.conductor(), chi.parity(),
+            chi.is_trivial(), chi.modulus,
+            [_shape(chi(a)) for a in range(chi.modulus)])
+
+
+@pytest.mark.parametrize("spec", REFERENCE_CHARS, ids=str)
+def test_exponent_table_matches_value_table(spec):
+    """A character, its powers -3..5, conjugate and primitive part, and
+    their Gauss sums, against the value-table reference: values compared as
+    (level, nums, den), since == would lift both sides to a common level."""
+    chi, ref = _build(DirichletChar, spec), _build(ValueTableChar, spec)
+    pairs = [(chi, ref), (chi.conj(), ref.conj()),
+             (chi.primitive_part(), ref.primitive_part())]
+    pairs += [(chi ** k, ref ** k) for k in range(-3, 6)]
+    for x, y in pairs:
+        assert _record(x) == _record(y)
+        assert _record(x.primitive_part()) == _record(y.primitive_part())
+        if x.conductor() == x.modulus:
+            assert _shape(gauss_sum(x)) == _shape(y.gauss_sum())
+
+
+# odd and even orders at levels 1 to 25, products at levels up to 100 and
+# moduli of one prime and of two
+PRODUCT_CHARS = [(3, 1), (5, 1), (5, 2), (7, 2), (9, 3), (13, 4), (25, 4),
+                 (25, 5), (125, 4), ("trivial", 1), ("trivial", 4),
+                 ("trivial", 10), ("quadratic", 3), ("quadratic", 5),
+                 ("quadratic", 7)]
+
+
+def test_exponent_table_products_match_value_table():
+    """Every product of two of PRODUCT_CHARS whose modulus is at most 130,
+    both ways round, against the value-table product."""
+    for i, s in enumerate(PRODUCT_CHARS):
+        for t in PRODUCT_CHARS[i:]:
+            if lcm(_modulus(s), _modulus(t)) > 130:
+                continue
+            x = _build(DirichletChar, s) * _build(DirichletChar, t)
+            y = _build(ValueTableChar, s) * _build(ValueTableChar, t)
+            assert _record(x) == _record(y), (s, t)
+            assert x == _build(DirichletChar, t) * _build(DirichletChar, s)
+
+
+def test_from_exponent_needs_an_odd_prime_power():
+    for cls in (DirichletChar, ValueTableChar):
+        with pytest.raises(ValueError):
+            cls.from_exponent(4, 1)

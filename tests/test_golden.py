@@ -120,6 +120,22 @@ CLI_CASES = {
     "kl exp:25:5 k=3..40 sigma=2,3,5": ("kl", "p = 5\nsigma = 2,3,5\n"
                                           "chi = exp:25:5\nk_min = 3\n"
                                           "k_max = 40\n"),
+    # points with wild characters of conductor 25 and 125 (zeta of order 5
+    # and 25): specialization twists by them, and most cells end in a
+    # ConductorError
+    "family zeta points": ("family", readme_config(
+        points="6:0:Xpb;6:0:X:zeta:5:1;6:4:X:zeta:5:1:zeta:5:2;"
+               "6:1:X:zeta:25:5",
+        pairs="0,1,1;1,2,1;0,3,1")),
+    # a quadratic tau1: values +-1 at level 1 multiplied into level 4
+    "family tau1=quadratic:5 tau2=exp:5:1": ("family", readme_config(
+        tau1="quadratic:5", tau2="exp:5:1")),
+    "kl quadratic:5 k=1..40": ("kl", "p = 5\nsigma = 2,5\n"
+                                     "chi = quadratic:5\nk_min = 1\n"
+                                     "k_max = 40\n"),
+    # a wild character of order 125 at the second point
+    "family zeta:125 point": ("family", readme_config(
+        points="6:0:Xpb;6:0:X:zeta:125:1", pairs="0,1,1")),
 }
 
 
