@@ -20,7 +20,6 @@ screen computed, with no Fraction in between.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-import cmath
 import itertools
 
 from .errors import ResourceBoundError
@@ -427,14 +426,6 @@ class CycNumber:
         y = CycNumber.from_integers(m, reduce_powers(m, dense),
                                     self.den * euler_phi(q))
         return y if y.lift(n) == self else None
-
-    def complex_value(self, k=1):
-        """Numerical value under zeta_level -> exp(2*pi*i*k/level)."""
-        z = cmath.exp(2j * cmath.pi * k / self.level)
-        acc = 0j
-        for c in reversed(self.nums):
-            acc = acc * z + c
-        return acc / self.den
 
     def to_json(self):
         """The coefficients as reduced "a/b" strings, the sign on a."""

@@ -148,18 +148,19 @@ class FamilyTable:
         }
 
 
-def _point_cell(i, j, beta, entry, weight):
+def _point_cell(i, j, beta, entry, weight, interned):
     """The cell of point i at index j, beta, from the entry of beta's
     invariant class at the point's datum: an error or a degenerate report
     (a singular index is its own class) as it is, any other report as a new
     one at beta with the weight multiplier applied, sharing the class's
-    locals."""
+    locals.  The multiplied value is the one of its key() in interned."""
     if isinstance(entry, str):
         return FamilyCell(i, j, error=entry)
     if entry.degenerate:
         return FamilyCell(i, j, report=entry)
     normalized = times_multiplier(entry.normalized, beta, entry.variant,
                                   weight)
+    normalized = interned.setdefault(normalized.key(), normalized)
     notes = entry.notes + ["weight multiplier applied: a = %s" % (weight,)]
     return FamilyCell(i, j, report=CoefficientReport(
         beta, entry.variant, entry.locals, normalized, notes))
@@ -176,9 +177,12 @@ def coefficient_family(datum, a, points, betas):
     changes the classes.  Points whose specialized datums are equal (with
     zeta = 1, those of one residue class of m_phi mod p - 1 and one
     kappa_phi) differ only in the weight: each class is assembled once per
-    distinct datum, and each point applies its own multiplier per index."""
+    distinct datum, and each point applies its own multiplier per index.
+    The family holds one value object per distinct representation
+    (ExactValue.key()), so cells of equal values share it."""
     cells = {}
     point_errors = {}
+    interned = {}  # ExactValue.key() -> the family's value of that key
     reps, of = index_classes(betas, datum)
     rows = []  # (specialized datum, its entry per class)
     for i, pt in enumerate(points):
@@ -192,14 +196,15 @@ def coefficient_family(datum, a, points, betas):
             row = assemble_classes(reps, at)
             rows.append((at, row))
         for j, beta in enumerate(betas):
-            cells[(i, j)] = _point_cell(i, j, beta, row[of[j]], weight)
+            cells[(i, j)] = _point_cell(i, j, beta, row[of[j]], weight,
+                                        interned)
     return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
 
 
 @dataclass(frozen=True)
 class PadicCell:
     """The p-adic reading of a nonzero cell value, made once per value
-    object (cells with equal invariants share one): val,
+    object (the cells of a family with equal values share one): val,
     its valuation at p (ExactValue.p_valuation); nu, the exponent of p;
     gauss_key, its Gauss content; and unit, the part away from p and the
     Gauss symbols materialized as a CycNumber, or error, the text of the
@@ -280,11 +285,10 @@ def check_congruences(table, pairs, prec=12, choice=0):
     Returns a report with one record per (pair, beta); failures carry the
     full detail string.
 
-    Cells share value objects (one per invariant class and distinct datum,
-    and across points where the weight multiplier is one), so the PadicCell is
-    built once per distinct value object and the verdict computed once per
-    distinct (form, form, k); the table keeps the values alive, so their ids
-    stay distinct while this runs."""
+    The cells of a coefficient_family table with equal values share one
+    value object, so the PadicCell is built once per distinct value and the
+    verdict computed once per distinct (form, form, k); the table keeps the
+    values alive, so their ids stay distinct while this runs."""
     p = table.p
     read = {i for i1, i2, _ in pairs for i in (i1, i2)}
     by_value = {}  # id(normalized) -> PadicCell or None

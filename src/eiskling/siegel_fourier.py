@@ -238,7 +238,7 @@ def _sqrt_md_residue(datum):
     raise UnsupportedBetaError("no square root of -D mod p")
 
 
-def coeff_p(beta, datum):
+def coeff_p(beta, datum, residues=None):
     """Local coefficient at p for the stabilized section:
 
     taubar'(det beta) |det beta|_p^{2s} g(tau')^n c_n(taubar', -s) Phi(X)
@@ -248,12 +248,14 @@ def coeff_p(beta, datum):
     tau_2(det X), and X the transpose of the block of beta on the first r
     rows and the last r columns (beta itself for the lfun variant).  Nonzero
     values require det beta in Z_p^*; p-divisible determinants give 0
-    through the character.
+    through the character.  residues is _residues_mod_p(beta, datum) when
+    the caller holds it, else None and read here.
     """
     if not datum.conductors_ok:
         raise ConductorError("tau1, tau2, tau1*tau2 must have conductor p")
-    residues = _residues_mod_p(beta, datum)
     if residues is None:
+        residues = _residues_mod_p(beta, datum)
+    if not residues:
         return ExactValue.zero()
     det_res, x_res = residues
     unit = (datum.tau_prime_bar(det_res) * datum.pair.tau2(x_res)
@@ -263,12 +265,12 @@ def coeff_p(beta, datum):
 
 def _residues_mod_p(beta, datum):
     """(det beta mod p, det X mod p) for coeff_p, read with the datum's
-    square root of -D mod p; None where the coefficient vanishes: beta not
+    square root of -D mod p; () where the coefficient vanishes: beta not
     integral at p, det beta not a unit at p, or a leading minor of X not a
     unit at p."""
     p, root, r = datum.p, datum.sqrt_md_mod_p, datum.r
     if not _integral_at(beta, p):
-        return None
+        return ()
     # p does not divide den, so each minor (A + B sqrt(-D)) / d has the
     # residue (A + B root) / d mod p
     det = beta.det()
@@ -276,7 +278,7 @@ def _residues_mod_p(beta, datum):
         raise UnsupportedBetaError("coeff_p needs det beta != 0")
     det_res = det.numerator * pow(det.denominator, -1, p) % p
     if det_res == 0:
-        return None  # taubar'(det beta) = 0
+        return ()  # taubar'(det beta) = 0
     rows = range(r)
     cols = range(beta.n - r, beta.n)
     # leading minors of the transposed block = minors on swapped index sets
@@ -284,7 +286,7 @@ def _residues_mod_p(beta, datum):
         A, B, d = beta.int_minor(rows[:k], cols[:k])
         x_res = (A + B * root) * pow(d, -1, p) % p
         if x_res == 0:
-            return None
+            return ()
     return det_res, x_res
 
 
@@ -351,33 +353,35 @@ def _invariants(beta, datum):
 def index_classes(betas, datum):
     """Group the indices into invariant classes, those with equal
     _invariants: (reps, of), where reps holds the first index of each class
-    and of[j] is the class number of betas[j]."""
+    with the residues mod p its key holds (None for an index that is its
+    own key), and of[j] is the class number of betas[j]."""
     reps, of, number = [], [], {}
     for beta in betas:
         key = _invariants(beta, datum)
         if key not in number:
             number[key] = len(reps)
-            reps.append(beta)
+            reps.append((beta, None if key is beta else key[3]))
         of.append(number[key])
     return reps, of
 
 
 def assemble_classes(reps, datum):
-    """For each class representative, the report of assemble_global at the
-    datum, or the text "Type: message" of the package error it raised."""
+    """For each class representative and its residues, the report of
+    assemble_global at the datum, or the text "Type: message" of the
+    package error it raised."""
     entries = []
-    for beta in reps:
+    for beta, residues in reps:
         try:
-            entries.append(assemble_global(beta, datum))
+            entries.append(assemble_global(beta, datum, residues))
         except EisklingError as exc:  # an error record; the others continue
             entries.append("%s: %s" % (type(exc).__name__, exc))
     return entries
 
 
-def assemble_global(beta, datum):
+def assemble_global(beta, datum, residues=None):
     """Assemble the normalized global coefficient at beta as the product of
     the local coefficients, after checking primitivity away from sigma and
-    the auxiliary prime.
+    the auxiliary prime; residues goes to coeff_p.
 
     Raises UnsupportedBetaError for indices outside the implemented
     (primitive) range; returns a degenerate placeholder report for singular
@@ -408,7 +412,7 @@ def assemble_global(beta, datum):
     locs = {"unramified": ExactValue.one(),
             "ell_prefactor": datum.ell_prefactor,
             "ell": coeff_aux_ell(beta, datum),
-            "p": coeff_p(beta, datum),
+            "p": coeff_p(beta, datum, residues),
             "arch": coeff_arch_normalized(beta, datum)}
     if datum.variant == "lfun":
         notes.append("lfun variant: a residual factor (pi/2)^r is part of "

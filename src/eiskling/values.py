@@ -198,6 +198,16 @@ class ExactValue:
 
     __hash__ = None
 
+    def key(self):
+        """The representation as a hashable tuple: the unit's (level, nums,
+        den), the exponents and the Gauss powers by chi.key(), all that
+        to_json, p_valuation and materialize read.  Not a hash for __eq__,
+        which lifts across levels, while the level shows in to_json."""
+        unit = self.unit
+        return ((unit.level, unit.nums, unit.den),
+                tuple(sorted(self.exps.items())),
+                tuple(sorted((k, n) for k, (_, n) in self.gauss.items())))
+
     def to_json(self):
         return {
             "unit": self.unit.to_json(),

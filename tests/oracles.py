@@ -24,9 +24,11 @@ coefficient_family once built it, and the verdict of each congruence
 record on a unit difference from the report JSON alone, with its own
 primitive root and Hensel lift and nothing from eiskling.padic, and a
 Dirichlet character as a table of CycNumber values whose order, key and
-conductor are found by search, as DirichletChar once kept it.
+conductor are found by search, as DirichletChar once kept it, and the
+complex value of a cyclotomic number, for the tests that fix a branch.
 """
 
+import cmath
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -483,6 +485,13 @@ def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
 def cyc_fractions(x):
     """The coefficients of a CycNumber as Fractions."""
     return [Fraction(c, x.den) for c in x.nums]
+
+
+def complex_value(x, k=1):
+    """The numerical value of a CycNumber under zeta_level ->
+    exp(2*pi*i*k/level), summed term by term over its coefficients."""
+    return sum(float(c) * cmath.exp(2j * cmath.pi * k * i / x.level)
+               for i, c in enumerate(cyc_fractions(x)))
 
 
 def cyc_reduce(level, dense):

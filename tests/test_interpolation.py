@@ -169,9 +169,9 @@ def test_family_assembles_once_per_distinct_datum(monkeypatch):
     calls = []
     assemble = siegel_fourier.assemble_global
 
-    def spy(beta, datum):
+    def spy(beta, datum, *rest):
         calls.append((beta, datum.kappa, datum.pair.tau1.key()))
-        return assemble(beta, datum)
+        return assemble(beta, datum, *rest)
     monkeypatch.setattr(siegel_fourier, "assemble_global", spy)
     got = coefficient_family(family(), (2,), pts, betas)
     assert len(calls) == len(set(calls)) == 3 * len(reps)
@@ -213,11 +213,10 @@ def test_family_cells_do_not_depend_on_the_shared_row():
 
 
 def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
-    """With a = 0 the cells of equal local invariants, at every point of one
-    specialized datum, share one value object: _compare_cells runs once per
-    distinct (form, form, k), far fewer times than there are records, and
-    every record is what comparing freshly built forms of its two cells
-    gives."""
+    """The cells of equal values share one value object, at one point or
+    across points: _compare_cells runs once per distinct (form, form, k),
+    far fewer times than there are records, and every record is what
+    comparing freshly built forms of its two cells gives."""
     pts = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8)] + [
         ArithmeticPoint(8, 12, flag="Xpb")]
     table, betas = make_table(pts)
@@ -248,6 +247,39 @@ def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
                 expected.append(("SKIPPED", "cell error or missing"))
     assert [(r["status"], r["detail"]) for r in records] == expected
     assert {status for status, _ in expected} == {"PASS", "FAIL"}
+
+
+def test_family_holds_one_value_per_distinct_representation(monkeypatch):
+    """On the README family at trace 6, the seed-0 input of the family-p5
+    benchmark, the cells hold 55 distinct values, each one object with one
+    key() and one report text.  check_congruences then reads each value once
+    and compares each distinct (value, value, k) once, and the residues mod
+    p of each index are read once, when the indices are grouped."""
+    pts = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8, 12)]
+    betas = [b for b in enumerate_hermitian(2, 1, 6) if b.det() != 0]
+    pairs = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1),
+             (2, 3, 1)]
+    calls = {}
+    for module, name in [(siegel_fourier, "_residues_mod_p"),
+                         (interpolation, "padic_cell"),
+                         (interpolation, "_compare_cells")]:
+        calls[name] = []
+
+        def spy(*args, fn=getattr(module, name), seen=calls[name]):
+            seen.append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    table = coefficient_family(family(), (0,), pts, betas)
+    assert len(betas) == 191 and len(table.cells) == 4 * len(betas)
+    read = [id(args[0]) for args in calls["_residues_mod_p"]]
+    assert len(read) == len(set(read)) <= len(betas)
+    values = [cell.report.normalized for cell in table.cells.values()
+              if cell.error is None]
+    assert (len({id(v) for v in values}) == len({v.key() for v in values})
+            == len({report_text(v.to_json()) for v in values}) == 55)
+    check_congruences(table, pairs)
+    assert len(calls["padic_cell"]) == 55
+    assert len(calls["_compare_cells"]) == 119
 
 
 def test_congruence_identical_points_pass_all():
