@@ -405,7 +405,7 @@ def _pairs(cfg):
     return list(cfg["pairs"])
 
 
-def cmd_coeff(cfg, args):
+def cmd_coeff(cfg):
     _validate_common(cfg)
     _require(cfg, "kappa")
     datum = _build_datum(cfg)
@@ -422,7 +422,7 @@ def cmd_coeff(cfg, args):
     return {"command": "coeff", "reports": reports}
 
 
-def cmd_family(cfg, args):
+def cmd_family(cfg):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
     if not cfg["points"]:
@@ -444,7 +444,7 @@ def cmd_family(cfg, args):
     return report
 
 
-def cmd_kl(cfg, args):
+def cmd_kl(cfg):
     _validate_common(cfg)
     p = cfg["p"]
     chi = cfg["chi"]
@@ -494,7 +494,7 @@ def cmd_kl(cfg, args):
             "kummer_congruences_mod_p": matrix}
 
 
-def cmd_hecke(cfg, args):
+def cmd_hecke(cfg):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
     a = _base_weight(cfg)
@@ -515,7 +515,7 @@ def cmd_hecke(cfg, args):
             "klingen_eigenvalues": fmt(kls)}
 
 
-def cmd_pullback(cfg, args):
+def cmd_pullback(cfg):
     _validate_common(cfg)
     _require(cfg, "kappa", "tau1", "tau2")
     p = cfg["p"]
@@ -546,14 +546,14 @@ def cmd_pullback(cfg, args):
     return out
 
 
-def cmd_enumerate(cfg, args):
+def cmd_enumerate(cfg):
     _validate_common(cfg)
     betas = _betas(cfg, index_size(_rank(cfg), cfg["variant"]))
     return {"command": "enumerate", "count": len(betas),
             "betas": betas}
 
 
-def cmd_selftest(cfg, args):
+def cmd_selftest(cfg):
     checks = []
     chi = DirichletChar.from_exponent(5, 1)
     g = gauss_sum(chi)
@@ -607,7 +607,7 @@ def main(argv=None):
             cfg["_raw"]["prec"] = str(args.prec)
         if cfg["prec"] < 1:
             raise ConfigError("key 'prec': must be at least 1")
-        report = _COMMANDS[args.command](cfg, args)
+        report = _COMMANDS[args.command](cfg)
         report["schema"] = SCHEMA
         report["config_hash"] = config_hash(cfg)
         # schema 1 pins a "seed" key, though nothing here is random

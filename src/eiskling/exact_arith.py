@@ -302,9 +302,6 @@ class CycNumber:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is NotImplemented:
@@ -361,18 +358,6 @@ class CycNumber:
         norm = acc._mul(self)
         return CycNumber.from_integers(
             n, [c * norm.den for c in acc.nums], acc.den * norm.nums[0])
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * (Fraction(1) / Fraction(other))
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return CycNumber.from_rational(other) / self
 
     def __pow__(self, e):
         if not isinstance(e, int):

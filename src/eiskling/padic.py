@@ -2,8 +2,11 @@
 of cyclotomic numbers into Q_p or an unramified carrier ring.
 
 PadicElem stores p^val * unit to absolute precision p^prec, with val < prec;
-a value divisible by p^prec is zero to precision.  UnramElem models elements
-of Z_p[x]/(Phi_B(x), p^prec) for B coprime to p; this ring is a product of
+a value divisible by p^prec is zero to precision.  It supports +, -, * and ==,
+with ints and Fractions coerced, and residues mod p^k.  UnramElem holds
+p^shift times a coefficient vector of Z_p[x]/(Phi_B(x), p^prec) for B coprime
+to p, and supports only what the congruence checks read: subtraction of an
+UnramElem or PadicElem and a valuation bound.  The ring is a product of
 unramified discrete valuation rings, so "all coefficients divisible by p^k" is
 a sound (possibly conservative) certificate for valuation >= k in every
 factor.
@@ -20,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InsufficientPrecisionError, UnsupportedEmbeddingError
-from .exact_arith import euler_phi, reduce_powers, valuation
+from .exact_arith import euler_phi, valuation
 from .characters import primitive_root
 
 
@@ -61,10 +64,6 @@ class PadicElem:
     def is_zero(self):
         """True when the element is zero to the stored precision."""
         return self.unit == 0
-
-    def valuation(self):
-        """Valuation; for an element zero to precision, the precision bound."""
-        return self.val
 
     def residue(self, k):
         """Integer representative mod p^k (requires val >= 0 and prec >= k)."""
@@ -115,9 +114,6 @@ class PadicElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -128,33 +124,6 @@ class PadicElem:
         prec = min(self.prec + o.val, o.prec + self.val)
         rel = max(prec - val, 1)
         return PadicElem(self.p, val, self.unit * o.unit % self.p ** rel, prec)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("p-adic division by zero (to precision)")
-        rel = max(self.prec - self.val, 1)
-        return PadicElem(self.p, -self.val, pow(self.unit, -1, self.p ** rel),
-                         rel - self.val)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return PadicElem.from_fraction(other, self.p, self.prec) / self
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        acc = PadicElem.from_fraction(1, self.p, self.prec + abs(e) * abs(self.val) + 1)
-        for _ in range(abs(e)):
-            acc = acc * base
-        return acc
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -213,15 +182,10 @@ class UnramElem:
                    x.prec, 0)
 
     def _align(self, other):
-        if not isinstance(other, UnramElem):
-            if isinstance(other, PadicElem):
-                other = UnramElem.from_padic(other, self.level)
-            elif isinstance(other, (int, Fraction)):
-                other = UnramElem.from_padic(
-                    PadicElem.from_fraction(other, self.p, self.prec + max(self.shift, 0)),
-                    self.level)
-            else:
-                return None, None
+        if isinstance(other, PadicElem):
+            other = UnramElem.from_padic(other, self.level)
+        elif not isinstance(other, UnramElem):
+            return None, None
         if other.p != self.p or other.level != self.level:
             raise ValueError("mixed carrier rings")
         s = min(self.shift, other.shift)
@@ -240,52 +204,12 @@ class UnramElem:
                          tuple(c * self.p ** d for c in self.coeffs),
                          self.prec, s)
 
-    def __add__(self, other):
-        a, b = self._align(other)
-        if a is None:
-            return NotImplemented
-        return UnramElem(a.p, a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-                         a.prec, a.shift)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnramElem(self.p, self.level, tuple(-c for c in self.coeffs),
-                         self.prec, self.shift)
-
     def __sub__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
         return UnramElem(a.p, a.level, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)),
                          a.prec, a.shift)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicElem)):
-            o = self._align(other)[1]
-        elif isinstance(other, UnramElem):
-            o = other
-        else:
-            return NotImplemented
-        if o.p != self.p or o.level != self.level:
-            raise ValueError("mixed carrier rings")
-        phi = len(self.coeffs)
-        prec = min(self.prec, o.prec)
-        mod = self.p ** prec
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(o.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        out = reduce_powers(self.level, conv)
-        return UnramElem(self.p, self.level, tuple(c % mod for c in out), prec,
-                         self.shift + o.shift)
-
-    __rmul__ = __mul__
 
     def valuation_bound(self):
         """(v, exact) where v lower-bounds the valuation in every unramified
@@ -302,14 +226,6 @@ class UnramElem:
 
     def is_zero(self):
         return all(c % self.p ** self.prec == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        a, b = self._align(other)
-        if a is None:
-            return NotImplemented
-        return (a - b).is_zero()
-
-    __hash__ = None
 
     def __repr__(self):
         return "UnramElem(p=%d, level=%d, shift=%d, prec=%d, coeffs=%s)" % (
@@ -334,7 +250,12 @@ def embed_cyclotomic(x, p, prec, choice=0):
     The p-power part of the level must act trivially (the element must descend
     to the prime-to-p part of its level), otherwise the embedding would be
     ramified and an UnsupportedEmbeddingError is raised.  `choice` selects the
-    embedding by composing with a Galois twist of the prime-to-p level.
+    embedding by composing with a Galois twist zeta_m -> zeta_m^a of the
+    prime-to-p level m.  For m dividing p - 1, a is the choice-th unit mod
+    p - 1, so zeta_m -> omega(g^a)^((p-1)/m), g the least primitive root and
+    omega the Teichmuller lift, for every such m at once.  Otherwise a is
+    the choice-th unit mod m; the unramified carrier's valuation bound does
+    not depend on it.
 
     A non-rational element is read once as p^shift * (u_i mod p^prec) on the
     power basis, shift = min(0, min_i v(c_i/den)) = -v(den), since the
@@ -351,9 +272,9 @@ def embed_cyclotomic(x, p, prec, choice=0):
             raise UnsupportedEmbeddingError(
                 "element of level %d does not descend to level %d" % (n, m))
         x = y
-    units = embedding_units(m)
-    a = units[choice % len(units)]
-    if a != 1:
+    units = embedding_units(m if (p - 1) % m else p - 1)
+    a = units[choice % len(units)] % m
+    if a > 1:
         x = x.galois(a)
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)

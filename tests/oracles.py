@@ -601,20 +601,18 @@ def report_text(report):
 
 
 def embed_split_oracle(x, p, prec, choice=0):
-    """embed_cyclotomic for x at a level m dividing p - 1: the Galois twist
-    of the choice, then sum_i c_i w^i with w the Teichmuller lift of
-    g^((p-1)/m), g the least primitive root mod p, and the powers of w
-    multiplied out on every call."""
+    """embed_cyclotomic for x at a level m dividing p - 1: sum_i c_i w^i
+    with w the Teichmuller lift of (g^a)^((p-1)/m), g the least primitive
+    root mod p and a the choice-th unit mod p - 1, so that one choice is one
+    embedding at every level, and the powers of w multiplied out on every
+    call, with no Galois twist."""
     m = x.level
     assert (p - 1) % m == 0
-    units = embedding_units(m)
-    a = units[choice % len(units)]
-    if a != 1:
-        x = x.galois(a)
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
-    g = primitive_root(p)
-    root = teichmuller(pow(g, (p - 1) // m, p), p, prec)
+    units = embedding_units(p - 1)
+    a = units[choice % len(units)]
+    root = teichmuller(pow(primitive_root(p), (p - 1) // m * a, p), p, prec)
     acc = PadicElem.zero(p, prec)
     power = PadicElem.from_fraction(1, p, prec)
     for c in x.nums:
@@ -701,7 +699,8 @@ def unit_difference_check(report, p, choice=0):
     the power basis of Q(zeta_L), L the lcm of their levels.  Where L
     divides p - 1 (split), v(u_1 - u_2) is read at the root of Phi_L mod a
     power of p that Hensel-lifts g^((p-1)/L * a), g the least primitive root
-    and a the choice-th unit mod L in increasing order; otherwise
+    and a the choice-th unit mod p - 1 in increasing order, the same
+    embedding at every level L; otherwise
     (unramified) it is the least valuation of a coefficient.  Returns the
     number of records checked of each kind and the records whose T or
     verdict the recomputation does not give."""
@@ -737,7 +736,7 @@ def unit_difference_check(report, p, choice=0):
             val = min(_vp(c, p) for c in diff if c)
         else:
             kinds["split"] += 1
-            units = [a for a in range(1, L + 1) if gcd(a, L) == 1]
+            units = [a for a in range(1, p) if gcd(a, p - 1) == 1]
             a = units[choice % len(units)]
             # digits enough to tell v >= target apart from v < target
             K = max(int(target), 0) + _vp(den, p) + 2

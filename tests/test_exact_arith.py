@@ -103,7 +103,8 @@ def test_cyc_ops_match_fraction_oracle(u, v, k, q, n):
     assert_reduced(-x, la, [-s for s in ca])
     assert_reduced(x - x, la, [0] * euler_phi(la))
     assert_reduced(x + q, la, [ca[0] + q] + ca[1:])
-    assert_reduced(q - x, la, [q - ca[0]] + [-s for s in ca[1:]])
+    assert_reduced(CycNumber.from_rational(q) - x, la,
+                   [q - ca[0]] + [-s for s in ca[1:]])
     assert_reduced(x * q, la, [s * q for s in ca])
     assert_reduced(n * x, la, [n * s for s in ca])
     assert_reduced(x.lift(k * la), k * la, cyc_lift(la, ca, k * la))
