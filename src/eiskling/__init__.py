@@ -26,7 +26,7 @@ from .exact_arith import (
     sqrt_minus_d,
     enumerate_hermitian,
 )
-from .padic import PadicElem, UnramElem, embed_cyclotomic, congruent_mod
+from .padic import PadicElem, embed_cyclotomic, congruent_mod
 from .characters import (
     DirichletChar,
     SplitPCharPair,

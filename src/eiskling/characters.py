@@ -97,11 +97,6 @@ class DirichletChar:
             x = x * g % modulus
         return cls(modulus, level, exps)
 
-    @classmethod
-    def teichmuller_char(cls, p, k=1):
-        """omega^k as a Dirichlet character mod p."""
-        return cls.from_exponent(p, k)
-
     def __call__(self, n):
         n = int(n) % self.modulus if self.modulus > 1 else 0
         return self.values[n] if n in self.values else CycNumber.zero()

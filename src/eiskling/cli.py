@@ -21,7 +21,7 @@ from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
-from .padic import PadicElem, UnramElem, congruent_mod
+from .padic import PadicElem, congruent_mod
 from .siegel_fourier import (SiegelDatum, assemble_classes, index_classes,
                              index_size)
 from .interpolation import (ArithmeticPoint, coefficient_family,
@@ -42,9 +42,7 @@ def parse_char(text):
             return DirichletChar.trivial(int(parts[1]) if len(parts) > 1 else 1)
         if parts[0] == "quadratic":
             return DirichletChar.quadratic(int(parts[1]))
-        if parts[0] == "teichmuller":
-            return DirichletChar.teichmuller_char(int(parts[1]), int(parts[2]))
-        if parts[0] == "exp":
+        if parts[0] in ("teichmuller", "exp"):
             return DirichletChar.from_exponent(int(parts[1]), int(parts[2]))
     except (IndexError, ValueError) as exc:
         raise ConfigError("bad character spec %r: %s" % (text, exc))
@@ -478,8 +476,11 @@ def cmd_kl(cfg):
         if v is None:
             out_values[str(k)] = None
         elif v.is_zero():
-            out_values[str(k)] = {"zero_to_precision": v.prec}
-        elif isinstance(v, UnramElem):
+            # level 1 reports its absolute precision, a higher level its
+            # coefficient precision
+            out_values[str(k)] = {"zero_to_precision": v.prec + v.shift
+                                  if v.level == 1 else v.prec}
+        elif v.level > 1:
             # values in an unramified extension of Q_p: p^shift * sum c_i x^i
             out_values[str(k)] = {"valuation_bound": v.valuation_bound()[0],
                                   "level": v.level, "shift": v.shift,
@@ -487,9 +488,11 @@ def cmd_kl(cfg):
                                                     for c in v.coeffs],
                                   "prec": v.prec}
         else:
-            out_values[str(k)] = {"valuation": v.val,
-                                  "unit_mod_p6": v.unit % p ** 6,
-                                  "prec": v.prec}
+            val = v.valuation_bound()[0]
+            unit = v.coeffs[0] // p ** (val - v.shift)
+            out_values[str(k)] = {"valuation": val,
+                                  "unit_mod_p6": unit % p ** 6,
+                                  "prec": v.prec + v.shift}
     return {"command": "kl", "p": p, "values": out_values,
             "kummer_congruences_mod_p": matrix}
 
@@ -563,7 +566,7 @@ def cmd_selftest(cfg):
     v = kl_specialization(DirichletChar.trivial(), 4, 5, prec=10)
     expect = Fraction(-31, 30)
     checks.append(("kl_trivial_k4_p5",
-                   v == PadicElem.from_fraction(expect, 5, 10)))
+                   (v - PadicElem.from_fraction(expect, 5, 10)).is_zero()))
     ok = all(flag for _, flag in checks)
     return {"command": "selftest", "ok": ok,
             "checks": [{"name": n, "pass": bool(f)} for n, f in checks]}

@@ -93,7 +93,7 @@ def specialize(point, datum, a):
     """
     p = datum.p
     seed = datum.pair
-    omega = DirichletChar.teichmuller_char(p, 1)
+    omega = DirichletChar.from_exponent(p, 1)
     w1 = wild_char(p, point.zeta1)
     w2 = wild_char(p, point.zeta2)
     tau1 = seed.tau1 * omega ** point.m_phi * w2

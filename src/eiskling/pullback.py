@@ -3,8 +3,7 @@ in the Klingen and L-function normalizations."""
 
 from fractions import Fraction
 
-from .errors import (ConductorError, ConfigError, NonIntegralExponentError,
-                     PoleError)
+from .errors import ConductorError, NonIntegralExponentError, PoleError
 from .exact_arith import CycNumber
 from .siegel_fourier import abelian_lfactors, index_size
 from .values import ExactValue
@@ -55,8 +54,6 @@ def p_constant_lfun(alphas, pair, kappa, p):
     prod (chi_i^-1 tau_2)(p) taubar^c((p^r,1)), for the Satake parameters
     alphas = (chi_1(p), ..., chi_r(p))."""
     r = len(alphas)
-    if r < 1:
-        raise ConfigError("need r >= 1")
     if not pair.conductors_all_p(p):
         raise ConductorError("tau1, tau2 and tau1*tau2 must all have conductor p")
     unit = CycNumber.one()

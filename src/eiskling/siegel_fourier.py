@@ -24,7 +24,7 @@ from .errors import (ConductorError, ConfigError, EisklingError,
                      UnsupportedBetaError)
 from .exact_arith import CycNumber, factorize, sqrt_minus_d, valuation
 from .characters import chi_K
-from .padic import PadicElem, embed_cyclotomic
+from .padic import embed_cyclotomic
 from .values import ExactValue
 
 
@@ -44,7 +44,8 @@ class SiegelDatum:
     """Global datum fixing the section at every place.
 
     n is the size of the coefficient index, index_size(r, variant), where
-    r >= 1 is the rank of the definite group.
+    r >= 1 is the rank of the definite group; the command line checks r >= 1
+    and that p splits in K before it builds a datum.
 
     Everything fixed by the arithmetic point (tau', its Gauss character, the
     ell and p constants) is computed once per datum and cached; a datum
@@ -65,16 +66,12 @@ class SiegelDatum:
     variant: str = "klingen"
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ConfigError("need r >= 1")
         if self.kappa < self.n:
             raise ConfigError("need kappa >= n")
         if self.p not in self.sigma:
             raise ConfigError("sigma must contain p")
         if self.ell in self.sigma:
             raise ConfigError("the auxiliary prime is kept outside sigma")
-        if chi_K(self.D, self.p) != 1:
-            raise ConfigError("p must split in the quadratic field")
         if chi_K(self.D, self.ell) == 0:
             raise ConfigError("the auxiliary prime must be unramified")
 
@@ -229,8 +226,8 @@ def _sqrt_md_residue(datum):
     """Residue mod p of sqrt(-D) under the embedding fixed by the datum."""
     img = embed_cyclotomic(sqrt_minus_d(datum.D), datum.p, datum.prec,
                            choice=datum.embedding_choice)
-    if isinstance(img, PadicElem):
-        return img.residue(1)
+    if img.level == 1:  # at shift 0: sqrt(-D) has integer coefficients
+        return img.coeffs[0] % datum.p
     # split p guarantees a mod-p root; fall back to the smallest one
     for t in range(datum.p):
         if (t * t + datum.D) % datum.p == 0:

@@ -36,13 +36,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from eiskling.characters import gauss_sum, primitive_root
+from eiskling.characters import _units, gauss_sum, primitive_root
 from eiskling.errors import (EisklingError, NonIntegralExponentError,
                              ResourceBoundError)
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
                                   factorize, sqrt_minus_d, valuation)
 from eiskling.interpolation import FamilyCell, FamilyTable, specialize
-from eiskling.padic import PadicElem, embedding_units, teichmuller
+from eiskling.padic import teichmuller
 from eiskling.qexp_diff import times_multiplier
 from eiskling.siegel_fourier import assemble_global
 from eiskling.values import ExactValue
@@ -601,26 +601,32 @@ def report_text(report):
 
 
 def embed_split_oracle(x, p, prec, choice=0):
-    """embed_cyclotomic for x at a level m dividing p - 1: sum_i c_i w^i
-    with w the Teichmuller lift of (g^a)^((p-1)/m), g the least primitive
-    root mod p and a the choice-th unit mod p - 1, so that one choice is one
-    embedding at every level, and the powers of w multiplied out on every
-    call, with no Galois twist."""
+    """embed_cyclotomic for x at a level m dividing p - 1, as (valuation,
+    unit mod p^(precision - valuation), absolute precision), a value zero to
+    precision read as (precision, 0, precision).  A rational x is known to
+    p^prec.  Otherwise the image is the Fraction sum_i c_i w^i, with the
+    powers of w multiplied out on every call and no Galois twist: w is the
+    integer Teichmuller lift mod p^prec of (g^a)^((p-1)/m), g the least
+    primitive root mod p and a the choice-th unit mod p - 1, so that one
+    choice is one embedding at every level.  As w is known mod p^prec, the
+    sum is known to p^(prec + min(0, min_i v(c_i)))."""
     m = x.level
     assert (p - 1) % m == 0
     if x.is_rational():
-        return PadicElem.from_fraction(x.rational(), p, prec)
-    units = embedding_units(p - 1)
-    a = units[choice % len(units)]
-    root = teichmuller(pow(primitive_root(p), (p - 1) // m * a, p), p, prec)
-    acc = PadicElem.zero(p, prec)
-    power = PadicElem.from_fraction(1, p, prec)
-    for c in x.nums:
-        if c:
-            acc = acc + power * PadicElem.from_fraction(
-                Fraction(c, x.den), p, prec)
-        power = power * root
-    return acc
+        total, known = x.rational(), prec
+    else:
+        units = _units(p - 1)
+        a = units[choice % len(units)]
+        w = teichmuller(pow(primitive_root(p), (p - 1) // m * a, p), p, prec)
+        cs = [Fraction(c, x.den) for c in x.nums]
+        total = sum(c * w ** i for i, c in enumerate(cs))
+        known = prec + min([0] + [valuation(c, p) for c in cs if c])
+    v = valuation(total, p) if total else known
+    if v >= known:
+        return known, 0, known
+    unit = total / Fraction(p) ** v
+    mod = p ** (known - v)
+    return v, unit.numerator * pow(unit.denominator, -1, mod) % mod, known
 
 
 def coefficient_family_per_point(datum, a, points, betas):

@@ -81,7 +81,7 @@ def test_gen_bernoulli_matches_definition(name):
 
 def test_gen_bernoulli_parity_vanishing():
     chi3 = DirichletChar.quadratic(3)          # odd
-    chi5 = DirichletChar.teichmuller_char(5, 2)  # even
+    chi5 = DirichletChar.from_exponent(5, 2)  # even
     for k in (2, 4, 6):
         assert gen_bernoulli(chi3, k).is_zero()
     for k in (1, 3, 5):
@@ -98,7 +98,7 @@ def test_L_values():
 
 def test_kl_example():
     v = kl_specialization(DirichletChar.trivial(), 4, 5, prec=10)
-    assert v == PadicElem.from_fraction(Fraction(-31, 30), 5, 10)
+    assert (v - PadicElem.from_fraction(Fraction(-31, 30), 5, 10)).is_zero()
 
 
 def test_kl_pole_rejected():
@@ -110,8 +110,10 @@ def test_kl_sigma_depletion():
     triv = DirichletChar.trivial()
     plain = kl_specialization(triv, 4, 5, prec=10)
     depleted = kl_specialization(triv, 4, 5, sigma=(2, 5), prec=10)
-    factor = PadicElem.from_fraction(Fraction(1 - 2 ** 3), 5, 10)
-    assert depleted == plain * factor
+    plain_value = Fraction(-31, 30)  # as in test_kl_example
+    assert (plain - PadicElem.from_fraction(plain_value, 5, 10)).is_zero()
+    assert (depleted - PadicElem.from_fraction(plain_value * (1 - 2 ** 3),
+                                               5, 10)).is_zero()
 
 
 def test_kl_kummer_sample():

@@ -55,7 +55,7 @@ def test_conductor_and_primitive_part():
 
 
 def test_order_and_parity():
-    omega = DirichletChar.teichmuller_char(5, 1)
+    omega = DirichletChar.from_exponent(5, 1)
     assert omega.order() == 4
     assert omega.parity() == -1
     assert (omega ** 2).parity() == 1

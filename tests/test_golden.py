@@ -137,8 +137,8 @@ CLI_CASES = {
     "family zeta:125 point": ("family", readme_config(
         points="6:0:Xpb;6:0:X:zeta:125:1", pairs="0,1,1")),
     # chi(29) = 1 zeroes the k = 1 value in Q_p, while the odd k >= 3 values
-    # stay in the unramified carrier: the pairs (1,5) and (1,9) compare a
-    # PadicElem with an UnramElem
+    # stay in an unramified extension: the pairs (1,5) and (1,9) subtract a
+    # carrier of level 6 from one of level 1
     "kl exp:7:1 k=1..9 sigma=2,5,29": ("kl", "p = 5\nsigma = 2,5,29\n"
                                              "chi = exp:7:1\nk_min = 1\n"
                                              "k_max = 9\n"),

@@ -192,8 +192,6 @@ UNREACHED_ALLOWED = {
     "characters.DirichletChar.__hash__":
         "keeps characters usable as dict keys and set members, consistent "
         "with __eq__",
-    "padic.PadicElem.__mul__":
-        "the arithmetic of tests/oracles.embed_split_oracle",
 }
 
 
