@@ -43,8 +43,8 @@ print("after scaling the minor by p: zero?",
 # coefficient of the normalized q-expansion.
 
 report = assemble_global(beta, datum)
-print("\nnormalized coefficient:", report.normalized.to_json())
-for place, val in report.locals.items():
+print("\nnormalized coefficient:", report["normalized"].to_json())
+for place, val in report["locals"].items():
     print("  %-14s %s" % (place, val.to_json()))
 
 # --- A small census --------------------------------------------------------

@@ -34,13 +34,13 @@ betas = [b for b in enumerate_hermitian(2, 1, 3) if b.det() != 0]
 print("\nindices of trace <= 3 (nondegenerate):", len(betas))
 
 table = coefficient_family(datum, a, points, betas)
-nonzero = sum(1 for c in table.cells.values()
-              if c.report is not None and not c.report.normalized.is_zero())
-print("cells computed:", len(table.cells), "| nonzero:", nonzero)
+nonzero = sum(1 for c in table["cells"]
+              if "report" in c and not c["report"]["normalized"].is_zero())
+print("cells computed:", len(table["cells"]), "| nonzero:", nonzero)
 
 # Every pair of points, every index, congruent mod p:
 pairs = [(i, j, 1) for i in range(4) for j in range(i + 1, 4)]
-rep = check_congruences(table, pairs)
+rep = check_congruences(table, pairs, p)
 print("congruence records:", len(rep["records"]),
       "| failures:", rep["failures"], "| all pass:", rep["all_pass"])
 
@@ -48,7 +48,7 @@ print("congruence records:", len(rep["records"]),
 # congruence detector notices.
 bad = [points[0], ArithmeticPoint(6, 1, flag="X")]
 bad_table = coefficient_family(datum, a, bad, betas)
-bad_rep = check_congruences(bad_table, [(0, 1, 1)])
+bad_rep = check_congruences(bad_table, [(0, 1, 1)], p)
 print("\nm=0 vs m=1:",
       sum(1 for r in bad_rep["records"] if r["status"] == "FAIL"),
       "of", len(bad_rep["records"]), "records fail, as they should")

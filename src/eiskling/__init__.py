@@ -47,10 +47,7 @@ from .pullback import (
     p_constant_lfun,
     p_constant_klingen,
 )
-from .qexp_diff import (
-    multiplier_klingen,
-    multiplier_lfun,
-)
+from .qexp_diff import minor_monomial
 from .siegel_fourier import (
     SiegelDatum,
     additive_char,
@@ -59,7 +56,6 @@ from .siegel_fourier import (
     coeff_aux_ell,
     coeff_p,
     coeff_arch_normalized,
-    CoefficientReport,
     assemble_global,
 )
 from .interpolation import (

@@ -416,7 +416,7 @@ def cmd_coeff(cfg):
         if isinstance(entry, str):
             reports.append({"beta": beta, "error": entry})
         else:
-            reports.append({**entry.to_json(), "beta": beta})
+            reports.append({**entry, "beta": beta})
     return {"command": "coeff", "reports": reports}
 
 
@@ -434,10 +434,10 @@ def cmd_family(cfg):
         raise ConfigError("key 'trace_bound': no nonsingular index has "
                           "trace at most %d" % cfg["trace_bound"])
     table = coefficient_family(datum, a, list(cfg["points"]), betas)
-    report = {"command": "family", "table": table.to_json()}
+    report = {"command": "family", "table": table}
     if pairs:
         report["congruences"] = check_congruences(
-            table, pairs, prec=cfg["prec"],
+            table, pairs, cfg["p"], prec=cfg["prec"],
             choice=cfg["embedding_choice"])
     return report
 

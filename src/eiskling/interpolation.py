@@ -19,8 +19,7 @@ from .characters import DirichletChar, SplitPCharPair, _divisors
 from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
 from .qexp_diff import times_multiplier
-from .siegel_fourier import (CoefficientReport, assemble_classes,
-                             index_classes)
+from .siegel_fourier import assemble_classes, index_classes
 
 
 @dataclass(frozen=True)
@@ -112,58 +111,24 @@ def specialize(point, datum, a):
     return replace(datum, kappa=point.kappa_phi, pair=pair), weight
 
 
-@dataclass
-class FamilyCell:
-    point_index: int
-    beta_index: int
-    report: object = None
-    error: str = None
-
-    def to_json(self):
-        out = {"point": self.point_index, "beta": self.beta_index}
-        if self.error is not None:
-            out["error"] = self.error
-        else:
-            out["report"] = self.report.to_json()
-        return out
-
-
-@dataclass
-class FamilyTable:
-    p: int
-    points: list
-    betas: list
-    cells: dict  # (point_index, beta_index) -> FamilyCell
-    point_errors: dict  # point_index -> str for rejected points
-
-    def to_json(self):
-        """The table's data; indices and cell values stay objects, which
-        cli._emit writes as their to_json() forms."""
-        return {
-            "points": [{"kappa_phi": pt.kappa_phi, "m_phi": pt.m_phi,
-                        "flag": pt.flag} for pt in self.points],
-            "betas": self.betas,
-            "point_errors": {str(i): e for i, e in sorted(self.point_errors.items())},
-            "cells": [self.cells[k].to_json() for k in sorted(self.cells)],
-        }
-
-
 def _point_cell(i, j, beta, entry, weight, interned):
     """The cell of point i at index j, beta, from the entry of beta's
     invariant class at the point's datum: an error or a degenerate report
     (a singular index is its own class) as it is, any other report as a new
     one at beta with the weight multiplier applied, sharing the class's
-    locals.  The multiplied value is the one of its key() in interned."""
+    locals.  A value the multiplier made is replaced by the one of its key()
+    in interned; the entry's own value is interned already."""
     if isinstance(entry, str):
-        return FamilyCell(i, j, error=entry)
-    if entry.degenerate:
-        return FamilyCell(i, j, report=entry)
-    normalized = times_multiplier(entry.normalized, beta, entry.variant,
-                                  weight)
-    normalized = interned.setdefault(normalized.key(), normalized)
-    notes = entry.notes + ["weight multiplier applied: a = %s" % (weight,)]
-    return FamilyCell(i, j, report=CoefficientReport(
-        beta, entry.variant, entry.locals, normalized, notes))
+        return {"point": i, "beta": j, "error": entry}
+    if entry["degenerate"]:
+        return {"point": i, "beta": j, "report": entry}
+    value = entry["normalized"]
+    normalized = times_multiplier(value, beta, weight)
+    if normalized is not value:
+        normalized = interned.setdefault(normalized.key(), normalized)
+    notes = entry["notes"] + ["weight multiplier applied: a = %s" % (weight,)]
+    return {"point": i, "beta": j, "report": {
+        **entry, "beta": beta, "normalized": normalized, "notes": notes}}
 
 
 def coefficient_family(datum, a, points, betas):
@@ -173,14 +138,20 @@ def coefficient_family(datum, a, points, betas):
     applied.  Rejected points and failed cells become error records; the
     family continues past them.
 
+    The table is the dict the command line writes: points, betas,
+    point_errors (by the point's index as a string) and cells, a list of
+    {"point", "beta", "report" or "error"} in (point, beta) order.
+
     The indices are grouped into invariant classes once; no specialization
     changes the classes.  Points whose specialized datums are equal (with
     zeta = 1, those of one residue class of m_phi mod p - 1 and one
     kappa_phi) differ only in the weight: each class is assembled once per
     distinct datum, and each point applies its own multiplier per index.
     The family holds one value object per distinct representation
-    (ExactValue.key()), so cells of equal values share it."""
-    cells = {}
+    (ExactValue.key()), so cells of equal values share it: a row's class
+    values are interned when the row is assembled, and a cell's value only
+    when the multiplier made a new one."""
+    cells = []
     point_errors = {}
     interned = {}  # ExactValue.key() -> the family's value of that key
     reps, of = index_classes(betas, datum)
@@ -189,16 +160,24 @@ def coefficient_family(datum, a, points, betas):
         try:
             at, weight = specialize(pt, datum, a)
         except EisklingError as exc:
-            point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
+            point_errors[str(i)] = "%s: %s" % (type(exc).__name__, exc)
             continue
         row = next((entries for seen, entries in rows if seen == at), None)
         if row is None:
             row = assemble_classes(reps, at)
+            for entry in row:
+                if not isinstance(entry, str):
+                    value = entry["normalized"]
+                    entry["normalized"] = interned.setdefault(value.key(),
+                                                              value)
             rows.append((at, row))
         for j, beta in enumerate(betas):
-            cells[(i, j)] = _point_cell(i, j, beta, row[of[j]], weight,
-                                        interned)
-    return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
+            cells.append(_point_cell(i, j, beta, row[of[j]], weight,
+                                     interned))
+    return {"points": [{"kappa_phi": pt.kappa_phi, "m_phi": pt.m_phi,
+                        "flag": pt.flag} for pt in points],
+            "betas": list(betas), "point_errors": point_errors,
+            "cells": cells}
 
 
 @dataclass(frozen=True)
@@ -276,10 +255,11 @@ def _compare_cells(c1, c2, k, p, prec, choice):
     return "FAIL", "unit difference has valuation < %s" % target
 
 
-def check_congruences(table, pairs, prec=12, choice=0):
+def check_congruences(table, pairs, p, prec=12, choice=0):
     """Check that cells of the family table satisfy the congruences the
     boundedness of the measure predicts.
 
+    table: a coefficient_family table of the family at the prime p.
     pairs: list of (point_index, point_index, k).  For every pair and every
     index beta the two cell values must agree mod p^k after embedding.
     Returns a report with one record per (pair, beta); failures carry the
@@ -289,20 +269,19 @@ def check_congruences(table, pairs, prec=12, choice=0):
     value object, so the PadicCell is built once per distinct value and the
     verdict computed once per distinct (form, form, k); the table keeps the
     values alive, so their ids stay distinct while this runs."""
-    p = table.p
     read = {i for i1, i2, _ in pairs for i in (i1, i2)}
     by_value = {}  # id(normalized) -> PadicCell or None
     forms = {}
-    for key, cell in table.cells.items():
-        if key[0] in read and cell.error is None:
-            value = cell.report.normalized
+    for cell in table["cells"]:
+        if cell["point"] in read and "report" in cell:
+            value = cell["report"]["normalized"]
             if id(value) not in by_value:
                 by_value[id(value)] = padic_cell(value, p)
-            forms[key] = by_value[id(value)]
+            forms[cell["point"], cell["beta"]] = by_value[id(value)]
     verdicts = {}  # (id(form), id(form), k) -> (status, detail)
     records = []
     for (i1, i2, k) in pairs:
-        for j in range(len(table.betas)):
+        for j in range(len(table["betas"])):
             if (i1, j) in forms and (i2, j) in forms:
                 c1, c2 = forms[i1, j], forms[i2, j]
                 case = (id(c1), id(c2), k)

@@ -98,11 +98,28 @@ class SiegelDatum:
 
     @cached_property
     def ell_prefactor(self):
-        return prefactor_ell_lfactors(self)
+        """The abelian L-factors of the global normalization at the
+        auxiliary prime (which lies outside sigma and is not cancelled
+        locally): prod_{i=0}^{n-1} (1 - taubar' chi_K^i (ell)
+        ell^{-(kappa-i)})^{-1}."""
+        ell = self.ell
+        return ExactValue(abelian_lfactors(
+            self.tau_prime_bar(ell), chi_K(self.D, ell), ell, self.kappa,
+            self.n).inverse())
 
     @cached_property
     def sqrt_md_mod_p(self):
-        return _sqrt_md_residue(self)
+        """Residue mod p of sqrt(-D) under the embedding fixed by the
+        datum."""
+        img = embed_cyclotomic(sqrt_minus_d(self.D), self.p, self.prec,
+                               choice=self.embedding_choice)
+        if img.level == 1:  # at shift 0: sqrt(-D) has integer coefficients
+            return img.coeffs[0] % self.p
+        # split p guarantees a mod-p root; fall back to the smallest one
+        for t in range(self.p):
+            if (t * t + self.D) % self.p == 0:
+                return t
+        raise UnsupportedBetaError("no square root of -D mod p")
 
     @cached_property
     def aux_scalar(self):
@@ -112,7 +129,11 @@ class SiegelDatum:
 
     @cached_property
     def p_unit(self):
-        return _p_convention_unit(self)
+        """Unit calibrated against the finite-sum evaluation of the
+        stabilized section with the plus-sign additive character: each of
+        the r rows of the unipotent sum contributes tau_2(-1) tau_2(p).  The
+        rank-one case is verified computationally in the test suite."""
+        return (self.pair.tau2(-1) * self.pair.at_p2) ** self.r
 
     @cached_property
     def p_factor(self):
@@ -191,16 +212,6 @@ def coeff_unramified(beta, q, datum):
                                        datum.kappa, datum.n))
 
 
-def prefactor_ell_lfactors(datum):
-    """The abelian L-factors of the global normalization at the auxiliary
-    prime (which lies outside sigma and is not cancelled locally):
-    prod_{i=0}^{n-1} (1 - taubar' chi_K^i (ell) ell^{-(kappa-i)})^{-1}."""
-    ell = datum.ell
-    return ExactValue(abelian_lfactors(
-        datum.tau_prime_bar(ell), chi_K(datum.D, ell), ell, datum.kappa,
-        datum.n).inverse())
-
-
 def coeff_aux_ell(beta, datum):
     """Local coefficient at the auxiliary split prime ell:
 
@@ -220,19 +231,6 @@ def _ell_trace(beta, datum):
     image, the one entry sum coeff_aux_ell reads."""
     return sum(beta.int_minor((i,), (i,))[0]
                for i in range(datum.n - datum.r, datum.n))
-
-
-def _sqrt_md_residue(datum):
-    """Residue mod p of sqrt(-D) under the embedding fixed by the datum."""
-    img = embed_cyclotomic(sqrt_minus_d(datum.D), datum.p, datum.prec,
-                           choice=datum.embedding_choice)
-    if img.level == 1:  # at shift 0: sqrt(-D) has integer coefficients
-        return img.coeffs[0] % datum.p
-    # split p guarantees a mod-p root; fall back to the smallest one
-    for t in range(datum.p):
-        if (t * t + datum.D) % datum.p == 0:
-            return t
-    raise UnsupportedBetaError("no square root of -D mod p")
 
 
 def coeff_p(beta, datum, residues=None):
@@ -287,14 +285,6 @@ def _residues_mod_p(beta, datum):
     return det_res, x_res
 
 
-def _p_convention_unit(datum):
-    """Unit calibrated against the finite-sum evaluation of the stabilized
-    section with the plus-sign additive character: each of the r rows of the
-    unipotent sum contributes tau_2(-1) tau_2(p).  The rank-one case is
-    verified computationally in the test suite."""
-    return (datum.pair.tau2(-1) * datum.pair.at_p2) ** datum.r
-
-
 def coeff_arch_normalized(beta, datum):
     """Archimedean coefficient after dividing by the global normalization:
     (-2)^(-n) det(beta)^(kappa-n) / (kappa-1)!  for the klingen variant,
@@ -308,28 +298,6 @@ def coeff_arch_normalized(beta, datum):
     if datum.variant == "klingen":
         val /= factorial(datum.kappa - 1)
     return ExactValue.from_rational(val)
-
-
-@dataclass
-class CoefficientReport:
-    beta: object
-    variant: str
-    locals: dict
-    normalized: object
-    notes: list
-    degenerate: bool = False
-
-    def to_json(self):
-        """The report's data; beta and the values stay objects, which
-        cli._emit writes as their to_json() forms."""
-        return {
-            "beta": self.beta,
-            "variant": self.variant,
-            "degenerate": self.degenerate,
-            "locals": self.locals,
-            "normalized": self.normalized,
-            "notes": self.notes,
-        }
 
 
 def _invariants(beta, datum):
@@ -380,20 +348,21 @@ def assemble_global(beta, datum, residues=None):
     the local coefficients, after checking primitivity away from sigma and
     the auxiliary prime; residues goes to coeff_p.
 
-    Raises UnsupportedBetaError for indices outside the implemented
-    (primitive) range; returns a degenerate placeholder report for singular
-    indices."""
+    The report is the dict the command line writes: beta, variant,
+    degenerate, locals, normalized and notes, with beta and the values as
+    objects, which cli._emit writes as their to_json() forms.  Raises
+    UnsupportedBetaError for indices outside the implemented (primitive)
+    range; returns a degenerate placeholder report for singular indices."""
     if beta.n != datum.n:
         raise ValueError("beta size does not match the datum")
-    if beta.det() == 0:
-        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
-                                 ["singular index: constant-term block, "
-                                  "value not computed by this assembler"],
-                                 degenerate=True)
-    if not beta.is_positive_definite():
-        return CoefficientReport(beta, datum.variant, {}, ExactValue.zero(),
-                                 ["index not positive definite: archimedean "
-                                  "coefficient vanishes"], degenerate=False)
+    singular = beta.det() == 0
+    if singular or not beta.is_positive_definite():
+        note = ("singular index: constant-term block, value not computed "
+                "by this assembler" if singular else "index not positive "
+                "definite: archimedean coefficient vanishes")
+        return {"beta": beta, "variant": datum.variant,
+                "degenerate": singular, "locals": {},
+                "normalized": ExactValue.zero(), "notes": [note]}
     good = [q for q in _support(beta)
             if q not in datum.sigma and q not in (datum.ell, datum.p)]
     if good:
@@ -417,4 +386,5 @@ def assemble_global(beta, datum, residues=None):
     total = ExactValue.one()
     for v in locs.values():
         total = total * v
-    return CoefficientReport(beta, datum.variant, locs, total, notes)
+    return {"beta": beta, "variant": datum.variant, "degenerate": False,
+            "locals": locs, "normalized": total, "notes": notes}

@@ -41,7 +41,7 @@ from eiskling.errors import (EisklingError, NonIntegralExponentError,
                              ResourceBoundError)
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
                                   factorize, sqrt_minus_d, valuation)
-from eiskling.interpolation import FamilyCell, FamilyTable, specialize
+from eiskling.interpolation import specialize
 from eiskling.padic import teichmuller
 from eiskling.qexp_diff import times_multiplier
 from eiskling.siegel_fourier import assemble_global
@@ -633,28 +633,32 @@ def coefficient_family_per_point(datum, a, points, betas):
     """coefficient_family with assemble_global run at every point and index,
     each on a fresh copy of the point's datum, with no invariant classes and
     no datum shared between cells: each cell's report is its own, and the
-    weight multiplier of the point is applied to it in place."""
-    cells = {}
+    weight multiplier of the point is applied to it in place.  The table is
+    in the written form coefficient_family returns."""
+    cells = []
     point_errors = {}
     for i, pt in enumerate(points):
         try:
             at, weight = specialize(pt, datum, a)
         except EisklingError as exc:
-            point_errors[i] = "%s: %s" % (type(exc).__name__, exc)
+            point_errors[str(i)] = "%s: %s" % (type(exc).__name__, exc)
             continue
         for j, beta in enumerate(betas):
             try:
                 report = assemble_global(beta, replace(at))
-                if not report.degenerate:
-                    report.normalized = times_multiplier(
-                        report.normalized, beta, at.variant, weight)
-                    report.notes.append("weight multiplier applied: a = %s"
-                                        % (weight,))
-                cells[(i, j)] = FamilyCell(i, j, report=report)
+                if not report["degenerate"]:
+                    report["normalized"] = times_multiplier(
+                        report["normalized"], beta, weight)
+                    report["notes"].append("weight multiplier applied: a = %s"
+                                           % (weight,))
+                cells.append({"point": i, "beta": j, "report": report})
             except EisklingError as exc:
-                cells[(i, j)] = FamilyCell(
-                    i, j, error="%s: %s" % (type(exc).__name__, exc))
-    return FamilyTable(datum.p, list(points), list(betas), cells, point_errors)
+                cells.append({"point": i, "beta": j, "error": "%s: %s"
+                              % (type(exc).__name__, exc)})
+    return {"points": [{"kappa_phi": pt.kappa_phi, "m_phi": pt.m_phi,
+                        "flag": pt.flag} for pt in points],
+            "betas": list(betas), "point_errors": point_errors,
+            "cells": cells}
 
 
 def _least_primitive_root(p):

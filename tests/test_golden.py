@@ -214,6 +214,19 @@ def test_demo_output_matches_golden(name):
     assert demo_digest(DEMO_CASES[name]) == _golden_cli()[name]
 
 
+def test_readme_quick_start_runs():
+    """The first python block of README.md runs, with src on PYTHONPATH,
+    and prints the JSON form of one exact value."""
+    with open(os.path.join(os.path.dirname(TESTS), "README.md")) as fh:
+        code = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("{'unit': {'level': ") and "'gauss': " in out
+
+
 # every golden family case, and one more input for the check alone: the
 # second embedding changes sqrt(-D) mod p and so the cell values, and four
 # pairs of unit parts that agree under the first differ under it

@@ -1,6 +1,5 @@
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +10,6 @@ from eiskling.siegel_fourier import SiegelDatum, index_classes
 from eiskling.values import ExactValue
 from eiskling.interpolation import (
     ArithmeticPoint,
-    FamilyCell,
-    FamilyTable,
     _compare_cells,
     check_congruences,
     coefficient_family,
@@ -112,20 +109,25 @@ def make_table(pts, a=(0,)):
     return coefficient_family(family(), a, pts, betas), betas
 
 
+def cells_by_key(table):
+    """The cells of a family table by (point index, index number)."""
+    return {(cell["point"], cell["beta"]): cell for cell in table["cells"]}
+
+
 def test_family_single_point_delegates():
     pts = [ArithmeticPoint(6, 0, flag="Xpb")]
     table, betas = make_table(pts)
-    assert len(table.cells) == len(betas)
-    assert not table.point_errors
-    assert any(not c.report.normalized.is_zero()
-               for c in table.cells.values())
+    assert len(table["cells"]) == len(betas)
+    assert not table["point_errors"]
+    assert any(not c["report"]["normalized"].is_zero()
+               for c in table["cells"])
 
 
 def test_family_rejects_bad_point_continues():
     pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 2, flag="Xpb")]
     table, betas = make_table(pts)
-    assert 1 in table.point_errors
-    assert all(k[0] == 0 for k in table.cells)
+    assert "1" in table["point_errors"]
+    assert all(c["point"] == 0 for c in table["cells"])
 
 
 def test_invalid_points_are_typed_point_errors():
@@ -133,11 +135,11 @@ def test_invalid_points_are_typed_point_errors():
            ArithmeticPoint(6, 4, zeta1=CycNumber.root_of_unity(3)),
            ArithmeticPoint(6, 0)]
     table, betas = make_table(pts, a=(-2,))
-    assert table.point_errors == {
-        1: "ConfigError: need kappa >= n",
-        2: "ConfigError: zeta must have p-power order",
-        3: "ConfigError: specialized weight (-2,) has a negative entry"}
-    assert {k[0] for k in table.cells} == {0}
+    assert table["point_errors"] == {
+        "1": "ConfigError: need kappa >= n",
+        "2": "ConfigError: zeta must have p-power order",
+        "3": "ConfigError: specialized weight (-2,) has a negative entry"}
+    assert {c["point"] for c in table["cells"]} == {0}
 
 
 @pytest.mark.parametrize("target", ["assemble_global", "specialize"])
@@ -175,17 +177,16 @@ def test_family_assembles_once_per_distinct_datum(monkeypatch):
     monkeypatch.setattr(siegel_fourier, "assemble_global", spy)
     got = coefficient_family(family(), (2,), pts, betas)
     assert len(calls) == len(set(calls)) == 3 * len(reps)
-    assert sorted(got.cells) == sorted(want.cells)
-    assert not got.point_errors and not want.point_errors
-    for key, cell in got.cells.items():
-        assert report_text(cell.to_json()) == report_text(
-            want.cells[key].to_json())
-        if cell.error is None:
-            assert cell.report.normalized == want.cells[key].report.normalized
-    notes = [id(cell.report.notes) for cell in got.cells.values()
-             if cell.error is None]
+    assert len(got["cells"]) == len(want["cells"])
+    assert not got["point_errors"] and not want["point_errors"]
+    for cell, fresh in zip(got["cells"], want["cells"]):
+        assert report_text(cell) == report_text(fresh)
+        if "report" in cell:
+            assert cell["report"]["normalized"] == fresh["report"]["normalized"]
+    notes = [id(cell["report"]["notes"]) for cell in got["cells"]
+             if "report" in cell]
     assert len(set(notes)) == len(notes) == sum(
-        cell.error is None for cell in want.cells.values())
+        "report" in cell for cell in want["cells"])
 
 
 def test_family_cells_do_not_depend_on_the_shared_row():
@@ -203,13 +204,14 @@ def test_family_cells_do_not_depend_on_the_shared_row():
     alone = coefficient_family(datum, (0,), [ArithmeticPoint(6, 6)], betas)
     shared = coefficient_family(
         datum, (0,), [ArithmeticPoint(6, 0), ArithmeticPoint(6, 6)], betas)
-    assert sum(cell.report is not None for cell in alone.cells.values()) > 1
+    assert sum("report" in cell for cell in alone["cells"]) > 1
+    shared, alone = cells_by_key(shared), cells_by_key(alone)
     for j in range(len(betas)):
-        got, want = shared.cells[1, j], alone.cells[0, j]
-        assert got.error == want.error
-        if want.report is not None:
-            assert (report_text(got.report.to_json())
-                    == report_text(want.report.to_json()))
+        got, want = shared[1, j], alone[0, j]
+        assert got.get("error") == want.get("error")
+        if "report" in want:
+            assert (report_text(got["report"])
+                    == report_text(want["report"]))
 
 
 def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
@@ -229,19 +231,20 @@ def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
         calls.append((c1, c2, k))
         return compare(c1, c2, k, *rest)
     monkeypatch.setattr(interpolation, "_compare_cells", spy)
-    records = check_congruences(table, pairs)["records"]
+    records = check_congruences(table, pairs, 5)["records"]
     keys = [(id(c1), id(c2), k) for c1, c2, k in calls]
     assert len(keys) == len(set(keys))
     compared = [r for r in records if r["status"] != "SKIPPED"]
     assert 0 < len(calls) < len(compared)
     build = interpolation.padic_cell
+    cells = cells_by_key(table)
     expected = []
     for i1, i2, k in pairs:
         for j in range(len(betas)):
-            c1, c2 = table.cells[i1, j], table.cells[i2, j]
-            if c1.error is None and c2.error is None:
-                expected.append(compare(build(c1.report.normalized, 5),
-                                        build(c2.report.normalized, 5),
+            c1, c2 = cells[i1, j], cells[i2, j]
+            if "report" in c1 and "report" in c2:
+                expected.append(compare(build(c1["report"]["normalized"], 5),
+                                        build(c2["report"]["normalized"], 5),
                                         k, 5, 12, 0))
             else:
                 expected.append(("SKIPPED", "cell error or missing"))
@@ -252,9 +255,11 @@ def test_congruence_verdict_once_per_distinct_forms(monkeypatch):
 def test_family_holds_one_value_per_distinct_representation(monkeypatch):
     """On the README family at trace 6, the seed-0 input of the family-p5
     benchmark, the cells hold 55 distinct values, each one object with one
-    key() and one report text.  check_congruences then reads each value once
-    and compares each distinct (value, value, k) once, and the residues mod
-    p of each index are read once, when the indices are grouped."""
+    key() and one report text.  key() runs once per class value of the
+    row and once per product the weight multiplier makes, not once per
+    cell.  check_congruences then reads each value once and compares each
+    distinct (value, value, k) once, and the residues mod p of each index
+    are read once, when the indices are grouped."""
     pts = [ArithmeticPoint(6, m, flag="Xpb") for m in (0, 4, 8, 12)]
     betas = [b for b in enumerate_hermitian(2, 1, 6) if b.det() != 0]
     pairs = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1),
@@ -269,15 +274,24 @@ def test_family_holds_one_value_per_distinct_representation(monkeypatch):
             seen.append(args)
             return fn(*args)
         monkeypatch.setattr(module, name, spy)
+    key = ExactValue.key
+    keyed = []
+
+    def counted_key(value):
+        keyed.append(value)
+        return key(value)
+    monkeypatch.setattr(ExactValue, "key", counted_key)
     table = coefficient_family(family(), (0,), pts, betas)
-    assert len(betas) == 191 and len(table.cells) == 4 * len(betas)
+    monkeypatch.setattr(ExactValue, "key", key)
+    assert len(betas) == 191 and len(table["cells"]) == 4 * len(betas)
+    assert len(keyed) <= 299
     read = [id(args[0]) for args in calls["_residues_mod_p"]]
     assert len(read) == len(set(read)) <= len(betas)
-    values = [cell.report.normalized for cell in table.cells.values()
-              if cell.error is None]
+    values = [cell["report"]["normalized"] for cell in table["cells"]
+              if "report" in cell]
     assert (len({id(v) for v in values}) == len({v.key() for v in values})
             == len({report_text(v.to_json()) for v in values}) == 55)
-    check_congruences(table, pairs)
+    check_congruences(table, pairs, 5)
     assert len(calls["padic_cell"]) == 55
     assert len(calls["_compare_cells"]) == 119
 
@@ -285,15 +299,15 @@ def test_family_holds_one_value_per_distinct_representation(monkeypatch):
 def test_congruence_identical_points_pass_all():
     pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 0, flag="Xpb")]
     table, betas = make_table(pts)
-    rep = check_congruences(table, [(0, 1, 6)])
+    rep = check_congruences(table, [(0, 1, 6)], 5)
     assert rep["all_pass"]
 
 
 def test_congruence_symmetry():
     pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 4, flag="Xpb")]
     table, _ = make_table(pts)
-    a = check_congruences(table, [(0, 1, 1)])
-    b = check_congruences(table, [(1, 0, 1)])
+    a = check_congruences(table, [(0, 1, 1)], 5)
+    b = check_congruences(table, [(1, 0, 1)], 5)
     assert [r["status"] for r in a["records"]] == [r["status"]
                                                   for r in b["records"]]
 
@@ -302,7 +316,7 @@ def test_congruence_detects_failure():
     # points congruent only mod nothing: m-difference not divisible by p-1
     pts = [ArithmeticPoint(6, 0, flag="Xpb"), ArithmeticPoint(6, 1, flag="X")]
     table, _ = make_table(pts)
-    rep = check_congruences(table, [(0, 1, 1)])
+    rep = check_congruences(table, [(0, 1, 1)], 5)
     assert any(r["status"] == "FAIL" for r in rep["records"])
 
 
@@ -330,12 +344,14 @@ def test_congruence_records_match_pairwise_comparison(monkeypatch):
                 ExactValue.zero()],
                [half * 5, ExactValue.from_rational(2), half],
                [half * 25, ExactValue.zero(), half * 3]]
-    cells = {(i, j): FamilyCell(i, j, report=SimpleNamespace(normalized=v))
-             for j, column in enumerate(columns) for i, v in enumerate(column)}
-    pts = [ArithmeticPoint(6, m) for m in (0, 4, 8)]
-    table = FamilyTable(5, pts, [None] * len(columns), cells, {})
+    cells = [{"point": i, "beta": j, "report": {"normalized": column[i]}}
+             for i in range(3) for j, column in enumerate(columns)]
+    table = {"points": [{"kappa_phi": 6, "m_phi": m, "flag": "X"}
+                        for m in (0, 4, 8)],
+             "betas": [None] * len(columns),
+             "point_errors": {}, "cells": cells}
     pairs = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 0, 1)]
-    records = check_congruences(table, pairs)["records"]
+    records = check_congruences(table, pairs, 5)["records"]
     # twelve cells, half in two of them; one build per distinct value
     # object: ExactValue.zero() and half each fill two cells
     assert len(builds) == len({id(v) for c in columns for v in c}) == 10

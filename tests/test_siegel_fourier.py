@@ -18,9 +18,7 @@ from eiskling.siegel_fourier import (
     coeff_p,
     coeff_unramified,
     index_classes,
-    prefactor_ell_lfactors,
     _integral_at,
-    _sqrt_md_residue,
     _support,
 )
 from eiskling.errors import EisklingError, UnsupportedBetaError
@@ -95,7 +93,7 @@ def test_rank_one_value_oracle():
 @pytest.mark.parametrize("variant", ["klingen", "lfun"])
 def test_vanishing_set_matches_brute_minors(p, D, n, variant):
     datum = make_datum(p, D, n, variant)
-    root = _sqrt_md_residue(datum)
+    root = datum.sqrt_md_mod_p
     assert (root * root + D) % p == 0
     rng = random.Random(1000 * p + n)
     checked = 0
@@ -175,16 +173,16 @@ def test_assemble_global_structure():
     beta = HermitianMatrix(1, [[Fraction(1), Fraction(1)],
                                [Fraction(1), Fraction(2)]])
     rep = assemble_global(beta, datum)
-    assert not rep.degenerate
-    assert set(rep.locals) == {"unramified", "ell_prefactor", "ell", "p",
-                               "arch"}
-    assert rep.locals["unramified"] == ExactValue.one()
+    assert rep["degenerate"] is False
+    assert set(rep) == {"beta", "variant", "degenerate", "locals",
+                        "normalized", "notes"}
+    assert set(rep["locals"]) == {"unramified", "ell_prefactor", "ell", "p",
+                                  "arch"}
+    assert rep["locals"]["unramified"] == ExactValue.one()
     prod = ExactValue.one()
-    for v in rep.locals.values():
+    for v in rep["locals"].values():
         prod = prod * v
-    assert prod == rep.normalized
-    js = rep.to_json()
-    assert js["degenerate"] is False
+    assert prod == rep["normalized"]
 
 
 def test_assemble_global_degenerate_and_nonpd():
@@ -192,12 +190,12 @@ def test_assemble_global_degenerate_and_nonpd():
     zero = HermitianMatrix(1, [[Fraction(0), Fraction(0)],
                                [Fraction(0), Fraction(0)]])
     rep = assemble_global(zero, datum)
-    assert rep.degenerate and rep.normalized.is_zero()
+    assert rep["degenerate"] and rep["normalized"].is_zero()
     indef = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
                                 [Fraction(0), Fraction(-1)]])
     rep2 = assemble_global(indef, datum)
-    assert not rep2.degenerate and rep2.normalized.is_zero()
-    assert any("positive definite" in n for n in rep2.notes)
+    assert not rep2["degenerate"] and rep2["normalized"].is_zero()
+    assert any("positive definite" in n for n in rep2["notes"])
 
 
 def test_assemble_global_rejects_non_primitive_index():
@@ -221,7 +219,7 @@ def test_assemble_global_rejects_non_primitive_index():
 
 def test_prefactor_ell_matches_inverse_lfactors():
     datum = make_datum(5, 1, 2, "klingen", kappa=6, ell=13)
-    v = prefactor_ell_lfactors(datum)
+    v = datum.ell_prefactor
     assert not v.is_zero()
 
 
@@ -249,7 +247,7 @@ def datums(draw, n):
 
 def coefficient_json(beta, datum):
     try:
-        return report_text(assemble_global(beta, datum).to_json())
+        return report_text(assemble_global(beta, datum))
     except EisklingError as exc:
         return "%s: %s" % (type(exc).__name__, exc)
 
@@ -304,12 +302,12 @@ def test_keyed_assembly_matches_fresh_assembly(name, tmp_path):
     reps, of = index_classes(betas, datum)
     entries = assemble_classes(reps, datum)
     keyed = [entries[c] if isinstance(entries[c], str)
-             else report_text({**entries[c].to_json(), "beta": beta})
+             else report_text({**entries[c], "beta": beta})
              for beta, c in zip(betas, of)]
     fresh = [coefficient_json(hermitian_of(beta.D, quad_rows(beta)),
                               replace(datum)) for beta in betas]
     assert keyed == fresh
-    computed = [e for e in entries if not isinstance(e, str) and e.locals]
+    computed = [e for e in entries if not isinstance(e, str) and e["locals"]]
     assert len(computed) < len(betas)
 
 
@@ -333,8 +331,7 @@ def test_keyed_assembly_tells_denominators_apart():
         reps, of = index_classes(order, datum)
         assert [beta for beta, _ in reps] == order and of == [0, 1]
         for beta, report in zip(order, assemble_classes(reps, datum)):
-            assert (report_text(report.to_json())
-                    == report_text(assemble_global(beta,
-                                                   replace(datum)).to_json()))
-            assert report.locals["ell"].is_zero() == (beta is third)
-            assert not report.locals["p"].is_zero()
+            assert (report_text(report)
+                    == report_text(assemble_global(beta, replace(datum))))
+            assert report["locals"]["ell"].is_zero() == (beta is third)
+            assert not report["locals"]["p"].is_zero()
