@@ -108,8 +108,6 @@ def kl_specialization(chi, k, p, sigma=(), prec=12, choice=0):
     if chik.is_trivial() and k == 1:
         raise PoleError("excluded point: trivial branch at k = 1")
     total = L_at_nonpositive(chik, k)
-    total = total * (CycNumber.one() - chik(p) * p ** (k - 1))
-    for q in sorted(set(sigma)):
-        if q != p:
-            total = total * (CycNumber.one() - chik(q) * q ** (k - 1))
+    for q in sorted(set(sigma) | {p}):
+        total = total * (CycNumber.one() - chik(q) * q ** (k - 1))
     return embed_cyclotomic(total, p, prec, choice=choice)

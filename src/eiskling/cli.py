@@ -12,11 +12,9 @@ import sys
 from fractions import Fraction
 
 from .errors import ConfigError, EisklingError
-from .exact_arith import (ENUMERATION_CAP, CycNumber, HermitianMatrix,
-                          count_hermitian, enumerate_hermitian, factorize,
-                          is_prime)
+from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
+                          enumerate_hermitian, factorize, is_prime)
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
-from .values import ExactValue
 from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (p_constant_klingen, p_constant_lfun,
@@ -29,9 +27,6 @@ from .interpolation import (ArithmeticPoint, coefficient_family,
 
 SCHEMA = 1
 
-# the exact types the writer writes from their to_json() form, once
-# per object and report
-_EXACT = (HermitianMatrix, ExactValue, CycNumber)
 
 def parse_char(text):
     """Character specs: 'trivial', 'trivial:m', 'quadratic:q',
@@ -193,110 +188,83 @@ def _validate_common(cfg):
 
 
 def _emit(report, out_path):
-    """Write the report as json.dumps(..., sort_keys=True, indent=2) would
-    write it after exact values become their to_json() forms, Fractions
-    "a/b" strings, dict keys strings and tuples lists, in one pass.
+    """Write the report as json.dumps(report, sort_keys=True, indent=2)
+    would write it with tuples as lists, in one pass over plain JSON
+    values: str, int, bool, None, dicts with str keys, lists and tuples.
+    Every other object is written from its to_json() form; an object
+    without one (a Fraction, a float, a str or int subclass) and a dict
+    key that is not a str raise TypeError.
 
-    Each value is written by the writer that its exact type selects from
-    one table: str, int, bool, None, dict, list, tuple, Fraction and the
-    three exact types.  A value of any other type is written as the first
-    of str, the exact types, int, dict, list or tuple, and Fraction that it
-    is an instance of, and anything else goes to json.dumps, which writes
-    floats and raises TypeError for what JSON cannot hold.  Each dict key is
-    escaped once per call.
-
-    A HermitianMatrix, ExactValue or CycNumber is written from its
-    to_json() form: the first time the object appears in this call its
-    form is written at depth 0 by the dict writer, and that text is kept
-    once per object and depth, indented to that depth, and pasted in at
-    each place the object appears."""
+    An object's form is written at depth 0 the first time the object
+    appears in this call; that text is kept once per object and depth,
+    indented to that depth, and pasted in at each place the object
+    appears.  Each dict key is escaped once per call."""
     parts = []
     put = parts.append
     escape = json.encoder.encode_basestring_ascii
     keys = {}  # dict key -> its escaped text followed by ": "
-    layouts = {}  # pad -> layout(pad)
+    # pad -> (inner pad, text before the first item, text between items,
+    # end of a dict, end of a list) for a container at pad
+    layouts = {}
     texts = {}  # id(obj) -> (obj, {pad: text}); holding obj keeps its id
 
-    def write_exact(obj, pad):
-        entry = texts.get(id(obj))
-        if entry is None:
-            start = len(parts)
-            write_dict(obj.to_json(), "")
-            entry = texts[id(obj)] = (obj, {"": "".join(parts[start:])})
-            del parts[start:]
-        by_pad = entry[1]
-        text = by_pad.get(pad)
-        if text is None:
-            text = by_pad[pad] = by_pad[""].replace("\n", "\n" + pad)
-        put(text)
-
-    def write_str(obj, pad):
-        put(escape(obj))
-
-    def write_int(obj, pad):
-        put(int.__repr__(obj))
-
-    def layout(pad):
-        """(inner pad, text before the first item, text between items, end
-        of a dict, end of a list) for a container at pad."""
-        entry = layouts.get(pad)
-        if entry is None:
-            inner = pad + "  "
-            entry = layouts[pad] = (inner, "\n" + inner, ",\n" + inner,
-                                    "\n" + pad + "}", "\n" + pad + "]")
-        return entry
-
-    def write_dict(obj, pad):
-        if not obj:
-            put("{}")
-            return
-        if not obj.keys() <= keys.keys():
-            if not all(isinstance(k, str) for k in obj):
-                obj = {str(k): v for k, v in obj.items()}
-            for k in obj.keys() - keys.keys():
-                keys[k] = escape(k) + ": "
-        inner, sep, comma, end, _ = layout(pad)
-        put("{")
-        for k, v in sorted(obj.items()):
-            put(sep)
-            put(keys[k])
-            writers.get(type(v), write_other)(v, inner)
-            sep = comma
-        put(end)
-
-    def write_list(obj, pad):
-        if not obj:
-            put("[]")
-            return
-        inner, sep, comma, _, end = layout(pad)
-        put("[")
-        for v in obj:
-            put(sep)
-            writers.get(type(v), write_other)(v, inner)
-            sep = comma
-        put(end)
-
-    def write_fraction(obj, pad):
-        put('"%d/%d"' % (obj.numerator, obj.denominator))
-
-    def write_other(obj, pad):
-        for base, writer in by_base:
-            if isinstance(obj, base):
-                writer(obj, pad)
+    def write(obj, pad):
+        kind = type(obj)
+        if kind is str:
+            put(escape(obj))
+        elif kind is int:
+            put(int.__repr__(obj))
+        elif kind is dict or kind is list or kind is tuple:
+            if not obj:
+                put("{}" if kind is dict else "[]")
                 return
-        put(json.dumps(obj))
+            layout = layouts.get(pad)
+            if layout is None:
+                inner = pad + "  "
+                layout = layouts[pad] = (inner, "\n" + inner, ",\n" + inner,
+                                         "\n" + pad + "}", "\n" + pad + "]")
+            inner, sep, comma, end_dict, end_list = layout
+            if kind is not dict:
+                put("[")
+                for v in obj:
+                    put(sep)
+                    write(v, inner)
+                    sep = comma
+                put(end_list)
+                return
+            if not obj.keys() <= keys.keys():
+                for k in obj.keys() - keys.keys():
+                    keys[k] = escape(k) + ": "
+            put("{")
+            for k, v in sorted(obj.items()):
+                if type(k) is not str:
+                    raise TypeError("dict key %r is not a str" % (k,))
+                put(sep)
+                put(keys[k])
+                write(v, inner)
+                sep = comma
+            put(end_dict)
+        elif obj is None:
+            put("null")
+        elif kind is bool:
+            put("true" if obj else "false")
+        else:
+            entry = texts.get(id(obj))
+            if entry is None:
+                if not hasattr(obj, "to_json"):
+                    raise TypeError("Object of type %s is not JSON "
+                                    "serializable" % kind.__name__)
+                start = len(parts)
+                write(obj.to_json(), "")
+                entry = texts[id(obj)] = (obj, {"": "".join(parts[start:])})
+                del parts[start:]
+            by_pad = entry[1]
+            text = by_pad.get(pad)
+            if text is None:
+                text = by_pad[pad] = by_pad[""].replace("\n", "\n" + pad)
+            put(text)
 
-    writers = {str: write_str, int: write_int,
-               bool: lambda obj, pad: put("true" if obj else "false"),
-               type(None): lambda obj, pad: put("null"),
-               dict: write_dict, list: write_list, tuple: write_list,
-               Fraction: write_fraction}
-    writers.update(dict.fromkeys(_EXACT, write_exact))
-    by_base = [(str, write_str), (_EXACT, write_exact),
-               (int, write_int), (dict, write_dict),
-               ((list, tuple), write_list), (Fraction, write_fraction)]
-
-    writers.get(type(report), write_other)(report, "")
+    write(report, "")
     put("\n")
     out = "".join(parts)
     if out_path:
@@ -462,38 +430,16 @@ def cmd_kl(cfg):
             values[k] = None
     matrix = {}
     for k in ks:
-        for k2 in ks:
-            if k2 <= k or values[k] is None or values[k2] is None:
-                continue
-            if (k - k2) % (p - 1) != 0:
+        # the weights congruent to k mod p - 1 above it
+        for k2 in range(k + p - 1, cfg["k_max"] + 1, p - 1):
+            if values[k] is None or values[k2] is None:
                 continue
             try:
                 matrix["%d,%d" % (k, k2)] = congruent_mod(values[k], values[k2], 1)
             except EisklingError as exc:
                 matrix["%d,%d" % (k, k2)] = "insufficient: %s" % exc
-    out_values = {}
-    for k, v in values.items():
-        if v is None:
-            out_values[str(k)] = None
-        elif v.is_zero():
-            # level 1 reports its absolute precision, a higher level its
-            # coefficient precision
-            out_values[str(k)] = {"zero_to_precision": v.prec + v.shift
-                                  if v.level == 1 else v.prec}
-        elif v.level > 1:
-            # values in an unramified extension of Q_p: p^shift * sum c_i x^i
-            out_values[str(k)] = {"valuation_bound": v.valuation_bound()[0],
-                                  "level": v.level, "shift": v.shift,
-                                  "coeffs_mod_p6": [c % p ** 6
-                                                    for c in v.coeffs],
-                                  "prec": v.prec}
-        else:
-            val = v.valuation_bound()[0]
-            unit = v.coeffs[0] // p ** (val - v.shift)
-            out_values[str(k)] = {"valuation": val,
-                                  "unit_mod_p6": unit % p ** 6,
-                                  "prec": v.prec + v.shift}
-    return {"command": "kl", "p": p, "values": out_values,
+    return {"command": "kl", "p": p,
+            "values": {str(k): v for k, v in values.items()},
             "kummer_congruences_mod_p": matrix}
 
 

@@ -6,7 +6,8 @@ Z_p[x]/(Phi_level(x)) for a level coprime to p, each coefficient known mod
 p^prec, so the element is known to absolute precision p^(prec + shift);
 level 1 is Q_p.  It supports only what the congruence checks read:
 subtraction, in which a level-1 operand lifts to the other operand's level
-as its constant term, and a valuation bound.  The ring is a product of
+as its constant term, and a valuation bound; to_json is its report form.
+The ring is a product of
 unramified discrete valuation rings, so "all coefficients divisible by p^k"
 is a sound (possibly conservative) certificate for valuation >= k in every
 factor, and exact at level 1.
@@ -88,6 +89,30 @@ class PadicElem:
         """True when the element is zero to the stored precision."""
         return not any(self.coeffs)
 
+    def _unit(self, v):
+        """The level-1 unit c_0 / p^(v - shift) of a nonzero element of
+        valuation v."""
+        return self.coeffs[0] // self.p ** (v - self.shift)
+
+    def to_json(self):
+        """A level-1 value as its valuation, its unit mod p^6 and its
+        absolute precision; a higher level as its valuation bound, level,
+        shift, coefficients mod p^6 and coefficient precision.  A value zero
+        to precision is its absolute precision at level 1, its coefficient
+        precision at a higher level."""
+        v, exact = self.valuation_bound()
+        if self.level > 1:
+            if not exact:
+                return {"zero_to_precision": self.prec}
+            return {"valuation_bound": v, "level": self.level,
+                    "shift": self.shift,
+                    "coeffs_mod_p6": [c % self.p ** 6 for c in self.coeffs],
+                    "prec": self.prec}
+        if not exact:
+            return {"zero_to_precision": v}
+        return {"valuation": v, "unit_mod_p6": self._unit(v) % self.p ** 6,
+                "prec": self.prec + self.shift}
+
     def __repr__(self):
         if self.level > 1:
             return "PadicElem(p=%d, level=%d, shift=%d, prec=%d, coeffs=%s)" % (
@@ -95,9 +120,8 @@ class PadicElem:
         v, exact = self.valuation_bound()
         if not exact:
             return "O(%d^%d)" % (self.p, v)
-        return "%d*%d^%d + O(%d^%d)" % (
-            self.coeffs[0] // self.p ** (v - self.shift), self.p, v, self.p,
-            self.prec + self.shift)
+        return "%d*%d^%d + O(%d^%d)" % (self._unit(v), self.p, v, self.p,
+                                        self.prec + self.shift)
 
 
 def teichmuller(a, p, prec):

@@ -95,8 +95,7 @@ class ExactValue:
         return self.unit.is_zero()
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, ExactValue):
             return NotImplemented
         a, b = self.unit, other.unit
         if a is _ZERO or b is _ZERO:
@@ -134,8 +133,6 @@ class ExactValue:
                 else:
                     del gauss[k]
         return ExactValue._normal(unit, exps, gauss)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e):
         return ExactValue(
@@ -189,8 +186,7 @@ class ExactValue:
         return acc
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, ExactValue):
             return NotImplemented
         return (self.exps == other.exps and self.unit == other.unit
                 and {k: n for k, (_, n) in self.gauss.items()}
@@ -227,15 +223,3 @@ class ExactValue:
 # shared like the units: a value is never changed after it is built
 _ONE_VALUE = ExactValue._normal(_ONE, {}, {})
 _ZERO_VALUE = ExactValue._normal(_ZERO, {}, {})
-
-
-def _coerce(x):
-    """x as an ExactValue: ints, Fractions and CycNumbers are wrapped, other
-    types give NotImplemented."""
-    if isinstance(x, ExactValue):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactValue.from_rational(x)
-    if isinstance(x, CycNumber):
-        return ExactValue(x)
-    return NotImplemented

@@ -42,7 +42,7 @@ from eiskling.errors import (EisklingError, NonIntegralExponentError,
 from eiskling.exact_arith import (CycNumber, HermitianMatrix, cyclotomic_poly,
                                   factorize, sqrt_minus_d, valuation)
 from eiskling.interpolation import specialize
-from eiskling.padic import teichmuller
+from eiskling.padic import PadicElem, teichmuller
 from eiskling.qexp_diff import times_multiplier
 from eiskling.siegel_fourier import assemble_global
 from eiskling.values import ExactValue
@@ -581,15 +581,12 @@ def cyc_inverse(level, coeffs):
 
 
 def encode_for_json(obj):
-    """A report as plain JSON data: Fractions as "a/b" strings,
-    HermitianMatrix, CycNumber and ExactValue as their to_json() forms, dict
-    keys as strings, tuples as lists."""
-    if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, (HermitianMatrix, CycNumber, ExactValue)):
+    """A report as plain JSON data: HermitianMatrix, CycNumber, ExactValue
+    and PadicElem as their to_json() forms, tuples as lists."""
+    if isinstance(obj, (HermitianMatrix, CycNumber, ExactValue, PadicElem)):
         return obj.to_json()
     if isinstance(obj, dict):
-        return {str(k): encode_for_json(v) for k, v in obj.items()}
+        return {k: encode_for_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [encode_for_json(v) for v in obj]
     return obj

@@ -14,6 +14,7 @@ from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
 from eiskling.errors import ConfigError
 from eiskling.characters import DirichletChar
 from eiskling.exact_arith import CycNumber, HermitianMatrix, euler_phi
+from eiskling.padic import PadicElem
 from eiskling.values import ExactValue
 
 from oracles import report_text
@@ -479,9 +480,21 @@ def hermitian_matrices(draw):
     return HermitianMatrix(draw(st.sampled_from([1, 2, 3])), rows)
 
 
-exact_objects = cyc_numbers() | exact_values() | hermitian_matrices()
-exact_leaves = (json_scalars | st.fractions(max_denominator=50)
-                | exact_objects)
+@st.composite
+def padic_elems(draw):
+    """A 5-adic value at level 1 or 6, zero to precision or not."""
+    level = draw(st.sampled_from([1, 6]))
+    prec = draw(st.integers(1, 8))
+    unit = 5 ** prec if draw(st.booleans()) else 1
+    coeffs = draw(st.lists(st.integers(-10 ** 7, 10 ** 7),
+                           min_size=euler_phi(level), max_size=euler_phi(level)))
+    return PadicElem(5, level, [c * unit for c in coeffs], prec,
+                     draw(st.integers(-3, 3)))
+
+
+exact_objects = (cyc_numbers() | exact_values() | hermitian_matrices()
+                 | padic_elems())
+exact_leaves = json_scalars | exact_objects
 
 
 @st.composite
@@ -494,27 +507,30 @@ def shared_objects(draw):
 
 # the layouts hypothesis may not draw: a 0x0 matrix ("entries": []), an
 # ExactValue with no exponents and no Gauss sums ({} and []) and one with
-# both, a level-1 CycNumber, and one object at three depths of one report
+# both, a level-1 CycNumber, the four forms of a PadicElem, and one object
+# at three depths of one report
 BOTH = ExactValue(CycNumber(5, [1, Fraction(-2, 3), 0, 4]),
                   {11: Fraction(1, 2), 2: -3},
                   {chi.key(): (chi, n) for chi, n in zip(GAUSS_CHARS, (2, -1))})
 
 
-@given(_nested(exact_leaves, st.integers() | json_text)
-       | st.tuples(exact_leaves, st.dictionaries(st.integers(), exact_leaves))
+@given(_nested(exact_leaves, json_text)
+       | st.tuples(exact_leaves, st.dictionaries(json_text, exact_leaves))
        | shared_objects())
 @example(HermitianMatrix(2, []))
 @example(ExactValue(CycNumber.root_of_unity(4)))
 @example(BOTH)
 @example(CycNumber(1, [Fraction(-7, 3)]))
+@example([PadicElem(5, 1, [0], 4, -1), PadicElem(5, 1, [75], 4, -1),
+          PadicElem(5, 6, [0, 25], 2), PadicElem(5, 6, [10, 3], 4, 1)])
 @example([BOTH, {"x": [BOTH]}, [[{"y": BOTH}]]])
 # no shrink phase: shrinking a failing nested report takes minutes
 @settings(max_examples=100, deadline=None, derandomize=True,
           phases=set(Phase) - {Phase.shrink})
 def test_writer_matches_old_encoding(obj):
-    """Exact leaves, int keys (sorted as their strings) and tuples are
-    written as converting the report first and calling json.dumps wrote
-    them, also where one object appears at several depths."""
+    """Exact leaves and tuples are written as converting the report first
+    and calling json.dumps wrote them, also where one object appears at
+    several depths."""
     assert emitted(obj) == report_text(obj)
 
 
@@ -528,14 +544,10 @@ class Level(enum.IntEnum):
 
 
 @pytest.mark.parametrize("obj, text", [
-    # int keys sort as their strings, which differs from their number order
-    ({9: "a", 10: "b", -1: "c"},
-     '{\n  "-1": "c",\n  "10": "b",\n  "9": "a"\n}\n'),
+    ({"t": ("a", (2,)), "e": ((), {})},
+     '{\n  "e": [\n    [],\n    {}\n  ],\n  "t": [\n    "a",\n    [\n      2\n'
+     '    ]\n  ]\n}\n'),
     ([True, 1, False, 0, None, {"t": True, "f": False, "n": -2}], None),
-    # subclasses go through the isinstance fallback
-    ({"tag": Tag("x\"\n\u00e9"), Tag("key"): [Level.LOW, Level.HIGH]}, None),
-    (Tag("alone"), None),
-    (Level.HIGH, None),
 ])
 def test_writer_fixed_cases(obj, text):
     if text is None:
@@ -544,9 +556,17 @@ def test_writer_fixed_cases(obj, text):
 
 
 def test_writer_rejects_what_json_cannot_hold():
-    with pytest.raises(TypeError):
-        emitted({"x": object()})
-    assert emitted([1.5, float("inf")]) == "[\n  1.5,\n  Infinity\n]\n"
+    """A dict key that is not a str, also where a str key equal to it was
+    written before, a subclass of str or int, and an object without
+    to_json raise TypeError."""
+    for obj in [{9: "a", 10: "b", -1: "c"}, {"a": [{"b": {1: "x"}}]},
+                {"key": 1, "x": {Tag("key"): 2}},
+                {"tag": Tag("x\"\n\u00e9")}, Tag("alone"),
+                [Level.LOW, Level.HIGH], Level.HIGH,
+                {"x": [Fraction(1, 2)]}, [1.5, float("inf")],
+                {"x": object()}]:
+        with pytest.raises(TypeError):
+            emitted(obj)
 
 
 CHARS = ["exp:5:1", "exp:5:2", "exp:5:3", "trivial", "trivial:5",

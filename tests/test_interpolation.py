@@ -339,11 +339,11 @@ def test_congruence_records_match_pairwise_comparison(monkeypatch):
     monkeypatch.setattr(interpolation, "padic_cell", counted_build)
     monkeypatch.setattr(ExactValue, "p_valuation", counted_valuation)
     half = ExactValue.one().times_prime_power(7, Fraction(1, 2))
-    columns = [[half * 3, half, half * 2],
-               [ExactValue.from_rational(10), ExactValue.from_rational(35),
-                ExactValue.zero()],
-               [half * 5, ExactValue.from_rational(2), half],
-               [half * 25, ExactValue.zero(), half * 3]]
+    rat = ExactValue.from_rational
+    columns = [[half * rat(3), half, half * rat(2)],
+               [rat(10), rat(35), ExactValue.zero()],
+               [half * rat(5), rat(2), half],
+               [half * rat(25), ExactValue.zero(), half * rat(3)]]
     cells = [{"point": i, "beta": j, "report": {"normalized": column[i]}}
              for i in range(3) for j, column in enumerate(columns)]
     table = {"points": [{"kappa_phi": 6, "m_phi": m, "flag": "X"}

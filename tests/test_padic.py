@@ -203,3 +203,17 @@ def test_subtraction_keeps_the_smaller_absolute_precision(level):
     # (a - b) - (a2 - b) = -25 + O(5^3)
     e = (a - b) - (a2 - b)
     assert valuation_at_least(e, 2) and not valuation_at_least(e, 3)
+
+
+def test_to_json_forms():
+    """A level-1 value and zero carry the absolute precision prec + shift,
+    a higher level its coefficient precision; units and coefficients are
+    reported mod p^6."""
+    assert PadicElem.from_fraction(Fraction(-7, 5), 5, 10).to_json() == {
+        "valuation": -1, "unit_mod_p6": 5 ** 6 - 7, "prec": 10}
+    assert PadicElem(5, 1, [0], 4, -1).to_json() == {"zero_to_precision": 3}
+    assert PadicElem(5, 6, [10, 5 ** 7 + 3], 8, 1).to_json() == {
+        "valuation_bound": 1, "level": 6, "shift": 1,
+        "coeffs_mod_p6": [10, 3], "prec": 8}
+    assert PadicElem(5, 6, [0, 5 ** 4], 4, 2).to_json() == {
+        "zero_to_precision": 4}

@@ -218,9 +218,19 @@ def test_assemble_global_rejects_non_primitive_index():
 
 
 def test_prefactor_ell_matches_inverse_lfactors():
-    datum = make_datum(5, 1, 2, "klingen", kappa=6, ell=13)
-    v = datum.ell_prefactor
-    assert not v.is_zero()
+    """ell_prefactor times prod_{i<n} (1 - taubar'(ell) chi_K(ell)^i
+    ell^{-(kappa-i)}) is 1, the product taken in CycNumber arithmetic;
+    chi_K(ell) = (-1)^((ell-1)/2) for K = Q(i)."""
+    for n in (2, 3):
+        for ell in (7, 13):
+            datum = make_datum(5, 1, n, "klingen", kappa=6, ell=ell)
+            tpb = (datum.pair.tau1(ell) * datum.pair.tau2(ell)).conj()
+            ck = (-1) ** ((ell - 1) // 2)
+            product = CycNumber.one()
+            for i in range(n):
+                product = product * (CycNumber.one() - tpb * ck ** i
+                                     * Fraction(ell) ** (i - 6))
+            assert datum.ell_prefactor.materialize() * product == 1
 
 
 # nonsingular enumerated indices of sizes 2 and 3 over Q(i), among them
