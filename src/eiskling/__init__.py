@@ -41,7 +41,7 @@ from .bernoulli_kl import (
     L_at_nonpositive,
     kl_specialization,
 )
-from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
+from .hecke import kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (
     klingen_ratio_unramified,
     p_constant_lfun,

@@ -16,8 +16,8 @@ from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
 
 
 def chi_K(D, q):
-    """Quadratic character attached to Q(sqrt(-D)): the Kronecker symbol of
-    the field discriminant at q."""
+    """Quadratic character attached to Q(sqrt(-D)) at a prime q: the
+    Kronecker symbol of the field discriminant at q."""
     disc = -D if (-D) % 4 == 1 else -4 * D
     return kronecker_symbol(disc, q)
 

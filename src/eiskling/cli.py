@@ -16,7 +16,7 @@ from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
                           enumerate_hermitian, factorize, is_prime)
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .bernoulli_kl import kl_specialization, bernoulli_number
-from .hecke import WeightTuple, kappa_set, up_eigenvalues, klingen_eigenvalues
+from .hecke import kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
 from .padic import PadicElem, congruent_mod
@@ -316,7 +316,7 @@ def _build_datum(cfg):
                        p=cfg["p"], D=cfg["D"], sigma=_sigma(cfg),
                        ell=ell, y_norm=cfg["y_norm"], vol_Y=cfg["vol_Y"],
                        embedding_choice=cfg["embedding_choice"],
-                       prec=cfg["prec"], variant=cfg["variant"])
+                       variant=cfg["variant"])
 
 
 def _betas(cfg, n):
@@ -449,13 +449,12 @@ def cmd_hecke(cfg):
     a = _base_weight(cfg)
     if a[-1] < 0:
         raise ConfigError("key 'a': must be nonnegative")
-    w = WeightTuple(a=a)
     kappa = cfg["kappa"]
     chis = _satake(cfg)
     pair = _build_pair(cfg)
-    kappas = kappa_set(w, len(a), 0)
-    ups = up_eigenvalues(chis, w)
-    kls = klingen_eigenvalues(chis, pair, kappa, w.a)
+    kappas = kappa_set(a)
+    ups = up_eigenvalues(chis, a)
+    kls = klingen_eigenvalues(chis, pair, kappa, a)
     fmt = lambda lst: [{"unit": u, "p_exponent": str(e)}
                        for u, e in lst]
     return {"command": "hecke",

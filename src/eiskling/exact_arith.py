@@ -49,38 +49,14 @@ def euler_phi(n):
     return result
 
 
-def kronecker_symbol(a, n):
-    """The Kronecker symbol (a/n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    # strip factors of 2 from n
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    # Jacobi symbol (a/n) for odd n > 0
-    result = sign
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+def kronecker_symbol(a, q):
+    """The Kronecker symbol (a/q) at a prime q: Euler's criterion
+    a^((q-1)/2) mod q at an odd q, and at q = 2 the value 0 for even a, 1
+    for a = +-1 mod 8 and -1 for a = +-3 mod 8."""
+    if q == 2:
+        return 0 if a % 2 == 0 else 1 if a % 8 in (1, 7) else -1
+    e = pow(a, (q - 1) // 2, q)
+    return -1 if e == q - 1 else e
 
 
 def is_prime(n):

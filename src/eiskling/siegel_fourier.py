@@ -45,7 +45,11 @@ class SiegelDatum:
 
     n is the size of the coefficient index, index_size(r, variant), where
     r >= 1 is the rank of the definite group; the command line checks r >= 1
-    and that p splits in K before it builds a datum.
+    and that p splits in K before it builds a datum.  ell is a prime.
+
+    A datum holds no p-adic precision: its one p-adic reading is
+    sqrt_md_mod_p, a residue mod p, and the precision of a congruence check
+    is check_congruences' own.
 
     Everything fixed by the arithmetic point (tau', its Gauss character, the
     ell and p constants) is computed once per datum and cached; a datum
@@ -62,7 +66,6 @@ class SiegelDatum:
     y_norm: Fraction = Fraction(1)
     vol_Y: Fraction = Fraction(1)
     embedding_choice: int = 0
-    prec: int = 12
     variant: str = "klingen"
 
     def __post_init__(self):
@@ -110,8 +113,9 @@ class SiegelDatum:
     @cached_property
     def sqrt_md_mod_p(self):
         """Residue mod p of sqrt(-D) under the embedding fixed by the
-        datum."""
-        img = embed_cyclotomic(sqrt_minus_d(self.D), self.p, self.prec,
+        datum, read from the embedding at precision 1: a residue mod p
+        needs no more."""
+        img = embed_cyclotomic(sqrt_minus_d(self.D), self.p, 1,
                                choice=self.embedding_choice)
         if img.level == 1:  # at shift 0: sqrt(-D) has integer coefficients
             return img.coeffs[0] % self.p
@@ -306,7 +310,7 @@ def _invariants(beta, datum):
     derives from it.  A singular or non-positive-definite index is its own
     key.  Any other index is keyed by det beta and den (the prime support,
     integrality at ell and the archimedean rational), den * d(beta) (the ell
-    character) and the residues mod p, which read only p, D, prec,
+    character) and the residues mod p, which read only p, D,
     embedding_choice and r of the datum."""
     det = beta.det()
     if det == 0 or not beta.is_positive_definite():

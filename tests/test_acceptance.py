@@ -11,7 +11,7 @@ from eiskling.exact_arith import (CycNumber, HermitianMatrix,
 from eiskling.characters import DirichletChar, SplitPCharPair, gauss_sum
 from eiskling.bernoulli_kl import bernoulli_number, kl_specialization
 from eiskling.padic import congruent_mod
-from eiskling.hecke import WeightTuple, kappa_set, up_eigenvalues
+from eiskling.hecke import klingen_eigenvalues, up_eigenvalues
 from eiskling.pullback import p_constant_klingen, p_constant_lfun
 from eiskling.values import ExactValue
 from eiskling.qexp_diff import minor_monomial
@@ -199,29 +199,25 @@ def test_criterion_5_multiplier_oracle():
 
 
 def test_criterion_6_hecke_telescoping():
-    """U_p eigenvalue exponents telescope to the kappa ladder on 100 random
-    weights with r + s <= 4, and the extra Klingen eigenvalues sit at the
-    predicted shifts."""
+    """U_p eigenvalue exponents on the definite group of signature (r, 0)
+    equal the closed form
+    e_i = sum_{j=r-i+1..r} (j - a_j) - i(r+1)/2 on 100 random weights with
+    1 <= r <= 4, and the extra Klingen eigenvalues sit at the predicted
+    shifts."""
     rng = random.Random(606)
     fails = 0
     for _ in range(100):
-        r = rng.randint(0, 3)
-        s = rng.randint(0, 3 - r) if r < 3 else rng.randint(0, 1)
-        if r + s == 0:
-            r = 1
+        r = rng.randint(1, 4)
         a = tuple(sorted((rng.randint(0, 6) for _ in range(r)), reverse=True))
-        b = tuple(sorted(rng.randint(-6, 6) for _ in range(s)))
-        w = WeightTuple(a=a, b=b)
-        n = r + s
-        chis = [CycNumber.root_of_unity(8, i + 1) for i in range(n)]
-        kappas = kappa_set(w, r, s)
-        eigs = up_eigenvalues(chis, w)
-        prev = Fraction(0)
-        for i, (unit, exp) in enumerate(eigs):
-            if exp - prev != kappas[i]:
+        chis = [CycNumber.root_of_unity(8, i + 1) for i in range(r)]
+        eigs = up_eigenvalues(chis, a)
+        for i, (unit, exp) in enumerate(eigs, start=1):
+            closed = (sum(j - a[j - 1] for j in range(r - i + 1, r + 1))
+                      - Fraction(i * (r + 1), 2))
+            if exp != closed:
                 fails += 1
-            prev = exp
-    from eiskling.hecke import klingen_eigenvalues
+        if len(eigs) != r:
+            fails += 1
     pair = _pair(5, 1, 2)
     eigs = klingen_eigenvalues([CycNumber.root_of_unity(8, 1)], pair, 6,
                                (0,))
@@ -231,8 +227,8 @@ def test_criterion_6_hecke_telescoping():
                  and eigs[2][0] == u * pair.at_p1.inverse() * pair.at_p2
                  and eigs[2][1] == e + 4)
     _report(6, fails == 0 and ratios_ok,
-            "100 random weights telescoped (%d failures); Klingen eigenvalue "
-            "ratios verified" % fails)
+            "100 random weights match the closed form (%d failures); "
+            "Klingen eigenvalue ratios verified" % fails)
 
 
 def test_criterion_7_pullback_quotient():

@@ -17,16 +17,30 @@ from oracles import ValueTableChar
 
 
 def test_kronecker_basics():
+    """The fixed rows, and chi_K against Dedekind-Kummer: O_K = Z[w] with
+    w = (1 + sqrt(-D))/2 (minimal polynomial x^2 - x + (1 + D)/4) when
+    -D = 1 mod 4 and w = sqrt(-D) (x^2 + D) otherwise, so q splits, ramifies
+    or stays inert as that polynomial has 2, 1 or 0 roots mod q, and chi_K
+    is the root count minus 1, for every prime q, 2 included."""
     assert kronecker_symbol(2, 7) == 1
     assert kronecker_symbol(3, 7) == -1
     assert kronecker_symbol(-4, 5) == 1
     assert kronecker_symbol(-4, 7) == -1
-    # at an odd prime it is the Legendre symbol, by Euler's criterion
-    for q in (3, 5, 7, 11, 13):
-        for a in range(-q, 2 * q):
-            euler = pow(a, (q - 1) // 2, q)
-            assert kronecker_symbol(a, q) == (1 if euler == 1 else
-                                              -1 if euler else 0)
+    # at 2, the residues 3 and 7 mod 8 that no discriminant reaches
+    assert [kronecker_symbol(a, 2) for a in (3, 7, -1, -5)] == [-1, 1, 1, -1]
+    primes = [q for q in range(2, 51) if all(q % d for d in range(2, q))]
+    for D in range(1, 41):
+        if any(D % (d * d) == 0 for d in range(2, 7)):
+            continue
+        if (-D) % 4 == 1:
+            coeffs = (1, -1, (1 + D) // 4)
+        else:
+            coeffs = (1, 0, D)
+        for q in primes:
+            roots = sum(1 for x in range(q)
+                        if (coeffs[0] * x * x + coeffs[1] * x + coeffs[2])
+                        % q == 0)
+            assert chi_K(D, q) == roots - 1, (D, q)
 
 
 def test_chi_K_split_inert_ramified():

@@ -207,6 +207,24 @@ def test_config_hash_covers_prec_override(tmp_path):
     assert hashes["20"] == config_hash(load_config(same))
 
 
+def test_family_table_does_not_read_prec(tmp_path):
+    """No cell of a family reads a p-adic precision: the README family at
+    prec 1 and prec 20 differs only in its congruences and config_hash."""
+    from test_golden import README_CFG
+    path = write(tmp_path, README_CFG)
+    docs = []
+    for prec in ("1", "20"):
+        out = tmp_path / ("family%s.json" % prec)
+        assert main(["family", "--config", path, "--out", str(out),
+                     "--prec", prec]) == 0
+        docs.append(json.loads(out.read_text()))
+    low, high = docs
+    assert low.keys() == high.keys()
+    assert low["table"] == high["table"]
+    assert {key for key in low if low[key] != high[key]} <= {
+        "congruences", "config_hash"}
+
+
 def test_missing_config_is_error():
     assert main(["coeff"]) == 2
 

@@ -5,62 +5,41 @@ from hypothesis import given, settings, strategies as st
 
 from eiskling.exact_arith import CycNumber
 from eiskling.characters import DirichletChar, SplitPCharPair
-from eiskling.hecke import (
-    WeightTuple,
-    kappa_set,
-    klingen_eigenvalues,
-    up_eigenvalues,
-)
+from eiskling.hecke import kappa_set, klingen_eigenvalues, up_eigenvalues
 from eiskling.errors import UniquenessError
 
 half = Fraction(1, 2)
 
 
-def test_weight_validation():
-    WeightTuple(a=(3, 1, 0))
-    with pytest.raises(ValueError):
-        WeightTuple(a=(1, 2))
-    with pytest.raises(ValueError):
-        WeightTuple(a=(1, -1))
-    with pytest.raises(ValueError):
-        WeightTuple(a=(), b=(2, 1))
-
-
 def test_kappa_set_examples():
     # scalar weight zero on a rank-two definite group
-    assert kappa_set(WeightTuple(a=(0, 0)), 2, 0) == [half, -half]
-    # mixed signature with b = (2), a = (0)
-    assert kappa_set(WeightTuple(a=(0,), b=(2,)), 1, 1) == [
-        Fraction(3, 2), half]
+    assert kappa_set((0, 0)) == [half, -half]
+    assert kappa_set((0,)) == [0]
+    # -a_j + j - 2 for j = 3, 2, 1
+    assert kappa_set((3, 1, 0)) == [1, -1, -4]
 
 
 def test_kappa_set_sorted_nonincreasing():
-    out = kappa_set(WeightTuple(a=(4, 1, 0), b=(0, 3)), 3, 2)
+    out = kappa_set((4, 1, 1, 0))
     assert out == sorted(out, reverse=True)
-    assert len(out) == 5
+    assert len(set(out)) == len(out) == 4
 
 
 @st.composite
 def weights(draw):
-    r = draw(st.integers(min_value=0, max_value=3))
-    s = draw(st.integers(min_value=0, max_value=3 - r if r < 3 else 0))
-    if r + s == 0:
-        r = 1
-    a = sorted((draw(st.integers(min_value=0, max_value=6)) for _ in range(r)),
-               reverse=True)
-    b = sorted(draw(st.integers(min_value=-6, max_value=6)) for _ in range(s))
-    return WeightTuple(a=tuple(a), b=tuple(b)), r, s
+    r = draw(st.integers(min_value=1, max_value=4))
+    return tuple(sorted((draw(st.integers(min_value=0, max_value=6))
+                         for _ in range(r)), reverse=True))
 
 
 @given(weights())
 @settings(max_examples=100, deadline=None)
-def test_up_exponent_telescoping(wrs):
-    w, r, s = wrs
-    n = r + s
-    chis = [CycNumber.root_of_unity(8, i + 1) for i in range(n)]
-    kappas = kappa_set(w, r, s)
-    eigs = up_eigenvalues(chis, w)
-    assert len(eigs) == n
+def test_up_exponent_telescoping(a):
+    r = len(a)
+    chis = [CycNumber.root_of_unity(8, i + 1) for i in range(r)]
+    kappas = kappa_set(a)
+    eigs = up_eigenvalues(chis, a)
+    assert len(eigs) == r
     prev = Fraction(0)
     for i, (unit, exp) in enumerate(eigs):
         assert exp - prev == kappas[i]
@@ -68,11 +47,12 @@ def test_up_exponent_telescoping(wrs):
 
 
 def test_up_units_are_partial_products():
-    w = WeightTuple(a=(1, 0))
     chis = [CycNumber.root_of_unity(4, 1), CycNumber.root_of_unity(4, 2)]
-    eigs = up_eigenvalues(chis, w)
+    eigs = up_eigenvalues(chis, (1, 0))
     assert eigs[0][0] == chis[0].inverse()
     assert eigs[1][0] == (chis[0] * chis[1]).inverse()
+    with pytest.raises(ValueError):  # one Satake value per entry of a
+        up_eigenvalues(chis, (1, 0, 0))
 
 
 def test_klingen_extra_eigenvalues():

@@ -13,6 +13,7 @@ from eiskling.interpolation import (
     _compare_cells,
     check_congruences,
     coefficient_family,
+    padic_cell,
     specialize,
     wild_char,
 )
@@ -78,7 +79,7 @@ def test_specialize_carries_the_datum_over():
     """The datum at a point differs from the family's only in its weight
     kappa and its pair."""
     datum = family(n=1, sigma=(2, 3, 5), ell=13, y_norm=Fraction(7, 3),
-                   vol_Y=Fraction(1, 3), prec=9, embedding_choice=1,
+                   vol_Y=Fraction(1, 3), embedding_choice=1,
                    variant="lfun")
     z = CycNumber.root_of_unity(5)
     at, weight = specialize(ArithmeticPoint(8, 4, zeta2=z), datum, (1,))
@@ -318,6 +319,33 @@ def test_congruence_detects_failure():
     table, _ = make_table(pts)
     rep = check_congruences(table, [(0, 1, 1)], 5)
     assert any(r["status"] == "FAIL" for r in rep["records"])
+
+
+_G5 = DirichletChar.from_exponent(5, 1)
+
+
+@pytest.mark.parametrize("v1, v2, k, verdict", [
+    (ExactValue(CycNumber.one(), gauss={_G5.key(): (_G5, 1)}),
+     ExactValue.one(), 1,
+     ("INCOMPARABLE", "cells carry different Gauss symbols")),
+    (ExactValue(CycNumber.one(), {5: Fraction(1, 2)}),
+     ExactValue(CycNumber.one(), {5: 1}), 1,
+     ("INCOMPARABLE", "half-integral p-power mismatch")),
+    (ExactValue(CycNumber.one(), {5: 2}),
+     ExactValue(CycNumber.root_of_unity(4, 1), {5: 3}), 1,
+     ("PASS", "required valuation -1 already met by prime powers")),
+    (ExactValue(CycNumber.one(), {5: Fraction(1, 2)}),
+     ExactValue(CycNumber.one(), {5: Fraction(5, 2)}), 1,
+     ("INCOMPARABLE", "half-integral required valuation 1/2")),
+    (ExactValue.one(), ExactValue(CycNumber.root_of_unity(5, 1)), 1,
+     ("INCOMPARABLE", "UnsupportedEmbeddingError: element of level 5 does "
+      "not descend to level 1")),
+], ids=["gauss", "p-power", "met", "half-target", "ramified"])
+def test_compare_cells_verdicts(v1, v2, k, verdict):
+    """The verdicts that no golden family report reaches, each on a pair of
+    hand-made values at p = 5."""
+    assert _compare_cells(padic_cell(v1, 5), padic_cell(v2, 5), k, 5, 12,
+                          0) == verdict
 
 
 def test_congruence_records_match_pairwise_comparison(monkeypatch):
