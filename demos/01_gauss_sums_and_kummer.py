@@ -7,8 +7,10 @@ precision only at the very end when we compare L-values.
 
 from fractions import Fraction
 
-from eiskling import (DirichletChar, gauss_sum, bernoulli_number,
-                      gen_bernoulli, kl_specialization, congruent_mod)
+from eiskling.bernoulli_kl import (bernoulli_number, gen_bernoulli,
+                                   kl_specialization)
+from eiskling.characters import DirichletChar, gauss_sum
+from eiskling.padic import congruent_mod
 
 # --- Gauss sums ------------------------------------------------------------
 # For a primitive character chi mod m the Gauss sum g(chi) has |g(chi)|^2 = m;

@@ -9,9 +9,10 @@ index fails to be a p-adic unit.
 
 from fractions import Fraction
 
-from eiskling import (CycNumber, DirichletChar, HermitianMatrix, SiegelDatum,
-                      SplitPCharPair, assemble_global, coeff_p,
-                      enumerate_hermitian)
+from eiskling.characters import DirichletChar, SplitPCharPair
+from eiskling.exact_arith import (CycNumber, HermitianMatrix,
+                                  enumerate_hermitian)
+from eiskling.siegel_fourier import SiegelDatum, assemble_global, coeff_p
 
 p, D = 5, 1          # p splits in Q(i)
 kappa = 6

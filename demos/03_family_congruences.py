@@ -8,9 +8,11 @@ coefficients at different points of the same residue class are congruent
 mod p -- the footprint of the underlying bounded measure.
 """
 
-from eiskling import (ArithmeticPoint, CycNumber, DirichletChar, SiegelDatum,
-                      SplitPCharPair, check_congruences, coefficient_family,
-                      enumerate_hermitian, specialize)
+from eiskling.characters import DirichletChar, SplitPCharPair
+from eiskling.exact_arith import CycNumber, enumerate_hermitian
+from eiskling.interpolation import (ArithmeticPoint, check_congruences,
+                                    coefficient_family, specialize)
+from eiskling.siegel_fourier import SiegelDatum
 
 p = 5
 seed = SplitPCharPair(DirichletChar.from_exponent(p, 1),

@@ -11,9 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ConfigError, EisklingError
-from .exact_arith import (ENUMERATION_CAP, CycNumber, count_hermitian,
-                          enumerate_hermitian, factorize, is_prime)
+from .errors import ConfigError, EisklingError, ResourceBoundError
+from .exact_arith import CycNumber, enumerate_hermitian, factorize, is_prime
 from .characters import DirichletChar, SplitPCharPair, chi_K, gauss_sum
 from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import kappa_set, up_eigenvalues, klingen_eigenvalues
@@ -132,7 +131,7 @@ def load_config(path):
     with an empty value is unset, in the config hash too."""
     raw = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -146,7 +145,7 @@ def load_config(path):
                 if key in raw:
                     raise ConfigError("line %d: duplicate key %r" % (lineno, key))
                 raw[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     raw = {key: value for key, value in raw.items() if value}
     cfg = {}
@@ -324,11 +323,11 @@ def _betas(cfg, n):
     cap is rejected from the candidate count, before any is built."""
     if cfg["dual_scale"] < 1:
         raise ConfigError("key 'dual_scale': must be positive")
-    args = (n, cfg["D"], cfg["trace_bound"], cfg["dual_scale"])
-    if count_hermitian(*args) > ENUMERATION_CAP:
-        raise ConfigError("key 'trace_bound': enumeration cap %d exceeded"
-                          % ENUMERATION_CAP)
-    return list(enumerate_hermitian(*args))
+    try:
+        return list(enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
+                                        cfg["dual_scale"]))
+    except ResourceBoundError as exc:
+        raise ConfigError("key 'trace_bound': %s" % exc)
 
 
 def _base_weight(cfg):

@@ -19,7 +19,7 @@ screen computed, with no Fraction in between.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 import itertools
 
 from .errors import ResourceBoundError
@@ -581,35 +581,22 @@ CYCLOTOMIC_LEVEL_CAP = 2000
 
 
 def _diagonals(n, trace_bound):
-    """The diagonals of the enumeration in its order: n nonnegative
-    integers with sum <= trace_bound."""
-    return (d for d in itertools.product(range(trace_bound + 1), repeat=n)
-            if sum(d) <= trace_bound)
+    """The diagonals of the enumeration in its order: the n-tuples of
+    nonnegative integers with sum <= trace_bound, in lexicographic order,
+    built entry by entry, so that a huge trace_bound stores no range."""
+    if n == 0:
+        yield ()
+        return
+    for d in range(trace_bound + 1):
+        for rest in _diagonals(n - 1, trace_bound - d):
+            yield (d,) + rest
 
 
 def _entry_bounds(bound, D):
     """(a, bmax) for each integer a with a^2 <= bound: the integers b with
     a^2 + D*b^2 <= bound are those with |b| <= bmax."""
     amax = isqrt(bound)
-    return [(a, isqrt((bound - a * a) // D)) for a in range(-amax, amax + 1)]
-
-
-def count_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
-    """The number of candidates enumerate_hermitian examines for these
-    arguments: per diagonal the product of the per-pair option counts, with
-    no candidate built.  Counting stops once the count exceeds cap."""
-    s2 = dual_scale * dual_scale
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = 0
-    for diag in _diagonals(n, trace_bound):
-        count = 1
-        for (i, j) in pairs:
-            count *= sum(2 * bmax + 1 for _, bmax in
-                         _entry_bounds(s2 * diag[i] * diag[j], D))
-        total += count
-        if total > cap:
-            break
-    return total
+    return ((a, isqrt((bound - a * a) // D)) for a in range(-amax, amax + 1))
 
 
 def _quadratic(image, D, idx):
@@ -647,14 +634,22 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     (completing the square, as in Fincke-Pohst enumeration: Cohen, A Course
     in Computational Algebraic Number Theory, 2.7.3), whose coefficients are
     expanded once, so a candidate is tested with integer products alone.
-    The cap counts every candidate examined, those of a rejected prefix
-    included, in the order of the candidates (count_hermitian gives that
-    number in advance).  Deterministic order.
+    The candidates, those of a rejected prefix included, are counted before
+    any option list is built, each pair's options from at most cap + 1
+    entry bounds (each adds at least one option): when there are more than
+    cap, ResourceBoundError is raised before the first yield, however large
+    trace_bound or dual_scale.  Deterministic order.
     """
     s = dual_scale
     s2 = s * s
-    examined = 0
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    total = 0
+    for diag in _diagonals(n, trace_bound):
+        total += prod(sum(2 * bmax + 1 for _, bmax in itertools.islice(
+            _entry_bounds(s2 * diag[i] * diag[j], D), cap + 1))
+            for (i, j) in pairs)
+        if total > cap:
+            raise ResourceBoundError("enumeration cap %d exceeded" % cap)
     screened = [idx for size in range(3, n + 1)
                 for idx in itertools.combinations(range(n), size)]
     moving = [idx for idx in screened if idx[-2:] == (n - 2, n - 1)]
@@ -670,13 +665,11 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
         for prefix in itertools.product(*ranges):
             for (i, j), (x, xbar) in zip(pairs, prefix):
                 image[i][j], image[j][i] = x, xbar
-            room = cap - examined
-            examined += len(last)
             if all(_int_minor(image, D, idx, idx)[0] >= 0 for idx in fixed):
                 if pairs:
                     image[n - 2][n - 1] = image[n - 1][n - 2] = (0, 0)
                 quadratics = [_quadratic(image, D, idx) for idx in moving]
-                for x, xbar in itertools.islice(last, room):
+                for x, xbar in last:
                     if pairs:
                         image[n - 2][n - 1], image[n - 1][n - 2] = x, xbar
                     a, b = x
@@ -692,5 +685,3 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                         beta = object.__new__(HermitianMatrix)
                         beta._adopt(D, s, tuple(map(tuple, image)), m)
                         yield beta
-            if examined > cap:
-                raise ResourceBoundError("enumeration cap %d exceeded" % cap)

@@ -463,14 +463,14 @@ def hermitian_candidates_oracle(n, D, trace_bound, dual_scale=1):
 def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
     """The candidates of hermitian_candidates_oracle, every one built as a
     HermitianMatrix and kept when psd_by_principal_minors holds; raises
-    ResourceBoundError on the (cap+1)-th candidate."""
-    examined = 0
+    ResourceBoundError before the first, yielding nothing, when there are
+    more than cap candidates."""
+    candidates = hermitian_candidates_oracle(n, D, trace_bound, dual_scale)
+    if sum(1 for _ in itertools.islice(candidates, cap + 1)) > cap:
+        raise ResourceBoundError("enumeration cap %d exceeded" % cap)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag, combo in hermitian_candidates_oracle(n, D, trace_bound,
                                                    dual_scale):
-        examined += 1
-        if examined > cap:
-            raise ResourceBoundError("enumeration cap %d exceeded" % cap)
         rows = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = Fraction(diag[i])

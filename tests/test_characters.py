@@ -3,13 +3,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eiskling.exact_arith import CycNumber
+from eiskling.exact_arith import CycNumber, kronecker_symbol
 from eiskling.characters import (
     DirichletChar,
     SplitPCharPair,
     chi_K,
     gauss_sum,
-    kronecker_symbol,
 )
 from eiskling.errors import ConductorError
 

@@ -154,6 +154,24 @@ def test_kl_command(tmp_path):
     assert doc["kummer_congruences_mod_p"]["6,10"] is True
 
 
+def test_kl_insufficient_precision_verdict(tmp_path):
+    """At prec 1, the Teichmuller twist's values at k = 1, 5 and 9 are
+    known to too little precision for the Kummer check mod p, and kl
+    reports why; at the default prec the same pairs are decided."""
+    cfg = "p = 5\nchi = teichmuller:5:1\nk_min = 1\nk_max = 20\n"
+    matrices = []
+    for extra in ("prec = 1\n", ""):
+        out = tmp_path / "kl.json"
+        assert main(["kl", "--config", write(tmp_path, cfg + extra),
+                     "--out", str(out)]) == 0
+        matrices.append(json.loads(out.read_text())["kummer_congruences_mod_p"])
+    low, default = matrices
+    assert low["1,5"] == "insufficient: prec -1 < 1"
+    assert low["1,9"] == "insufficient: prec 0 < 1"
+    assert isinstance(default["1,5"], bool)
+    assert isinstance(default["1,9"], bool)
+
+
 def test_hecke_and_pullback_commands(tmp_path):
     cfg = ("p = 5\nD = 1\nr = 2\nkappa = 8\ntau1 = exp:5:1\ntau2 = exp:5:2\n"
            "at_p1 = zeta:4:1\nat_p2 = zeta:4:3\na = 1,0\n"
@@ -280,6 +298,24 @@ def test_enumeration_cap_is_config_error_other_commands(tmp_path, capsys,
     assert main([command, "--config", path, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err == (
         "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
+
+
+def test_huge_trace_bound_fails_from_its_count(tmp_path, capsys):
+    """The cap is met from the candidate count, diagonal by diagonal, with
+    no range of trace_bound + 1 diagonals stored."""
+    path = write(tmp_path, edited(trace_bound=str(10 ** 18)))
+    assert main(["enumerate", "--config", path, "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"p = 5\n\xff\xfe = 3\n")
+    assert main(["kl", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config %s: " % path)
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bound", [-1, 0])

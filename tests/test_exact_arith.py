@@ -9,7 +9,6 @@ from eiskling import exact_arith
 from eiskling.exact_arith import (
     CycNumber,
     HermitianMatrix,
-    count_hermitian,
     cyclotomic_poly,
     enumerate_hermitian,
     euler_phi,
@@ -394,8 +393,8 @@ def test_enumeration_matches_oracle(n, D, scale, trace):
     """The enumerator, which builds each matrix from its integer image,
     yields what the oracle builds from Fractions: the same matrices with
     the same lowest denominator, hash and JSON."""
-    assume(count_hermitian(n, D, trace, scale) <= 2500)
-    got = list(enumerate_hermitian(n, D, trace, scale))
+    got, capped = _drain(enumerate_hermitian(n, D, trace, scale, cap=2500))
+    assume(not capped)
     want = list(enumerate_hermitian_oracle(n, D, trace, scale))
     assert got == want
     for beta, ref in zip(got, want):
@@ -440,10 +439,19 @@ def test_enumeration_expands_three_minors_per_prefix(monkeypatch):
        st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_count_matches_oracle_candidates(n, D, scale, trace):
-    assert (count_hermitian(n, D, trace, scale)
-            == sum(1 for _ in hermitian_candidates_oracle(n, D, trace, scale)))
+    """The enumerator yields everything at cap = the oracle's candidate
+    count, and nothing, raising, at one less."""
+    count = sum(1 for _ in hermitian_candidates_oracle(n, D, trace, scale))
+    got, capped = _drain(enumerate_hermitian(n, D, trace, scale, cap=count))
+    assert not capped and got == list(enumerate_hermitian(n, D, trace, scale,
+                                                          cap=10 ** 9))
+    assert _drain(enumerate_hermitian(n, D, trace, scale, cap=count - 1)) == (
+        [], True)
 
 
 def test_count_stops_above_cap():
-    assert count_hermitian(2, 1, 40, cap=1000) > 1000
-    assert count_hermitian(2, 1, 40, cap=10 ** 9) > 200000
+    """An enumeration far above the cap fails before it yields, from the
+    count alone: at trace 40, and at a dual scale whose diagonal (1, 1)
+    alone has about pi * 10**6 candidates."""
+    assert _drain(enumerate_hermitian(2, 1, 40, cap=1000)) == ([], True)
+    assert _drain(enumerate_hermitian(2, 1, 2, 10 ** 3)) == ([], True)

@@ -1,15 +1,14 @@
 """Every name a module imports is used in it, every private helper of the
-package is used by the package, and every function of the package is
-reached by a command.
+package is used by the package, every function of the package is reached by
+a command, and importing the package loads none of its modules.
 
 The first two checks read the sources with the standard-library ast module:
 a name bound by an import is used when it appears as a name anywhere in the
-file (package __init__.py files import to re-export and are exempt), and a
-module-level function or class method of src/eiskling whose name starts
-with "_" (and does not end with "__") is used when some file of src/ names
-it outside the function's own definition.  The third runs the commands and
+file, and a module-level function or class method of src/eiskling whose
+name starts with "_" (and does not end with "__") is used when some file of
+src/ names it outside the function's own definition.  The third runs the commands and
 demos under sys.setprofile in a fresh interpreter and lists what they never
-call.
+call.  The last imports the package in a fresh interpreter.
 """
 
 import ast
@@ -28,7 +27,7 @@ def _sources():
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
             dirnames.sort()
             for name in sorted(filenames):
-                if name.endswith(".py") and name != "__init__.py":
+                if name.endswith(".py"):
                     yield os.path.relpath(os.path.join(dirpath, name), ROOT)
 
 
@@ -117,6 +116,14 @@ def test_no_orphaned_private_helpers():
     assert orphaned_helpers(sources) == []
 
 
+def _env():
+    """The environment of a fresh interpreter that finds src and tests."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+        + ([path] if path else [])))
+
+
 # Runs every report tests/test_golden.py pins, selftest and the demos in a
 # fresh interpreter, so that no cache filled by another test hides a call
 # and the calls made while the package is imported count.  Records the code
@@ -136,7 +143,7 @@ def record(frame, event, arg):
 
 sys.setprofile(record)
 threading.setprofile(record)
-import eiskling
+import eiskling.cli
 import test_golden
 
 workloads = test_golden.workloads
@@ -200,14 +207,20 @@ def test_every_function_is_reached_by_a_command():
     together call every module-level function and every method of a
     module-level class of src/eiskling, apart from the __repr__s, which
     only a reader calls, and UNREACHED_ALLOWED."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-        + ([path] if path else [])))
-    out = subprocess.run([sys.executable, "-c", REACH_PROBE], env=env,
+    out = subprocess.run([sys.executable, "-c", REACH_PROBE], env=_env(),
                          cwd=ROOT, capture_output=True, text=True, check=True)
     unreached = set(json.loads(out.stdout.splitlines()[-1]))
     assert sorted(n for n in unreached - set(UNREACHED_ALLOWED)
                   if not n.endswith(".__repr__")) == []
     # an allowance goes once its function is deleted or reached
     assert set(UNREACHED_ALLOWED) <= unreached
+
+
+def test_importing_the_package_loads_no_module():
+    """The package imports none of its modules, so that a command loads
+    only the modules it imports."""
+    probe = ("import eiskling, sys; "
+             "print([m for m in sys.modules if m.startswith('eiskling.')])")
+    out = subprocess.run([sys.executable, "-c", probe], env=_env(), cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
