@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 from .errors import ConductorError
 from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
-                          kronecker_symbol, reduce_powers)
+                          kronecker_symbol)
 
 
 def chi_K(D, q):
@@ -197,12 +197,9 @@ def gauss_sum(chi):
     # shifted vectors, then reduce once
     level = lcm(m, chi.level)
     step = level // chi.level
-    dense = [0] * level
-    for a, v in chi.values.items():
-        for i, c in enumerate(v.nums):
-            if c:
-                dense[(i * step + a * level // m) % level] += c
-    return CycNumber.from_integers(level, reduce_powers(level, dense))
+    return CycNumber.from_powers(level, (
+        ((i * step + a * level // m) % level, c)
+        for a, v in chi.values.items() for i, c in enumerate(v.nums) if c))
 
 
 @dataclass

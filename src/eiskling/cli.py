@@ -320,14 +320,16 @@ def _build_datum(cfg):
 
 def _betas(cfg, n):
     """The enumerated indices; a config whose enumeration would exceed the
-    cap is rejected from the candidate count, before any is built."""
+    cap is rejected from the count of its screened minors, which grows with
+    r, or of its candidates, before any is built."""
     if cfg["dual_scale"] < 1:
         raise ConfigError("key 'dual_scale': must be positive")
     try:
         return list(enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
                                         cfg["dual_scale"]))
     except ResourceBoundError as exc:
-        raise ConfigError("key 'trace_bound': %s" % exc)
+        key = "r" if "minors" in str(exc) else "trace_bound"
+        raise ConfigError("key %r: %s" % (key, exc))
 
 
 def _base_weight(cfg):
@@ -535,7 +537,6 @@ def build_parser():
     ap.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility and ignored: cells are "
                          "computed serially")
-    ap.add_argument("--prec", type=int, default=None)
     return ap
 
 
@@ -549,9 +550,6 @@ def main(argv=None):
             cfg["_raw"] = {}
         else:
             raise ConfigError("--config is required for %r" % args.command)
-        if args.prec is not None:
-            cfg["prec"] = args.prec
-            cfg["_raw"]["prec"] = str(args.prec)
         if cfg["prec"] < 1:
             raise ConfigError("key 'prec': must be at least 1")
         report = _COMMANDS[args.command](cfg)

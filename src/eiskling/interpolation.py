@@ -14,7 +14,7 @@ from math import lcm
 from .errors import (ConductorError, ConfigError, EisklingError,
                      InsufficientPrecisionError, NonIntegralExponentError,
                      UnsupportedEmbeddingError)
-from .exact_arith import CycNumber
+from .exact_arith import CycNumber, valuation
 from .characters import DirichletChar, SplitPCharPair, _divisors
 from .padic import embed_cyclotomic, valuation_at_least
 from .values import ExactValue
@@ -54,10 +54,7 @@ def _p_power_order(zeta, p):
                  None)
     if order is None:
         raise ConfigError("not a root of unity of small order")
-    n = order
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if order != p ** valuation(order, p):
         raise ConfigError("zeta must have p-power order")
     return order
 

@@ -165,9 +165,7 @@ def embed_cyclotomic(x, p, prec, choice=0):
     p - 1 the image is sum_i u_i w^i, w the Teichmuller root of unity.
     """
     n = x.level
-    m = n
-    while m % p == 0:
-        m //= p
+    m = n // p ** valuation(n, p)
     if m != n:
         y = x.descend(m)
         if y is None:
@@ -181,12 +179,8 @@ def embed_cyclotomic(x, p, prec, choice=0):
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
     mod = p ** prec
-    den = x.den
-    shift = 0
-    while den % p == 0:
-        den //= p
-        shift -= 1
-    inv = pow(den, -1, mod)
+    shift = -valuation(x.den, p)
+    inv = pow(x.den // p ** -shift, -1, mod)
     u = [c * inv % mod for c in x.nums]
     if (p - 1) % m:
         return PadicElem(p, m, u, prec, shift)

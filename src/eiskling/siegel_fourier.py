@@ -198,22 +198,18 @@ def abelian_lfactors(tpb, ck, q, kappa, n):
     return acc
 
 
-def coeff_unramified(beta, q, datum):
-    """Local coefficient at a good prime q for a q-primitive index:
-    prod_{i=0}^{n-1} (1 - taubar' chi_K^i (q) q^{-(kappa-i)}), which cancels
-    the corresponding abelian L-factors of the global normalization exactly."""
-    if q in datum.sigma or q == datum.ell or q == datum.p:
-        raise ValueError("q must be a good prime")
-    ck = chi_K(datum.D, q)
-    if ck == 0:
+def _check_primitive(beta, q, D):
+    """Raise UnsupportedBetaError unless the nonsingular index beta is
+    primitive at the good prime q: q unramified in Q(sqrt(-D)), beta
+    integral at q and det beta a unit at q.  Only a primitive index has a
+    local coefficient at q, the one that cancels the abelian L-factors at q
+    of the global normalization to 1."""
+    if chi_K(D, q) == 0:
         raise UnsupportedBetaError("ramified prime %d not supported" % q)
     if not _integral_at(beta, q):
         raise UnsupportedBetaError("beta not integral at %d" % q)
-    det = beta.det()
-    if det == 0 or valuation(det, q) != 0:
+    if valuation(beta.det(), q) != 0:
         raise UnsupportedBetaError("beta not primitive at %d" % q)
-    return ExactValue(abelian_lfactors(datum.tau_prime_bar(q), ck, q,
-                                       datum.kappa, datum.n))
 
 
 def coeff_aux_ell(beta, datum):
@@ -371,9 +367,8 @@ def assemble_global(beta, datum, residues=None):
             if q not in datum.sigma and q not in (datum.ell, datum.p)]
     if good:
         # every q in good divides det beta or an entry denominator, so the
-        # check at the smallest raises; a q-primitive coefficient would
-        # cancel its L-factor to 1
-        coeff_unramified(beta, good[0], datum)
+        # check at the smallest raises
+        _check_primitive(beta, good[0], datum.D)
     notes = ["good primes checked for primitivity: none"]
     for q in sorted(datum.sigma):
         if q != datum.p:

@@ -464,9 +464,12 @@ def enumerate_hermitian_oracle(n, D, trace_bound, dual_scale=1, cap=200000):
     """The candidates of hermitian_candidates_oracle, every one built as a
     HermitianMatrix and kept when psd_by_principal_minors holds; raises
     ResourceBoundError before the first, yielding nothing, when there are
-    more than cap candidates."""
+    more than cap principal minors of size at least 3 or more than cap
+    candidates."""
+    minors = sum(comb(n, k) for k in range(3, n + 1))
     candidates = hermitian_candidates_oracle(n, D, trace_bound, dual_scale)
-    if sum(1 for _ in itertools.islice(candidates, cap + 1)) > cap:
+    if minors > cap or sum(
+            1 for _ in itertools.islice(candidates, cap + 1)) > cap:
         raise ResourceBoundError("enumeration cap %d exceeded" % cap)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag, combo in hermitian_candidates_oracle(n, D, trace_bound,

@@ -4,13 +4,14 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from eiskling.cli import (_emit, config_hash, main, load_config, parse_char,
-                          parse_cyc, parse_point)
+from eiskling.cli import (_emit, main, load_config, parse_char, parse_cyc,
+                          parse_point)
 from eiskling.errors import ConfigError
 from eiskling.characters import DirichletChar
 from eiskling.exact_arith import CycNumber, HermitianMatrix, euler_phi
@@ -207,34 +208,15 @@ def test_zero_y_norm_is_config_error(tmp_path, command):
     assert main([command, "--config", path, "--out", "/dev/null"]) == 2
 
 
-def test_config_hash_covers_prec_override(tmp_path):
-    cfg = "p = 5\nchi = trivial\nk_min = 2\nk_max = 4\n"
-    path = write(tmp_path, cfg)
-    hashes = {}
-    for prec in (None, "8", "20"):
-        out = tmp_path / ("kl%s.json" % prec)
-        argv = ["kl", "--config", path, "--out", str(out)]
-        if prec:
-            argv += ["--prec", prec]
-        assert main(argv) == 0
-        hashes[prec] = json.loads(out.read_text())["config_hash"]
-    assert hashes[None] == config_hash(load_config(path))
-    assert len(set(hashes.values())) == 3
-    # the override hashes like the same value written in the config
-    same = write(tmp_path, cfg + "prec = 20\n", name="prec20.cfg")
-    assert hashes["20"] == config_hash(load_config(same))
-
-
 def test_family_table_does_not_read_prec(tmp_path):
     """No cell of a family reads a p-adic precision: the README family at
     prec 1 and prec 20 differs only in its congruences and config_hash."""
     from test_golden import README_CFG
-    path = write(tmp_path, README_CFG)
     docs = []
     for prec in ("1", "20"):
+        path = write(tmp_path, README_CFG + "prec = %s\n" % prec)
         out = tmp_path / ("family%s.json" % prec)
-        assert main(["family", "--config", path, "--out", str(out),
-                     "--prec", prec]) == 0
+        assert main(["family", "--config", path, "--out", str(out)]) == 0
         docs.append(json.loads(out.read_text()))
     low, high = docs
     assert low.keys() == high.keys()
@@ -298,6 +280,17 @@ def test_enumeration_cap_is_config_error_other_commands(tmp_path, capsys,
     assert main([command, "--config", path, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err == (
         "config error: key 'trace_bound': enumeration cap 200000 exceeded\n")
+
+
+def test_huge_rank_fails_from_its_minor_count(tmp_path, capsys):
+    """At r = 40 the 2^41 index sets to screen are counted, not listed."""
+    path = write(tmp_path, edited(r="40", trace_bound="1"))
+    start = time.perf_counter()
+    assert main(["enumerate", "--config", path, "--out", "/dev/null"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "config error: key 'r': 2199023254690 screened minors exceed the "
+        "cap 200000\n")
 
 
 def test_huge_trace_bound_fails_from_its_count(tmp_path, capsys):
@@ -365,8 +358,15 @@ def edited(**keys):
     (command, {"dual_scale": "0"}, "key 'dual_scale': must be positive")
     for command in ("family", "enumerate")
 ] + [
-    ("kl", {key: prec}, "key 'prec': must be at least 1")
-    for key in ("prec", "--prec") for prec in ("-3", "0")
+    ("kl", {"prec": prec}, "key 'prec': must be at least 1")
+    for prec in ("-3", "0")
+] + [
+    # the cap is checked before a vector of the level is built
+    ("coeff", {"at_p1": "zeta:100000:99999"}, "key 'at_p1': "
+     "ResourceBoundError: cyclotomic level 100000 exceeds the cap 2000"),
+    # n = r = 18 has 2^18 - 1 - 18 - 153 minors of size >= 3 to screen
+    ("enumerate", {"r": "18", "variant": "lfun"},
+     "key 'r': 261972 screened minors exceed the cap 200000"),
 ] + [
     ("kl", {"chi": spec}, "key 'chi': bad character spec %r: %s" % (spec, why))
     for spec, why in (("trivial:0", "the modulus must be positive"),
@@ -414,12 +414,8 @@ def edited(**keys):
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):
-    """Keys that start with -- are command-line flags."""
-    flags = [x for k, v in keys.items() if k.startswith("--") for x in (k, v)]
-    path = write(tmp_path, edited(**{k: v for k, v in keys.items()
-                                     if not k.startswith("--")}))
-    assert main([command, "--config", path, "--out", "/dev/null"]
-                + flags) == 2
+    path = write(tmp_path, edited(**keys))
+    assert main([command, "--config", path, "--out", "/dev/null"]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
 
 

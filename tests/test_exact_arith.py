@@ -1,4 +1,8 @@
+import cmath
 import itertools
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +16,7 @@ from eiskling.exact_arith import (
     cyclotomic_poly,
     enumerate_hermitian,
     euler_phi,
+    reduce_powers,
     sqrt_minus_d,
     valuation,
 )
@@ -154,6 +159,42 @@ def test_cyclotomic_poly_known():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
+@pytest.mark.parametrize("n", [1, 11, 12, 125, 500, 2000])
+def test_reduction_keeps_the_value_at_every_primitive_root(n):
+    """reduce_powers(n, dense) takes the value of dense at every primitive
+    n-th root of unity omega = e^(2 pi i k / n), k a unit mod n: checked
+    numerically with complex_value, with no polynomial division."""
+    rng = random.Random(n)
+    # one vector at level 2000: 800 units times 800 coefficients
+    for _ in range(3 if n <= 500 else 1):
+        dense = [0] * rng.randrange(1, 2 * n)
+        for e in rng.sample(range(len(dense)), min(6, len(dense))):
+            dense[e] = rng.randint(-9, 9)
+        reduced = CycNumber.from_integers(n, reduce_powers(n, dense))
+        for k in range(n):
+            if gcd(k, n) == 1:
+                want = sum(c * cmath.exp(2j * cmath.pi * k * e / n)
+                           for e, c in enumerate(dense) if c)
+                assert abs(complex_value(reduced, k) - want) < 1e-6
+
+
+def test_level_cap_is_checked_before_allocation():
+    """A level above the cap fails before any vector of that level is
+    built, and a level at the cap builds no table of its powers."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError,
+                       match="level 1000000000000 exceeds the cap 2000"):
+        CycNumber.root_of_unity(10 ** 12, 10 ** 12 - 1)
+    assert time.perf_counter() - start < 1
+    tracemalloc.start()
+    try:
+        CycNumber.root_of_unity(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6  # a table of the 2000 powers is about 13 MB
+
+
 def test_conj_is_complex_conjugation():
     z = CycNumber.root_of_unity(7, 3)
     assert z * z.conj() == CycNumber.one()
@@ -263,6 +304,19 @@ def test_enumeration_dual_scale():
 def test_enumeration_cap():
     with pytest.raises(ResourceBoundError):
         list(enumerate_hermitian(3, 1, 6, cap=10))
+
+
+def test_screened_minors_are_counted_first():
+    """n = 4 screens 5 principal minors (four 3 x 3, one 4 x 4): at trace 0,
+    one candidate, the cap holds at 5 and trips at 4; n = 41 fails from its
+    2^41 index sets without listing them."""
+    assert len(list(enumerate_hermitian(4, 1, 0, cap=5))) == 1
+    with pytest.raises(ResourceBoundError, match="^5 screened minors"):
+        next(enumerate_hermitian(4, 1, 0, cap=4))
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError, match="screened minors"):
+        next(enumerate_hermitian(41, 1, 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_psd_matches_eigenvalue_oracle():

@@ -194,6 +194,11 @@ UNREACHED_ALLOWED = {
     "exact_arith.CycNumber.__init__":
         "the constructor from Fraction coefficients that tests and oracles "
         "build values with",
+    "exact_arith.CycNumber.__add__":
+        "addition, which the ring-axiom tests and the oracles' sums use; "
+        "sqrt_minus_d builds its Gauss sums from powers, so no command adds",
+    "exact_arith.CycNumber.__radd__":
+        "the same addition with a rational on the left",
     "values.ExactValue.__eq__":
         "equality across levels, read by the tests",
     "characters.DirichletChar.__hash__":

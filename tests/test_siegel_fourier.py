@@ -16,7 +16,6 @@ from eiskling.siegel_fourier import (
     coeff_arch_normalized,
     coeff_aux_ell,
     coeff_p,
-    coeff_unramified,
     index_classes,
     _integral_at,
     _support,
@@ -116,32 +115,12 @@ def test_coeff_p_zero_off_lattice():
     assert coeff_p(beta, datum1).is_zero()
 
 
-def test_unramified_cancellation():
-    datum = make_datum(5, 1, 2, "klingen")
-    beta = HermitianMatrix(1, [[Fraction(1), Fraction(1)],
-                               [Fraction(1), Fraction(2)]])
-    assert beta.det() == 1  # primitive at every good prime
-    c = coeff_unramified(beta, 3, datum)
-    # the local value is exactly the inverse of the global L-prefactor at 3
-    acc = c
-    tpb = datum.tau_prime_bar
-    sign = 1
-    from eiskling.characters import chi_K
-    ck = chi_K(1, 3)
-    prod = CycNumber.one()
-    for i in range(datum.n):
-        prod = prod * (CycNumber.one()
-                       - tpb(3) * sign * Fraction(3) ** (-(datum.kappa - i)))
-        sign *= ck
-    assert (acc * ExactValue(prod.inverse())) == ExactValue(CycNumber.one())
-
-
 def test_unramified_requires_primitive():
     datum = make_datum(5, 1, 2, "klingen")
     beta = HermitianMatrix(1, [[Fraction(3), Fraction(0)],
                                [Fraction(0), Fraction(3)]])  # det 9
-    with pytest.raises(UnsupportedBetaError):
-        coeff_unramified(beta, 3, datum)
+    with pytest.raises(UnsupportedBetaError, match="^beta not primitive at 3$"):
+        assemble_global(beta, datum)
 
 
 def test_aux_ell_support_condition():
