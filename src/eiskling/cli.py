@@ -318,15 +318,17 @@ def _build_datum(cfg):
                        variant=cfg["variant"])
 
 
-def _betas(cfg, n):
-    """The enumerated indices; a config whose enumeration would exceed the
+def _betas(cfg, n, definite=False):
+    """The enumerated indices, the semidefinite ones or with definite=True
+    the positive definite ones; a config whose enumeration would exceed the
     cap is rejected from the count of its screened minors, which grows with
-    r, or of its candidates, before any is built."""
+    r, or of its semidefinite candidates, before any is built, whichever
+    indices are asked for."""
     if cfg["dual_scale"] < 1:
         raise ConfigError("key 'dual_scale': must be positive")
     try:
         return list(enumerate_hermitian(n, cfg["D"], cfg["trace_bound"],
-                                        cfg["dual_scale"]))
+                                        cfg["dual_scale"], definite=definite))
     except ResourceBoundError as exc:
         key = "r" if "minors" in str(exc) else "trace_bound"
         raise ConfigError("key %r: %s" % (key, exc))
@@ -397,7 +399,7 @@ def cmd_family(cfg):
     pairs = _pairs(cfg)
     a = _base_weight(cfg)
     datum = _build_datum(cfg)
-    betas = [b for b in _betas(cfg, datum.n) if b.det()]
+    betas = _betas(cfg, datum.n, definite=True)
     if not betas:
         # congruences over no index would certify nothing
         raise ConfigError("key 'trace_bound': no nonsingular index has "

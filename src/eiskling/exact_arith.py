@@ -79,16 +79,15 @@ def valuation(x, p):
     return v
 
 
-def _poly_divmod_monic(num, den):
-    """(quotient, remainder) of the integer polynomial num by the monic
-    integer polynomial den, low degree first, by long division from the top
+def _poly_divmod_monic(num, dd, low):
+    """(quotient, remainder) of the integer polynomial num, low degree
+    first, by a monic integer polynomial of degree dd whose nonzero terms
+    below x^dd are the pairs (j, c) in low, by long division from the top
     degree down.  The work vector is one copy of num: the term left at each
-    degree i >= deg(den) is the coefficient of x^(i - deg(den)) in the
-    quotient, and the deg(den) terms below are the remainder."""
-    dd = len(den) - 1
+    degree i >= dd is the coefficient of x^(i - dd) in the quotient, and the
+    dd terms below are the remainder."""
     rem = list(num)
     rem += [0] * (dd - len(rem))
-    low = [(j, dj) for j, dj in enumerate(den[:dd]) if dj]
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
         if c:
@@ -119,13 +118,22 @@ def cyclotomic_poly(n):
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num = _poly_divmod_monic(num, cyclotomic_poly(d))[0]
+            num = _poly_divmod_monic(num, *_divisor(d))[0]
     return tuple(num)
+
+
+@lru_cache(maxsize=None)
+def _divisor(n):
+    """(phi(n), the nonzero terms (j, c) of Phi_n below x^phi(n)): what a
+    division by Phi_n reads, kept once per level."""
+    poly = cyclotomic_poly(n)
+    dd = len(poly) - 1
+    return dd, tuple((j, c) for j, c in enumerate(poly[:dd]) if c)
 
 
 def reduce_powers(level, dense):
     """Power-basis coefficients of sum_e dense[e] x^e modulo Phi_level."""
-    return _poly_divmod_monic(dense, cyclotomic_poly(level))[1]
+    return _poly_divmod_monic(dense, *_divisor(level))[1]
 
 
 class CycNumber:
@@ -177,13 +185,18 @@ class CycNumber:
         """(the sum of c zeta^e over the pairs (e, c) in terms, each
         0 <= e < level) / den, reduced modulo Phi_level.  Phi_level is read
         first, so a level above the cap fails before the vector of powers
-        is built."""
-        poly = cyclotomic_poly(level)
-        dense = [0] * level
+        is built; the vector reaches the highest power with a nonzero c,
+        and is divided only when that power is phi(level) or more."""
+        phi, low = _divisor(level)
+        dense = [0] * phi
         for e, c in terms:
-            dense[e] += c
-        return cls.from_integers(level, _poly_divmod_monic(dense, poly)[1],
-                                 den)
+            if c:
+                if e >= len(dense):
+                    dense += [0] * (e + 1 - len(dense))
+                dense[e] += c
+        if len(dense) > phi:
+            dense = _poly_divmod_monic(dense, phi, low)[1]
+        return cls.from_integers(level, dense, den)
 
     @classmethod
     def from_rational(cls, x, level=1):
@@ -227,7 +240,8 @@ class CycNumber:
             raise ValueError("can only lift to a multiple of the level")
         step = m // self.level
         return CycNumber.from_powers(
-            m, ((i * step, c) for i, c in enumerate(self.nums)), self.den)
+            m, ((i * step, c) for i, c in enumerate(self.nums) if c),
+            self.den)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -545,11 +559,17 @@ class HermitianMatrix:
         return hash((self.D, self.den, self._image))
 
     def to_json(self):
+        """The entry parts as reduced "a/b" strings; an image over 1 is
+        already reduced."""
         den = self.den
-        return {"n": self.n, "D": self.D,
-                "entries": [[["%d/%d" % (x // g, den // g)
-                              for x in e for g in (gcd(x, den),)]
-                             for e in row] for row in self._image]}
+        if den == 1:
+            entries = [[["%d/1" % a, "%d/1" % b] for a, b in row]
+                       for row in self._image]
+        else:
+            entries = [[["%d/%d" % (x // g, den // g)
+                         for x in e for g in (gcd(x, den),)]
+                        for e in row] for row in self._image]
+        return {"n": self.n, "D": self.D, "entries": entries}
 
     def __repr__(self):
         return "HermitianMatrix(D=%d, den=%d, image=%r)" % (
@@ -595,8 +615,11 @@ def _quadratic(image, D, idx):
     return K, c, -A, -B
 
 
-def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
-    """Yield positive semidefinite hermitian matrices with bounded integer trace.
+def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP,
+                        definite=False):
+    """Yield positive semidefinite hermitian matrices with bounded integer
+    trace, or with definite=True the positive definite ones alone, in the
+    same order.
 
     Diagonal entries are nonnegative integers with sum <= trace_bound;
     off-diagonal entries run over (a + b*sqrt(-D))/dual_scale with integer a, b
@@ -604,7 +627,11 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     size 1 or 2 nonnegative.  The larger principal minors are tested on the
     integer image dual_scale * beta, and a candidate that passes is built
     from that image, with the full minor (the last one screened) as its
-    determinant.
+    determinant.  A definite enumeration skips the diagonals with a zero
+    entry, bounds each entry strictly (a^2 + D*b^2 <= s^2*d_i*d_j - 1 on the
+    image) and asks every screened minor for at least 1: on the integer
+    image, > 0 and >= 1 are one test, and a hermitian matrix whose principal
+    minors are all positive is positive definite.
 
     The entry of the last pair (n-2, n-1) runs fastest, under a prefix that
     fixes every other entry.  Per prefix, each screened minor that does not
@@ -618,7 +645,10 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
     pair's options from at most cap + 1 entry bounds (each adds at least one
     option), all before any list of either is built: when either count is
     above cap, ResourceBoundError is raised before the first yield, however
-    large n, trace_bound or dual_scale.  Deterministic order.
+    large n, trace_bound or dual_scale.  The count is that of the
+    semidefinite candidates under either value of definite, so both
+    enumerations of one (n, D, trace_bound, dual_scale) pass or fail the cap
+    together.  Deterministic order.
     """
     minors = 2 ** n - 1 - n - n * (n - 1) // 2
     if minors > cap:
@@ -638,9 +668,14 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                 for idx in itertools.combinations(range(n), size)]
     moving = [idx for idx in screened if idx[-2:] == (n - 2, n - 1)]
     fixed = [idx for idx in screened if idx[-2:] != (n - 2, n - 1)]
+    # the least value a screened minor may take
+    floor = 1 if definite else 0
     for diag in _diagonals(n, trace_bound):
+        if definite and not all(diag):
+            continue
         ranges = [[((a, b), (a, -b))
-                   for a, bmax in _entry_bounds(s2 * diag[i] * diag[j], D)
+                   for a, bmax in _entry_bounds(
+                       s2 * diag[i] * diag[j] - floor, D)
                    for b in range(-bmax, bmax + 1)] for (i, j) in pairs]
         image = [[(s * diag[i], 0) if i == j else None for j in range(n)]
                  for i in range(n)]
@@ -649,7 +684,8 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
         for prefix in itertools.product(*ranges):
             for (i, j), (x, xbar) in zip(pairs, prefix):
                 image[i][j], image[j][i] = x, xbar
-            if all(_int_minor(image, D, idx, idx)[0] >= 0 for idx in fixed):
+            if all(_int_minor(image, D, idx, idx)[0] >= floor
+                   for idx in fixed):
                 if pairs:
                     image[n - 2][n - 1] = image[n - 1][n - 2] = (0, 0)
                 quadratics = [_quadratic(image, D, idx) for idx in moving]
@@ -663,7 +699,7 @@ def enumerate_hermitian(n, D, trace_bound, dual_scale=1, cap=ENUMERATION_CAP):
                     m = None
                     for K, c, A, B in quadratics:
                         m = K - c * norm + 2 * (a * A - D * b * B)
-                        if m < 0:
+                        if m < floor:
                             break
                     else:
                         beta = object.__new__(HermitianMatrix)

@@ -50,8 +50,9 @@ def minor_monomial(beta, a):
 
 def times_multiplier(value, beta, a):
     """The ExactValue times the minor monomial at beta; zero where the
-    monomial vanishes, and a zero value as it is."""
-    if value.is_zero():
+    monomial vanishes, and a zero value, or any value under the weight
+    a = 0, whose monomial is the empty product 1, as it is."""
+    if value.is_zero() or not any(a):
         return value
     m = minor_monomial(beta, a)
     if m.is_zero():

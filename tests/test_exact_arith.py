@@ -416,13 +416,19 @@ def test_minor_cache_is_invisible(beta):
     assert twin.int_minor(everything, everything) == first
 
 
-@pytest.mark.parametrize("n, D, trace, scale", [(3, 1, 3, 1), (3, 3, 3, 2),
-                                                 (3, 1, 2, 3), (4, 1, 3, 1)])
-def test_enumeration_hands_over_the_determinant(n, D, trace, scale):
+@pytest.mark.parametrize("n, D, trace, scale, definite", [
+    pytest.param(*case, id="-".join(map(str, case[:4])) + "-definite" * case[4])
+    for case in [(3, 1, 3, 1, False), (3, 3, 3, 2, False), (3, 1, 2, 3, False),
+                 (4, 1, 3, 1, False),
+                 # a definite index of size n has trace at least n
+                 (3, 1, 4, 1, True), (3, 3, 3, 2, True), (3, 1, 3, 2, True),
+                 (4, 1, 4, 1, True)]])
+def test_enumeration_hands_over_the_determinant(n, D, trace, scale,
+                                                definite):
     """The full minor that the enumerator's screen computed last is each
     yielded matrix's determinant, with the value that the Laplace oracle
     gives."""
-    betas = list(enumerate_hermitian(n, D, trace, scale))
+    betas = list(enumerate_hermitian(n, D, trace, scale, definite=definite))
     assert betas
     for beta in betas:
         assert beta.det() == quad_minor(beta, range(n), range(n)).a
@@ -439,17 +445,27 @@ def _drain(gen):
     return out, False
 
 
+def _oracle(n, D, trace, scale, definite, cap=200000):
+    """enumerate_hermitian_oracle, kept to det > 0 when definite."""
+    want = enumerate_hermitian_oracle(n, D, trace, scale, cap=cap)
+    return (b for b in want if b.det() > 0) if definite else want
+
+
 @given(st.integers(1, 4), st.sampled_from([1, 2, 3]),
-       st.sampled_from([1, 2, 3]), st.integers(0, 3))
-@example(4, 1, 1, 3)  # prefixes rejected by a minor without the last pair
-@settings(max_examples=25, deadline=None)
-def test_enumeration_matches_oracle(n, D, scale, trace):
+       st.sampled_from([1, 2, 3]), st.integers(0, 3), st.booleans())
+# prefixes rejected by a minor without the last pair
+@example(4, 1, 1, 3, False)
+@example(4, 1, 1, 3, True)
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_oracle(n, D, scale, trace, definite):
     """The enumerator, which builds each matrix from its integer image,
     yields what the oracle builds from Fractions: the same matrices with
-    the same lowest denominator, hash and JSON."""
-    got, capped = _drain(enumerate_hermitian(n, D, trace, scale, cap=2500))
+    the same lowest denominator, hash and JSON; the definite enumeration
+    yields the oracle's matrices of positive determinant, in order."""
+    got, capped = _drain(enumerate_hermitian(n, D, trace, scale, cap=2500,
+                                             definite=definite))
     assume(not capped)
-    want = list(enumerate_hermitian_oracle(n, D, trace, scale))
+    want = list(_oracle(n, D, trace, scale, definite))
     assert got == want
     for beta, ref in zip(got, want):
         assert beta.den == ref.den
@@ -458,12 +474,16 @@ def test_enumeration_matches_oracle(n, D, scale, trace):
 
 
 @given(st.integers(2, 4), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
-       st.integers(1, 300))
-@example(4, 1, 1, 300)
-@settings(max_examples=25, deadline=None)
-def test_enumeration_cap_matches_oracle(n, D, scale, cap):
-    got = _drain(enumerate_hermitian(n, D, 3, scale, cap=cap))
-    assert got == _drain(enumerate_hermitian_oracle(n, D, 3, scale, cap=cap))
+       st.integers(1, 300), st.booleans())
+@example(4, 1, 1, 300, False)
+@example(4, 1, 1, 300, True)
+@settings(max_examples=40, deadline=None)
+def test_enumeration_cap_matches_oracle(n, D, scale, cap, definite):
+    """Either enumeration hits the cap exactly where the oracle, counting
+    the semidefinite candidates, does."""
+    got = _drain(enumerate_hermitian(n, D, 3, scale, cap=cap,
+                                     definite=definite))
+    assert got == _drain(_oracle(n, D, 3, scale, definite, cap=cap))
 
 
 def test_enumeration_expands_three_minors_per_prefix(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eiskling import qexp_diff
 from eiskling.exact_arith import HermitianMatrix, sqrt_minus_d
 from eiskling.values import ExactValue
 from eiskling.qexp_diff import minor_monomial, times_multiplier
@@ -69,17 +70,24 @@ def test_weight_additivity_200():
         checked += 1
 
 
-def test_examples():
+def test_examples(monkeypatch):
     b = HermitianMatrix(1, [[Fraction(2)]])
     assert minor_monomial(b, (3,)) == 8
     ident = HermitianMatrix(1, [[Fraction(1), Fraction(0)],
                                 [Fraction(0), Fraction(1)]])
     assert minor_monomial(ident, (2, 1)) == 1
-    # weight zero multiplies every coefficient by one
+    # weight zero multiplies every coefficient by one: times_multiplier
+    # returns its input object and never expands a minor
     b2 = HermitianMatrix(1, [[1, (2, 3)], [(2, -3), 5]])
-    assert minor_monomial(b2, (0,)) == 1
+    b3 = HermitianMatrix(1, [[2, 1, 0], [1, 3, (0, 1)], [0, (0, -1), 4]])
+    assert minor_monomial(b2, (0,)) == minor_monomial(b3, (0, 0)) == 1
+    calls = []
+    monkeypatch.setattr(qexp_diff, "minor_monomial",
+                        lambda *args: calls.append(args))
     v = ExactValue.from_rational(Fraction(3, 7))
-    assert times_multiplier(v, b2, (0,)) == v
+    assert times_multiplier(v, b2, (0,)) is v
+    assert times_multiplier(v, b3, (0, 0)) is v
+    assert calls == []
 
 
 def test_klingen_kills_zero_subdiagonal():
