@@ -10,7 +10,7 @@ from fractions import Fraction
 from eiskling.bernoulli_kl import (bernoulli_number, gen_bernoulli,
                                    kl_specialization)
 from eiskling.characters import DirichletChar, gauss_sum
-from eiskling.padic import congruent_mod
+from eiskling.padic import valuation_at_least
 
 # --- Gauss sums ------------------------------------------------------------
 # For a primitive character chi mod m the Gauss sum g(chi) has |g(chi)|^2 = m;
@@ -54,5 +54,5 @@ for k in (2, 6, 10, 22):
 a = kl_specialization(triv, 2, p, prec=8)
 b = kl_specialization(triv, 6, p, prec=8)
 c = kl_specialization(triv, 22, p, prec=8)
-print("A_2 = A_6   mod 5  :", congruent_mod(a, b, 1))
-print("A_2 = A_22  mod 25 :", congruent_mod(a, c, 2))   # 22-2 = 20 = (p-1)p
+print("A_2 = A_6   mod 5  :", valuation_at_least(a - b, 1))
+print("A_2 = A_22  mod 25 :", valuation_at_least(a - c, 2))   # 22-2 = 20 = (p-1)p

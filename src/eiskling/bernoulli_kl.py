@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import PoleError
-from .exact_arith import CycNumber, euler_phi
+from .exact_arith import CycNumber
 from .padic import embed_cyclotomic
 
 # B_0, B_1, ..., B_n; filled on first use and grown by _grow_bernoulli
@@ -54,32 +54,22 @@ def gen_bernoulli(chi, k):
 
     With den = lcm(den B_0..B_k), P(a) = den f^k B_k(a/f) = sum_j C(k,j)
     den B_j f^j a^(k-j) is an integer polynomial in a, and B_{k,chi} =
-    sum_a chi(a) P(a) / (f den); the P(a) are summed over each value of chi
-    first.
+    sum_a zeta_n^e(a) P(a) / (f den), e the exponent table of chi: one sum
+    of powers of zeta_n, descended to the value level of chi.
     """
     f = chi.modulus
     bern = [bernoulli_number(j) for j in range(k + 1)]
     den = lcm(*[b.denominator for b in bern])
     coeffs = [comb(k, j) * b.numerator * (den // b.denominator) * f ** j
               for j, b in enumerate(bern)]
-    classes = {}
-    for a in range(1, f + 1):
-        v = chi(a)
-        if v.is_zero():
-            continue
+    terms = []
+    for a, e in chi.exps.items():
+        a = a or f  # the key 0 of modulus 1 is a = f = 1
         acc = 0
         for c in coeffs:
             acc = acc * a + c
-        classes.setdefault((v.level, v.nums, v.den), [v, 0])[1] += acc
-    level = lcm(*[v.level for v, _ in classes.values()])
-    terms = [(v.lift(level), s) for v, s in classes.values()]
-    vden = lcm(*[v.den for v, _ in terms])
-    nums = [0] * euler_phi(level)
-    for v, s in terms:
-        s *= vden // v.den
-        for i, c in enumerate(v.nums):
-            nums[i] += s * c
-    return CycNumber.from_integers(level, nums, vden * f * den)
+        terms.append((e, acc))
+    return CycNumber.from_powers(chi.n, terms, f * den).descend(chi.level)
 
 
 def L_at_nonpositive(chi, k):

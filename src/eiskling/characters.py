@@ -3,16 +3,17 @@ Q(sqrt(-D)).
 
 A character is its exponent table: chi(a) = zeta_n^e(a), n = lcm(2, L) for
 the cyclotomic level L of its values.  Order, key, powers, products and the
-conductor are integer arithmetic on the exponents; each value is built once,
-at construction."""
+conductor are integer arithmetic on the exponents.  A value, a Gauss sum and
+a generalized Bernoulli number are each one sum of powers of zeta_n, read off
+the exponents and brought down to the value level by CycNumber.descend."""
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ConductorError
-from .exact_arith import (CycNumber, euler_phi, factorize, is_prime,
-                          kronecker_symbol)
+from .errors import ConductorError, ResourceBoundError
+from .exact_arith import (ENUMERATION_CAP, CycNumber, cyclotomic_poly,
+                          euler_phi, factorize, is_prime, kronecker_symbol)
 
 
 def chi_K(D, q):
@@ -40,12 +41,15 @@ def primitive_root(q):
 
 @lru_cache(maxsize=None)
 def _root(level, e):
-    """zeta_n^e at level L, n = lcm(2, L): for odd L it is
-    (-1)^e zeta_L^(e(L+1)/2), as zeta_2L = -zeta_L^((L+1)/2)."""
-    if level % 2 == 0:
-        return CycNumber.root_of_unity(level, e)
-    x = CycNumber.root_of_unity(level, e * (level + 1) // 2)
-    return -x if e % 2 else x
+    """zeta_n^e at level L, n = lcm(2, L): built at n and descended to L."""
+    return CycNumber.root_of_unity(lcm(2, level), e).descend(level)
+
+
+def _check_modulus(m):
+    """Refuse a modulus above the cap before its table or factors exist."""
+    if m > ENUMERATION_CAP:
+        raise ResourceBoundError("character modulus %d exceeds the cap %d"
+                                 % (m, ENUMERATION_CAP))
 
 
 def _units(m):
@@ -57,25 +61,28 @@ class DirichletChar:
     """A Dirichlet character as its exponent table: chi(a) = zeta_n^exps[a]
     on the units a mod modulus (the key 0 alone for modulus 1), where
     n = lcm(2, level) and level is the cyclotomic level of its values.  The
-    values are built at construction, so a level above the cap fails there."""
+    values are built at level n when they are read, so construction reads
+    Phi_n, and a level above the cap fails there."""
 
     def __init__(self, modulus, level, exps):
         self.modulus = modulus
         self.level = level
         self.n = lcm(2, level)
+        cyclotomic_poly(self.n)
         self.exps = {a: e % self.n for a, e in exps.items()}
-        self.values = {a: _root(level, e) for a, e in self.exps.items()}
         self._conductor = None
 
     @classmethod
     def trivial(cls, modulus=1):
         if modulus < 1:
             raise ValueError("the modulus must be positive")
+        _check_modulus(modulus)
         return cls(modulus, 1, dict.fromkeys(_units(modulus), 0))
 
     @classmethod
     def quadratic(cls, q):
         """The Legendre character modulo an odd prime q."""
+        _check_modulus(q)
         if q == 2 or not is_prime(q):
             raise ValueError("need an odd prime")
         return cls(q, 1, {a: int(kronecker_symbol(a, q) == -1)
@@ -86,6 +93,7 @@ class DirichletChar:
         """Character on (Z/p^t)^* sending the fixed smallest primitive root g
         to zeta_phi^k, where phi = phi(modulus), with values at the level of
         its order."""
+        _check_modulus(modulus)
         phi = euler_phi(modulus)
         g = primitive_root(modulus)
         level = phi // gcd(phi, k)
@@ -98,8 +106,8 @@ class DirichletChar:
         return cls(modulus, level, exps)
 
     def __call__(self, n):
-        n = int(n) % self.modulus if self.modulus > 1 else 0
-        return self.values[n] if n in self.values else CycNumber.zero()
+        e = self.exps.get(int(n) % self.modulus if self.modulus > 1 else 0)
+        return CycNumber.zero() if e is None else _root(self.level, e)
 
     def is_trivial(self):
         return not any(self.exps.values())
@@ -114,6 +122,7 @@ class DirichletChar:
     def __mul__(self, other):
         """The product at modulus lcm(m1, m2) and level lcm(L1, L2)."""
         m = lcm(self.modulus, other.modulus)
+        _check_modulus(m)
         level = lcm(self.level, other.level)
         n = lcm(2, level)
         s, t = n // self.n, n // other.n
@@ -192,14 +201,13 @@ def gauss_sum(chi):
         raise ConductorError("gauss_sum needs a primitive character")
     if m == 1:
         return CycNumber.one()
-    # chi(a) zeta_m^a is the vector of chi(a), whose values are integral at
-    # level L, lifted to lcm(m, L) and shifted by a * level / m; sum the
-    # shifted vectors, then reduce once
-    level = lcm(m, chi.level)
-    step = level // chi.level
+    # chi(a) zeta_m^a = zeta_n^e zeta_m^a is one power of zeta at lcm(m, n);
+    # the sum descends to lcm(m, L), a different level when m and L are odd
+    n = chi.n
+    level = lcm(m, n)
     return CycNumber.from_powers(level, (
-        ((i * step + a * level // m) % level, c)
-        for a, v in chi.values.items() for i, c in enumerate(v.nums) if c))
+        ((e * (level // n) + a * (level // m)) % level, 1)
+        for a, e in chi.exps.items())).descend(lcm(m, chi.level))
 
 
 @dataclass

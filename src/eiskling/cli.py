@@ -18,7 +18,7 @@ from .bernoulli_kl import kl_specialization, bernoulli_number
 from .hecke import kappa_set, up_eigenvalues, klingen_eigenvalues
 from .pullback import (p_constant_klingen, p_constant_lfun,
                        klingen_ratio_unramified)
-from .padic import PadicElem, congruent_mod
+from .padic import PadicElem, valuation_at_least
 from .siegel_fourier import (SiegelDatum, assemble_classes, index_classes,
                              index_size)
 from .interpolation import (ArithmeticPoint, coefficient_family,
@@ -438,7 +438,7 @@ def cmd_kl(cfg):
             if values[k] is None or values[k2] is None:
                 continue
             try:
-                matrix["%d,%d" % (k, k2)] = congruent_mod(values[k], values[k2], 1)
+                matrix["%d,%d" % (k, k2)] = valuation_at_least(values[k] - values[k2], 1)
             except EisklingError as exc:
                 matrix["%d,%d" % (k, k2)] = "insufficient: %s" % exc
     return {"command": "kl", "p": p,

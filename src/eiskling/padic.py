@@ -21,11 +21,12 @@ Teichmuller lift w of a primitive m-th root of unity mod p, at level 1.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 from .errors import InsufficientPrecisionError, UnsupportedEmbeddingError
 from .exact_arith import euler_phi, valuation
-from .characters import _units, primitive_root
+from .characters import primitive_root
 
 
 class PadicElem:
@@ -159,11 +160,14 @@ def embed_cyclotomic(x, p, prec, choice=0):
     the choice-th unit mod m; the unramified carrier's valuation bound does
     not depend on it.
 
-    A non-rational element is read once as p^shift * (u_i mod p^prec) on the
+    A rational element goes straight to Q_p, whatever its level and choice.
+    Any other element is read once as p^shift * (u_i mod p^prec) on the
     power basis, shift = min(0, min_i v(c_i/den)) = -v(den), since the
     numerators of a reduced element share no prime with den.  For m dividing
     p - 1 the image is sum_i u_i w^i, w the Teichmuller root of unity.
     """
+    if x.is_rational():
+        return PadicElem.from_fraction(x.rational(), p, prec)
     n = x.level
     m = n // p ** valuation(n, p)
     if m != n:
@@ -172,12 +176,11 @@ def embed_cyclotomic(x, p, prec, choice=0):
             raise UnsupportedEmbeddingError(
                 "element of level %d does not descend to level %d" % (n, m))
         x = y
-    units = _units(m if (p - 1) % m else p - 1)
-    a = units[choice % len(units)] % m
+    q = m if (p - 1) % m else p - 1
+    a = next(islice((u for u in range(q) if gcd(u, q) == 1),
+                    choice % euler_phi(q), None)) % m
     if a > 1:
         x = x.galois(a)
-    if x.is_rational():
-        return PadicElem.from_fraction(x.rational(), p, prec)
     mod = p ** prec
     shift = -valuation(x.den, p)
     inv = pow(x.den // p ** -shift, -1, mod)
@@ -201,7 +204,3 @@ def valuation_at_least(x, k):
         raise InsufficientPrecisionError("prec %d < %d" % (v, k))
     return True
 
-
-def congruent_mod(a, b, k):
-    """Decide valuation(a - b) >= k, raising when precision cannot decide."""
-    return valuation_at_least(a - b, k)

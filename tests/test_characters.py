@@ -10,7 +10,7 @@ from eiskling.characters import (
     chi_K,
     gauss_sum,
 )
-from eiskling.errors import ConductorError
+from eiskling.errors import ConductorError, ResourceBoundError
 
 from oracles import ValueTableChar
 
@@ -188,6 +188,19 @@ def test_exponent_table_products_match_value_table():
             y = _build(ValueTableChar, s) * _build(ValueTableChar, t)
             assert _record(x) == _record(y), (s, t)
             assert x == _build(DirichletChar, t) * _build(DirichletChar, s)
+
+
+def test_a_modulus_above_the_cap_is_refused_before_its_table():
+    """Each constructor, and a product whose modulus lcm(m1, m2) is over
+    ENUMERATION_CAP, refuses the modulus before a table or a factorization
+    of it is built."""
+    for build in (lambda: DirichletChar.trivial(10 ** 9),
+                  lambda: DirichletChar.quadratic(1000003),
+                  lambda: DirichletChar.from_exponent(1000000007, 1),
+                  lambda: (DirichletChar.trivial(150000)
+                           * DirichletChar.trivial(149999))):
+        with pytest.raises(ResourceBoundError, match="exceeds the cap"):
+            build()
 
 
 def test_from_exponent_needs_an_odd_prime_power():

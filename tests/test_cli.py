@@ -411,6 +411,13 @@ def edited(**keys):
     # a key the command never reads is still parsed, and named
     ("coeff", {"chi": "exp:2003:1"}, "key 'chi': ResourceBoundError: "
      "cyclotomic level 2002 exceeds the cap 2000"),
+] + [
+    # the modulus is checked before the table or a factorization is built
+    ("kl", {"chi": spec}, "key 'chi': ResourceBoundError: character "
+     "modulus %d exceeds the cap 200000" % modulus)
+    for spec, modulus in (("exp:1000000007:1", 1000000007),
+                          ("trivial:1000000000", 1000000000),
+                          ("quadratic:1000003", 1000003))
 ])
 def test_command_errors_are_config_errors(tmp_path, capsys, command, keys,
                                           message):

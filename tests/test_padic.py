@@ -7,7 +7,6 @@ from eiskling.characters import _units
 from eiskling.exact_arith import CycNumber, euler_phi
 from eiskling.padic import (
     PadicElem,
-    congruent_mod,
     embed_cyclotomic,
     teichmuller,
     valuation_at_least,
@@ -95,6 +94,8 @@ def test_embed_unramified_carrier():
     z = CycNumber.root_of_unity(7)
     img = embed_cyclotomic(z, 5, 8)
     assert img.level == 7
+    # written at level 35, zeta_7 descends to level 7 before it is embedded
+    assert embed_cyclotomic(z.lift(35), 5, 8).coeffs == img.coeffs
     cases = [(z, z * z), (z + 3, z + 3 + 125 * z ** 4),
              (z * Fraction(1, 5), z ** 3 * Fraction(2, 25)),
              (z ** 2 + Fraction(1, 5), 5 * z + Fraction(26, 5))]
@@ -108,10 +109,10 @@ def test_embed_unramified_carrier():
 def test_congruent_mod_and_precision():
     a = PadicElem.from_fraction(1, 5, 4)
     b = PadicElem.from_fraction(1 + 125, 5, 4)
-    assert congruent_mod(a, b, 3)
-    assert not congruent_mod(a, b, 4)
+    assert valuation_at_least(a - b, 3)
+    assert not valuation_at_least(a - b, 4)
     with pytest.raises(InsufficientPrecisionError):
-        congruent_mod(a, a, 9)
+        valuation_at_least(a - a, 9)
 
 
 def test_congruent_mod_mixed_types():
@@ -120,9 +121,9 @@ def test_congruent_mod_mixed_types():
     a = PadicElem.from_fraction(0, 5, 8)
     diff = embed_cyclotomic(25 * z, 5, 8)
     assert u.level == diff.level == 7 and a.level == 1
-    assert congruent_mod(diff, a, 2)
-    assert not congruent_mod(diff, a, 3)
-    assert not congruent_mod(u, a, 1)
+    assert valuation_at_least(diff - a, 2)
+    assert not valuation_at_least(diff - a, 3)
+    assert not valuation_at_least(u - a, 1)
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
