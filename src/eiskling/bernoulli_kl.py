@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import PoleError
+from .characters import zeta_term
 from .exact_arith import CycNumber
 from .padic import embed_cyclotomic
 
@@ -55,7 +56,7 @@ def gen_bernoulli(chi, k):
     With den = lcm(den B_0..B_k), P(a) = den f^k B_k(a/f) = sum_j C(k,j)
     den B_j f^j a^(k-j) is an integer polynomial in a, and B_{k,chi} =
     sum_a zeta_n^e(a) P(a) / (f den), e the exponent table of chi: one sum
-    of powers of zeta_n, descended to the value level of chi.
+    of terms zeta_term at the value level L of chi.
     """
     f = chi.modulus
     bern = [bernoulli_number(j) for j in range(k + 1)]
@@ -68,8 +69,8 @@ def gen_bernoulli(chi, k):
         acc = 0
         for c in coeffs:
             acc = acc * a + c
-        terms.append((e, acc))
-    return CycNumber.from_powers(chi.n, terms, f * den).descend(chi.level)
+        terms.append(zeta_term(chi.level, e, acc))
+    return CycNumber.from_powers(chi.level, terms, f * den)
 
 
 def L_at_nonpositive(chi, k):

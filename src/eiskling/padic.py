@@ -7,10 +7,9 @@ p^prec, so the element is known to absolute precision p^(prec + shift);
 level 1 is Q_p.  It supports only what the congruence checks read:
 subtraction, in which a level-1 operand lifts to the other operand's level
 as its constant term, and a valuation bound; to_json is its report form.
-The ring is a product of
-unramified discrete valuation rings, so "all coefficients divisible by p^k"
-is a sound (possibly conservative) certificate for valuation >= k in every
-factor, and exact at level 1.
+The ring is a product of unramified discrete valuation rings, so "all
+coefficients divisible by p^k" is a sound (possibly conservative)
+certificate for valuation >= k in every factor, and exact at level 1.
 
 embed_cyclotomic works on integers: it descends an element to the prime-to-p
 part m of its level (CycNumber.descend), reads its coefficients once as
@@ -160,22 +159,21 @@ def embed_cyclotomic(x, p, prec, choice=0):
     the choice-th unit mod m; the unramified carrier's valuation bound does
     not depend on it.
 
-    A rational element goes straight to Q_p, whatever its level and choice.
-    Any other element is read once as p^shift * (u_i mod p^prec) on the
-    power basis, shift = min(0, min_i v(c_i/den)) = -v(den), since the
-    numerators of a reduced element share no prime with den.  For m dividing
-    p - 1 the image is sum_i u_i w^i, w the Teichmuller root of unity.
+    A rational goes straight to Q_p.  Any other element is read once as
+    p^shift * (u_i mod p^prec) on the power basis, shift = min(0, min_i
+    v(c_i/den)) = -v(den), since the numerators of a reduced element share no
+    prime with den.  For m dividing p - 1 the image is sum_i u_i w^i, w the
+    Teichmuller root of unity.
     """
     if x.is_rational():
         return PadicElem.from_fraction(x.rational(), p, prec)
     n = x.level
     m = n // p ** valuation(n, p)
     if m != n:
-        y = x.descend(m)
-        if y is None:
+        x = x.descend(m)
+        if x is None:
             raise UnsupportedEmbeddingError(
                 "element of level %d does not descend to level %d" % (n, m))
-        x = y
     q = m if (p - 1) % m else p - 1
     a = next(islice((u for u in range(q) if gcd(u, q) == 1),
                     choice % euler_phi(q), None)) % m

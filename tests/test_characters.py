@@ -72,10 +72,17 @@ def test_order_and_parity():
     assert omega.order() == 4
     assert omega.parity() == -1
     assert (omega ** 2).parity() == 1
+    # odd order 1001: its values lie at level 1001, under the cap 2000
+    # though 2 * 1001 is not
+    big = DirichletChar.from_exponent(2003, 2)
+    assert big.order() == 1001 and big.parity() == 1
 
 
+# (47, 1, 2) has odd order 23: its Gauss sum lies at level 47 * 23 = 1081,
+# under the cap 2000 though 2 * 1081 is not
 @pytest.mark.parametrize("p,t,k", [(3, 1, 1), (5, 1, 1), (5, 1, 3),
-                                   (7, 1, 2), (5, 2, 1), (7, 2, 3)])
+                                   (7, 1, 2), (5, 2, 1), (7, 2, 3),
+                                   (47, 1, 2)])
 def test_gauss_norm(p, t, k):
     chi = DirichletChar.from_exponent(p ** t, k).primitive_part()
     if chi.conductor() != p ** t:
@@ -190,17 +197,12 @@ def test_exponent_table_products_match_value_table():
             assert x == _build(DirichletChar, t) * _build(DirichletChar, s)
 
 
-def test_a_modulus_above_the_cap_is_refused_before_its_table():
-    """Each constructor, and a product whose modulus lcm(m1, m2) is over
-    ENUMERATION_CAP, refuses the modulus before a table or a factorization
-    of it is built."""
-    for build in (lambda: DirichletChar.trivial(10 ** 9),
-                  lambda: DirichletChar.quadratic(1000003),
-                  lambda: DirichletChar.from_exponent(1000000007, 1),
-                  lambda: (DirichletChar.trivial(150000)
-                           * DirichletChar.trivial(149999))):
-        with pytest.raises(ResourceBoundError, match="exceeds the cap"):
-            build()
+def test_a_product_modulus_above_the_cap_is_refused_before_its_table():
+    """A product whose modulus lcm(m1, m2) is over ENUMERATION_CAP is
+    refused before its table is built (the constructors' refusals are rows
+    of tests/test_cli.py::test_command_errors_are_config_errors)."""
+    with pytest.raises(ResourceBoundError, match="exceeds the cap"):
+        DirichletChar.trivial(150000) * DirichletChar.trivial(149999)
 
 
 def test_from_exponent_needs_an_odd_prime_power():

@@ -201,7 +201,7 @@ UNREACHED_ALLOWED = {
         "the same addition with a rational on the left",
     "exact_arith.CycNumber.__neg__":
         "negation, which the ring-axiom and reduction tests use; a character "
-        "value is a power of zeta_n descended to its level, so no command "
+        "value is one signed power of zeta at its level, so no command "
         "negates",
     "values.ExactValue.__eq__":
         "equality across levels, read by the tests",
