@@ -7,9 +7,10 @@ p^prec, so the element is known to absolute precision p^(prec + shift);
 level 1 is Q_p.  It supports only what the congruence checks read:
 subtraction, in which a level-1 operand lifts to the other operand's level
 as its constant term, and a valuation bound; to_json is its report form.
-The ring is a product of unramified discrete valuation rings, so "all
-coefficients divisible by p^k" is a sound (possibly conservative)
-certificate for valuation >= k in every factor, and exact at level 1.
+The ring is a product of
+unramified discrete valuation rings, so "all coefficients divisible by p^k"
+is a sound (possibly conservative) certificate for valuation >= k in every
+factor, and exact at level 1.
 
 embed_cyclotomic works on integers: it descends an element to the prime-to-p
 part m of its level (CycNumber.descend), reads its coefficients once as
